@@ -167,7 +167,7 @@ mod tests {
                 )
             })
             .collect();
-        params.histogram = Some(crate::histogram::Histogram::build(&dist, 4));
+        params.histogram = Some(crate::histogram::Histogram::build(&dist, 4).into());
         let text = explain(&q(), &params);
         assert!(text.contains("4 equi-depth buckets"));
         assert!(text.contains("h ≈ 3.0"), "{text}");

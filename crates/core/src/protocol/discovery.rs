@@ -11,6 +11,8 @@
 //! [`PhasePlan`]; the sub-protocol itself is an S_Agg plan with the finalize
 //! destination redirected to the TDSs.
 
+use std::sync::Arc;
+
 use tdsql_sql::ast::{AggCall, AggFunc, Expr, Query, SelectItem};
 use tdsql_sql::value::{GroupKey, Value};
 
@@ -97,7 +99,7 @@ pub(crate) fn apply_distribution(
             params.noise_domain = distribution.into_iter().map(|(k, _)| k).collect();
         }
         DiscoveryNeed::Histogram { buckets } => {
-            params.histogram = Some(Histogram::build(&distribution, buckets));
+            params.histogram = Some(Arc::new(Histogram::build(&distribution, buckets)));
         }
     }
 }

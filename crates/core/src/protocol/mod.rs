@@ -18,6 +18,8 @@
 
 pub mod discovery;
 
+use std::sync::Arc;
+
 use tdsql_sql::value::GroupKey;
 
 use crate::histogram::Histogram;
@@ -69,6 +71,11 @@ impl ProtocolKind {
 
 /// Tunable parameters of a protocol run. The defaults mirror the paper's
 /// experimental section where applicable.
+///
+/// The discovery payload (`noise_domain`, `histogram`) is immutable once
+/// discovered and sits behind [`Arc`], so cloning the parameters — which the
+/// pool does once per step to hand them to the TDS — copies a few words
+/// whatever the domain size.
 #[derive(Debug, Clone)]
 pub struct ProtocolParams {
     /// Protocol to run.
@@ -90,9 +97,9 @@ pub struct ProtocolParams {
     pub alpha: usize,
     /// Discovered grouping-attribute domain (noise protocols); filled by the
     /// discovery sub-protocol, conceptually distributed under `k2`.
-    pub noise_domain: Vec<GroupKey>,
+    pub noise_domain: Arc<[GroupKey]>,
     /// Shared equi-depth histogram (ED_Hist); filled by discovery.
-    pub histogram: Option<Histogram>,
+    pub histogram: Option<Arc<Histogram>>,
 }
 
 impl ProtocolParams {
@@ -103,7 +110,7 @@ impl ProtocolParams {
             pad: 64,
             chunk: 256,
             alpha: 4,
-            noise_domain: Vec::new(),
+            noise_domain: Arc::default(),
             histogram: None,
         }
     }

@@ -486,6 +486,17 @@ impl<'a> ServiceDriver<'a> {
         self.process_partitions(qid, fil, env, params, partitions, step)
     }
 
+    /// Has the SIZE tuple bound been reached? The SSI's answer is constant
+    /// `false` for an envelope without one, and the driver holds that
+    /// envelope, so an unbounded query never asks. A bounded one asks before
+    /// every TDS: the cut-off must land on the TDS that crosses the bound.
+    fn size_tuples_reached(&self, qid: u64, env: &QueryEnvelope) -> Result<bool> {
+        if env.size.max_tuples.is_none() {
+            return Ok(false);
+        }
+        self.control(|ssi| ssi.size_tuples_reached(qid))
+    }
+
     /// Collection phase: rounds of connected TDSs answering until SIZE is
     /// reached, every targeted TDS contributed, or the round budget is
     /// exhausted — with the full fault-leg structure of the round runtime,
@@ -516,7 +527,7 @@ impl<'a> ServiceDriver<'a> {
         let mut stash: Vec<LateCollection> = Vec::new();
         let mut rounds = 0u64;
         'outer: while rounds < max_rounds
-            && !self.control(|ssi| ssi.size_tuples_reached(qid))?
+            && !self.size_tuples_reached(qid, env)?
             && contributed.iter().any(|c| !c)
         {
             rounds += 1;
@@ -529,7 +540,7 @@ impl<'a> ServiceDriver<'a> {
                 if contributed[i] || !env.target.includes(self.tds_ids[i]) {
                     continue;
                 }
-                if self.control(|ssi| ssi.size_tuples_reached(qid))? {
+                if self.size_tuples_reached(qid, env)? {
                     break 'outer;
                 }
                 if attempts[i] >= budget {
@@ -665,7 +676,7 @@ impl<'a> ServiceDriver<'a> {
         }
         self.flush_collection_stash(qid, &mut stash, &mut contributed, true)?;
         self.stats.rounds += rounds;
-        if !self.control(|ssi| ssi.size_tuples_reached(qid))? && contributed.iter().any(|c| !c) {
+        if !self.size_tuples_reached(qid, env)? && contributed.iter().any(|c| !c) {
             self.stats.partial = true;
         }
         self.obs.event(

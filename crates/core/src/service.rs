@@ -36,7 +36,7 @@ use crate::message::{AssignmentId, DeliveryOutcome, QueryEnvelope, StoredTuple};
 use crate::protocol::ProtocolParams;
 use crate::ssi::Ssi;
 use crate::stats::Phase;
-use crate::tds::{ResultDest, RetagMode, Tds};
+use crate::tds::{QueryOpenCache, ResultDest, RetagMode, Tds};
 
 /// One unit of TDS work, as dispatched by the driver. This is the entire
 /// per-phase vocabulary of the compiled plan: collection, the two reduce
@@ -300,14 +300,23 @@ pub trait TdsPool: Send + Sync {
 
 /// The in-process pool: a shared slice of [`Tds`] instances, as provisioned
 /// by [`crate::runtime::SimBuilder`] or the workload generators.
+///
+/// The pool owns the [`QueryOpenCache`] its steps open envelopes through, so
+/// the decrypt + parse + plan of a posted query happens once per pool — not
+/// once per TDS per step — whether the pool is driven in process or served
+/// by `tds-pool`. Credential and access-policy checks still run per step.
 pub struct LocalTdsPool {
     tdss: Arc<Vec<Tds>>,
+    open_cache: QueryOpenCache,
 }
 
 impl LocalTdsPool {
     /// Wrap a provisioned population.
     pub fn new(tdss: Arc<Vec<Tds>>) -> Self {
-        Self { tdss }
+        Self {
+            tdss,
+            open_cache: QueryOpenCache::new(),
+        }
     }
 
     /// The underlying population (server-side access for retention tests).
@@ -342,7 +351,8 @@ impl TdsPool for LocalTdsPool {
         rng_seed: u64,
     ) -> Result<StepResult> {
         let tds = self.tds(index)?;
-        let ctx = tds.open_query(env, params.clone(), now_round)?;
+        let ctx =
+            tds.open_query_cached(env, Arc::new(params.clone()), now_round, &self.open_cache)?;
         let mut rng = StdRng::seed_from_u64(rng_seed);
         Ok(match step {
             TdsStep::Collect => StepResult::Working(tds.collect(&ctx, &mut rng)?),

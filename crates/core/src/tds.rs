@@ -63,14 +63,22 @@ pub struct QueryContext {
 /// populations. A cache entry is keyed on (cipher-context identity, exact
 /// envelope ciphertext) and holds the parsed [`Query`] and [`AggregatePlan`].
 /// The per-TDS trust decisions — credential verification and the local
-/// access policy — are *never* cached; they run on every open.
+/// access policy — are *never* cached; they run on every open. Neither are
+/// failures: an envelope that does not authenticate or parse leaves the
+/// cache untouched and fails again on the next call.
+///
+/// The cache is a fixed-capacity LRU ([`Self::CAPACITY`] entries, most
+/// recently used first) because one pool serves every live query: a
+/// cross-query batch frame carries up to `MixedOptions::max_batch` (16)
+/// envelopes, and C_Noise / ED_Hist queries add a discovery envelope each,
+/// so a single slot would be evicted by every neighbour.
 ///
 /// The internals are private and only [`Tds`] methods populate them, so a
 /// runtime holding a cache cannot forge a parse result into the trust
 /// domain: the trust boundary stays the type.
 #[derive(Default)]
 pub struct QueryOpenCache {
-    inner: std::sync::Mutex<Option<CachedOpen>>,
+    inner: std::sync::Mutex<Vec<CachedOpen>>,
 }
 
 struct CachedOpen {
@@ -84,20 +92,59 @@ struct CachedOpen {
     plan: Option<Arc<AggregatePlan>>,
 }
 
-impl QueryOpenCache {
-    /// Fresh, empty cache (typically one per query phase).
-    pub fn new() -> Self {
-        Self::default()
+impl CachedOpen {
+    fn answers(&self, ciphers: &Arc<CipherContext>, enc_query: &Bytes) -> bool {
+        Arc::ptr_eq(&self.ciphers, ciphers) && self.enc_query == *enc_query
     }
 }
 
-/// Lock the cache, recovering the entry on poison: a panicking worker must
-/// not cascade into poison panics on its siblings, and the cached parse is
-/// written atomically (fully or not at all) so a recovered entry is valid.
-fn lock_cache(
-    m: &std::sync::Mutex<Option<CachedOpen>>,
-) -> std::sync::MutexGuard<'_, Option<CachedOpen>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+impl QueryOpenCache {
+    /// Entries kept: twice the default cross-query batch cap, so a full
+    /// batch of queries that each run a discovery sub-query still fits.
+    /// A constant, not a knob — an evicted entry costs one re-parse.
+    pub const CAPACITY: usize = 32;
+
+    /// Fresh, empty cache. A pool keeps one for its lifetime
+    /// ([`crate::service::LocalTdsPool`]); the threaded runtime one per run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Lock the entries, recovering them on poison: a panicking worker must
+    /// not cascade into poison panics on its siblings, and every mutation
+    /// (rotate, truncate, insert of a fully built entry) leaves the list
+    /// valid.
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<CachedOpen>> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The parse stored for this (cipher context, ciphertext), now the most
+    /// recently used.
+    fn get(
+        &self,
+        ciphers: &Arc<CipherContext>,
+        enc_query: &Bytes,
+    ) -> Option<(Arc<Query>, Option<Arc<AggregatePlan>>)> {
+        let mut entries = self.entries();
+        let i = entries.iter().position(|c| c.answers(ciphers, enc_query))?;
+        entries[..=i].rotate_right(1);
+        Some((Arc::clone(&entries[0].query), entries[0].plan.clone()))
+    }
+
+    /// Store a parse as the most recently used, evicting the least.
+    fn put(&self, entry: CachedOpen) {
+        let mut entries = self.entries();
+        // A sibling worker may have stored the same parse meanwhile.
+        if !entries
+            .iter()
+            .any(|c| c.answers(&entry.ciphers, &entry.enc_query))
+        {
+            entries.truncate(Self::CAPACITY - 1);
+            entries.insert(0, entry);
+        }
+    }
 }
 
 impl std::fmt::Debug for QueryOpenCache {
@@ -251,10 +298,8 @@ impl Tds {
     /// [`Self::open_query`] with the ring-wide decrypt+parse+plan step
     /// memoized in `cache`. Credential verification and the access-policy
     /// decision still run per TDS per call — only work that is a pure
-    /// function of (cipher context, envelope ciphertext) is shared. Takes
-    /// the parameters as an [`Arc`] so callers opening a whole population
-    /// share one copy of the discovery data instead of deep-cloning it per
-    /// TDS.
+    /// function of (cipher context, envelope ciphertext) is shared, and a
+    /// failed decrypt or parse is returned without touching the cache.
     pub fn open_query_cached(
         &self,
         envelope: &QueryEnvelope,
@@ -262,24 +307,18 @@ impl Tds {
         now_round: u64,
         cache: &QueryOpenCache,
     ) -> Result<QueryContext> {
-        let hit = {
-            let guard = lock_cache(&cache.inner);
-            guard.as_ref().and_then(|c| {
-                (Arc::ptr_eq(&c.ciphers, &self.ciphers) && c.enc_query == envelope.enc_query)
-                    .then(|| (Arc::clone(&c.query), c.plan.clone()))
-            })
-        };
-        let (query, plan) = match hit {
+        let (query, plan) = match cache.get(&self.ciphers, &envelope.enc_query) {
             Some(parsed) => parsed,
             None => {
-                let parsed = self.decrypt_and_parse(envelope)?;
-                *lock_cache(&cache.inner) = Some(CachedOpen {
+                // An error returns here, before anything is stored.
+                let (query, plan) = self.decrypt_and_parse(envelope)?;
+                cache.put(CachedOpen {
                     ciphers: Arc::clone(&self.ciphers),
                     enc_query: envelope.enc_query.clone(),
-                    query: Arc::clone(&parsed.0),
-                    plan: parsed.1.clone(),
+                    query: Arc::clone(&query),
+                    plan: plan.clone(),
                 });
-                parsed
+                (query, plan)
             }
         };
         self.finish_open(envelope, params, now_round, query, plan)
@@ -443,9 +482,8 @@ impl Tds {
                 // resulting distribution is flat by construction.
                 let mut held: std::collections::BTreeSet<GroupKey> =
                     inputs.iter().map(|t| t.key.clone()).collect();
-                let domain = ctx.params.noise_domain.clone();
                 let mut all = inputs;
-                for key in &domain {
+                for key in ctx.params.noise_domain.iter() {
                     if !held.contains(key) {
                         held.insert(key.clone());
                         all.push(AggInput {
@@ -866,7 +904,8 @@ mod tests {
         params.noise_domain = vec![
             GroupKey::from_values(&[Value::Str("north".into())]),
             GroupKey::from_values(&[Value::Str("south".into())]),
-        ];
+        ]
+        .into();
         let ctx = tds.open_query(&env, params, 0).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let tuples = tds.collect(&ctx, &mut rng).unwrap();
@@ -957,6 +996,12 @@ mod tests {
         let k1 = NDetCipher::new(&ring.k1);
         let row = ResultRow::decode(&k1.decrypt(&filtered[0]).unwrap()).unwrap();
         assert_eq!(row.0, vec![Value::Int(1)]);
+    }
+
+    #[test]
+    fn open_cache_holds_two_full_batches() {
+        let max_batch = crate::runtime::mixed::MixedOptions::default().max_batch;
+        assert!(QueryOpenCache::CAPACITY >= 2 * max_batch);
     }
 
     #[test]

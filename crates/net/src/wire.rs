@@ -362,7 +362,7 @@ pub(crate) fn put_params(out: &mut Vec<u8>, p: &ProtocolParams) -> Result<()> {
     put_u64(out, p.chunk as u64);
     put_u64(out, p.alpha as u64);
     put_u32(out, len_u32("wire noise domain", p.noise_domain.len())?);
-    for k in &p.noise_domain {
+    for k in p.noise_domain.iter() {
         put_blob(out, "wire group key", &k.0)?;
     }
     match &p.histogram {
@@ -381,15 +381,18 @@ pub(crate) fn take_params(buf: &[u8], pos: &mut usize) -> Result<ProtocolParams>
     let chunk = take_usize(buf, pos)?;
     let alpha = take_usize(buf, pos)?;
     let n = take_u32(buf, pos)? as usize;
-    let mut noise_domain = Vec::new();
-    for _ in 0..n {
-        noise_domain.push(GroupKey(take_blob(buf, pos)?));
-    }
+    let noise_domain = (0..n)
+        .map(|_| take_blob(buf, pos).map(GroupKey))
+        .collect::<Result<_>>()?;
     let histogram = match take_u8(buf, pos)? {
         0 => None,
         1 => {
             let enc = take_blob(buf, pos)?;
-            Some(Histogram::decode(&enc).ok_or_else(|| bad("histogram"))?)
+            Some(
+                Histogram::decode(&enc)
+                    .ok_or_else(|| bad("histogram"))?
+                    .into(),
+            )
         }
         _ => return Err(bad("histogram flag")),
     };
@@ -1306,11 +1309,9 @@ mod tests {
         p.pad = 96;
         p.chunk = 17;
         p.alpha = 3;
-        p.noise_domain = vec![GroupKey(vec![1, 2]), GroupKey(vec![9])];
-        p.histogram = Some(Histogram::build(
-            &[(GroupKey(vec![1]), 4), (GroupKey(vec![2]), 6)],
-            2,
-        ));
+        p.noise_domain = vec![GroupKey(vec![1, 2]), GroupKey(vec![9])].into();
+        p.histogram =
+            Some(Histogram::build(&[(GroupKey(vec![1]), 4), (GroupKey(vec![2]), 6)], 2).into());
         let mut out = Vec::new();
         put_params(&mut out, &p).unwrap();
         let got = take_params(&out, &mut 0).unwrap();

@@ -1,7 +1,8 @@
 //! Monotonic counters and fixed-log2-bucket histograms.
 //!
 //! The histogram layout is fixed (32 power-of-two buckets) so merged sets
-//! from different runs always line up, and recording is allocation-free.
+//! from different runs always line up, and recording is allocation-free
+//! once a name has been seen (the first record under a name stores it).
 //! Units are the caller's choice: the threaded runtime records wall-clock
 //! microseconds, the round and DES backends record virtual time (rounds,
 //! simulated milliseconds) and byte volumes.
@@ -85,15 +86,24 @@ impl MetricsSet {
 
     /// Add `by` to the named monotonic counter.
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_default() += by;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Record one observation in the named histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .record(value),
+        }
     }
 
     /// Current value of a counter (0 if never incremented).

@@ -87,7 +87,7 @@ fn stale_histogram_stays_correct_but_leaks_skew() {
             .build(dbs.clone(), AccessPolicy::allow_all(Role::new("supplier")));
         let querier = world.make_querier("q", "supplier");
         let mut params = ProtocolParams::new(ProtocolKind::EdHist { buckets: 3 });
-        params.histogram = Some(hist);
+        params.histogram = Some(hist.into());
         let rows = world.run_query(&querier, &query, params).unwrap();
         let mut counts = std::collections::BTreeMap::new();
         for obs in &world.ssi.observations() {
