@@ -57,9 +57,14 @@ pub enum ProtocolError {
         /// Delivery attempts consumed before giving up.
         retries: u32,
     },
+    /// The transport itself failed (connection reset, short read, frame
+    /// timeout) — not a protocol-level rejection. The driver retries these
+    /// under the work item's budget
+    /// ([`crate::service::is_transport_error`]).
+    Transport(String),
     /// A remote backend stayed unreachable through the client's bounded
     /// reconnect policy. This is the terminal form of a transport failure:
-    /// individual resets surface as `Codec("transport: ...")` and are
+    /// individual resets surface as [`ProtocolError::Transport`] and are
     /// retried, but once the attempt cap is hit the client stops dialing
     /// and reports this instead of looping against a dead port forever.
     BackendUnavailable {
@@ -122,6 +127,7 @@ impl std::fmt::Display for ProtocolError {
                 "query aborted: a {phase}-phase work item exhausted its retry budget \
                  after {retries} delivery attempts"
             ),
+            ProtocolError::Transport(m) => write!(f, "transport: {m}"),
             ProtocolError::BackendUnavailable { peer, attempts } => write!(
                 f,
                 "backend {peer} unavailable after {attempts} connection attempts"

@@ -10,8 +10,9 @@
 //!
 //! [`PhasePlan::compile`] makes those choices explicit: it maps a query +
 //! [`ProtocolParams`] to a small IR of steps that every backend interprets —
-//! the deterministic round runtime (`runtime::round`), the concurrent
-//! runtime (`runtime::threaded`) and the virtual-time DES bench
+//! the sequential driver (`runtime::service`, in a simulated world or over
+//! the wire), the concurrent runtime (`runtime::threaded`) and the
+//! virtual-time DES bench
 //! (`tdsql-bench::des`). The static analyzer (`tdsql-analyze`) lowers its
 //! leakage labels from the same compiled plan, and the plan cross-checks
 //! itself against the protocol's [`ExposureDeclaration`], so the artifact

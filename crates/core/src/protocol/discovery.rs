@@ -8,8 +8,12 @@
 //! once per domain and is refreshed from time to time, not per query.
 //!
 //! Whether a protocol needs discovery at all is read off its compiled
-//! [`PhasePlan`]; the sub-protocol itself is an S_Agg plan with the finalize
-//! destination redirected to the TDSs.
+//! [`crate::plan::PhasePlan`]; the sub-protocol itself is an S_Agg plan with
+//! the finalize destination redirected to the TDSs. This module holds the
+//! runtime-independent pieces (the discovery query, parsing and applying a
+//! distribution); running the sub-protocol is the interpreters' job
+//! ([`crate::runtime::service::ServiceDriver::discover_distribution`], and
+//! the threaded runtime's own).
 
 use std::sync::Arc;
 
@@ -18,10 +22,8 @@ use tdsql_sql::value::{GroupKey, Value};
 
 use crate::error::{ProtocolError, Result};
 use crate::histogram::Histogram;
-use crate::plan::{DiscoveryNeed, PhasePlan};
-use crate::protocol::{ProtocolKind, ProtocolParams};
-use crate::runtime::round::SimWorld;
-use crate::tds::ResultDest;
+use crate::plan::DiscoveryNeed;
+use crate::protocol::ProtocolParams;
 
 /// Build the discovery query for a target query's FROM list and grouping
 /// expressions: `SELECT <A_G...>, COUNT(*) FROM <tables> GROUP BY <A_G...>`.
@@ -55,7 +57,7 @@ pub fn discovery_query(target: &Query) -> Query {
 }
 
 /// Parse the opened discovery result rows into a sorted (key → count)
-/// distribution. Shared by the round and threaded discovery paths.
+/// distribution. Shared by the driver and threaded discovery paths.
 pub(crate) fn distribution_from_rows(
     rows: Vec<Vec<Value>>,
     n_group: usize,
@@ -104,52 +106,11 @@ pub(crate) fn apply_distribution(
     }
 }
 
-/// Run discovery and return the grouping distribution (key → true count).
-pub fn discover_distribution(world: &mut SimWorld, target: &Query) -> Result<Vec<(GroupKey, u64)>> {
-    let query = discovery_query(target);
-    let params = ProtocolParams::new(ProtocolKind::SAgg);
-    // The sub-protocol is an ordinary S_Agg plan whose results stay inside
-    // the TDS trust domain.
-    let plan = PhasePlan::compile(&query, &params).with_dest(ResultDest::Tds);
-    let querier = world.system_querier();
-
-    let envelope = querier.make_envelope(&query, params.kind, &mut world.rng);
-    let qid = world.ssi.post_query(envelope);
-    let env = world.ssi.envelope(qid)?;
-    // Everything the runtime does on this sub-query's behalf — stats, fault
-    // coordinates, abort errors — is attributed to [`Phase::Discovery`], so
-    // chaos schedules reach discovery traffic too.
-    world.in_discovery = true;
-    let run = world
-        .run_collection(qid, &env, &params)
-        .and_then(|()| world.execute_plan(qid, &env, &params, &plan));
-    world.in_discovery = false;
-    run?;
-    let blobs = world.ssi.results(qid)?;
-
-    // Any TDS can open the k2-sealed distribution; the runtime uses the
-    // first one (in a deployment each TDS downloads and opens it itself).
-    let opener = world
-        .tdss
-        .first()
-        .ok_or_else(|| ProtocolError::Protocol("empty TDS population".into()))?;
-    let rows = opener.open_k2_rows(&blobs)?;
-    distribution_from_rows(rows, target.group_by.len())
-}
-
-/// Fill in the discovery-derived parameters a protocol needs, if missing.
-pub fn ensure_discovery(
-    world: &mut SimWorld,
+/// Run discovery on a simulated world and return the grouping distribution
+/// (key → true count).
+pub fn discover_distribution(
+    world: &mut crate::runtime::SimWorld,
     target: &Query,
-    params: &mut ProtocolParams,
-) -> Result<()> {
-    let Some(need) = PhasePlan::compile(target, params).discovery else {
-        return Ok(());
-    };
-    if satisfied(need, params) {
-        return Ok(());
-    }
-    let distribution = discover_distribution(world, target)?;
-    apply_distribution(need, distribution, params);
-    Ok(())
+) -> Result<Vec<(GroupKey, u64)>> {
+    world.drive(|driver, system| driver.discover_distribution(system, target))
 }

@@ -273,7 +273,6 @@ impl std::fmt::Debug for BatchingPool<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
     use std::thread;
 
     /// A fake pool that records multi_step batch sizes and answers each

@@ -1,13 +1,15 @@
 //! Protocol runtimes.
 //!
-//! * [`round`] — the deterministic, seeded round-based runtime used by tests,
-//!   examples and benchmarks;
+//! * [`service`] — the one sequential plan interpreter:
+//!   [`service::ServiceDriver`] executes a compiled plan over the
+//!   [`crate::service`] seam, in process or against the `tdsql-net` framed
+//!   TCP servers;
+//! * [`round`] — the deterministic, seeded simulation world used by tests,
+//!   examples and benchmarks: [`SimWorld`] provisions a deployment in one
+//!   process and runs its queries through the driver above;
 //! * [`threaded`] — a concurrent runtime where every TDS is a worker thread
 //!   and the SSI is shared state, demonstrating that the protocol logic is
 //!   runtime-agnostic;
-//! * [`service`] — the transport-agnostic driver that executes the same
-//!   compiled plans over the [`crate::service`] seam, in-process or against
-//!   the `tdsql-net` framed TCP servers;
 //! * [`batch`] — cross-query batching of TDS contact: concurrent
 //!   same-index steps from different drivers coalesce into one
 //!   `multi_step` pool call (one wire frame over `tdsql-net`);

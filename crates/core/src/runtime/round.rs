@@ -1,46 +1,40 @@
-//! Deterministic round-based simulation runtime.
+//! The deterministic, seeded simulation world.
 //!
-//! Time advances in **rounds**. Each round a connectivity-sampled subset of
-//! the TDS population connects, downloads pending work from the SSI (the
-//! posted query during collection, partitions afterwards) and uploads
-//! encrypted results. A TDS may drop out mid-partition; the SSI then re-sends
-//! the partition to another TDS — the paper's timeout/resend correctness
-//! argument, exercised by the fault-injection tests.
+//! [`SimWorld`] owns a provisioned deployment in one process — the TDS
+//! population, the untrusted [`Ssi`], the authority that signs credentials,
+//! and the clock/RNG that drive connectivity — and runs queries on it by
+//! handing them to the one sequential plan interpreter,
+//! [`ServiceDriver`], over its own `Ssi` and a [`LocalTdsPool`] borrowing
+//! its population. Time advances in **rounds**: each round a
+//! connectivity-sampled subset of the TDSs connects, downloads pending
+//! work and uploads encrypted results; the at-least-once machinery behind
+//! that (timeouts, re-sends, the fault plan) lives in the driver.
 //!
-//! Everything is driven by one seeded RNG, so every protocol run is exactly
-//! reproducible.
+//! Everything is driven by one seeded RNG that the world keeps across
+//! queries, so every protocol run is exactly reproducible.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use tdsql_obs::{Field, Obs};
-
-use crate::bytes::Bytes;
-use tdsql_crypto::rng::seq::SliceRandom;
-use tdsql_crypto::rng::SeedableRng;
-use tdsql_crypto::rng::StdRng;
+use tdsql_obs::Obs;
 
 use tdsql_crypto::credential::{CredentialSigner, Role};
+use tdsql_crypto::rng::{SeedableRng, StdRng};
 use tdsql_crypto::KeyRing;
 use tdsql_sql::ast::Query;
 use tdsql_sql::engine::Database;
 use tdsql_sql::value::Value;
 
-use std::collections::BTreeMap;
-
 use crate::access::AccessPolicy;
 use crate::connectivity::Connectivity;
-use crate::error::{ProtocolError, Result};
-use crate::message::{
-    AssignmentId, DeliveryOutcome, GroupTag, QueryEnvelope, QueryTarget, StoredTuple,
-};
-use crate::partition::{random_partitions, tag_partitions};
-use crate::plan::{FinalizeOp, FinalizePartitioning, Partitioning, PhasePlan, Until};
-use crate::protocol::{discovery, ProtocolKind, ProtocolParams};
+use crate::error::Result;
+use crate::message::QueryTarget;
+use crate::protocol::{ProtocolKind, ProtocolParams};
 use crate::querier::Querier;
+use crate::runtime::service::{DriverConfig, ServiceDriver};
+use crate::service::LocalTdsPool;
 use crate::ssi::Ssi;
-use crate::stats::{Phase, RunStats, TdsWork};
-use crate::tds::{CipherContext, QueryContext, Tds, SYSTEM_ROLE};
+use crate::stats::RunStats;
+use crate::tds::{CipherContext, Tds, SYSTEM_ROLE};
 
 /// Builder for a simulation world.
 #[derive(Debug, Clone)]
@@ -155,7 +149,7 @@ impl SimBuilder {
             round: 0,
             default_max_rounds: self.default_max_rounds,
             retry_budget: self.retry_budget,
-            in_discovery: false,
+            seed: self.seed,
             ring,
             signer,
             system_querier,
@@ -163,60 +157,6 @@ impl SimBuilder {
             epoch: 0,
         }
     }
-}
-
-/// What one TDS work-step produces.
-pub enum StepOutput {
-    /// Encrypted intermediate tuples back into the SSI working set.
-    Working(Vec<StoredTuple>),
-    /// Final `k1`/`k2`-sealed rows into the SSI result area.
-    Results(Vec<Bytes>),
-}
-
-fn clone_output(output: &StepOutput) -> StepOutput {
-    match output {
-        StepOutput::Working(ts) => StepOutput::Working(ts.clone()),
-        StepOutput::Results(rs) => StepOutput::Results(rs.clone()),
-    }
-}
-
-/// Rounds a "late" delivery spends in flight before the SSI finally sees it.
-const LATE_DELAY: u64 = 3;
-
-/// Round-based backoff after a failed delivery attempt: 2, 4, 8, 16, then
-/// 16 rounds between retries of the same work item.
-fn backoff(attempt: u32) -> u64 {
-    1u64 << attempt.min(4)
-}
-
-/// One partition awaiting processing, with its at-least-once bookkeeping.
-struct WorkItem {
-    /// SSI-allocated work-item id (the dedup ledger's key).
-    item: u64,
-    partition: Vec<StoredTuple>,
-    /// Delivery attempts consumed so far.
-    attempts: u32,
-    /// Earliest round the item may be retried (round-based backoff).
-    not_before: u64,
-}
-
-/// An aggregation/filtering upload the fault plan delayed: from the SSI's
-/// clock it timed out (the item is re-queued), but the bytes are still in
-/// flight and land once the round clock reaches `deliver_at`.
-struct LateUpload {
-    assignment: AssignmentId,
-    output: StepOutput,
-    bytes_up: u64,
-    deliver_at: u64,
-}
-
-/// A collection upload the fault plan delayed.
-struct LateCollection {
-    tds_index: usize,
-    assignment: AssignmentId,
-    tuples: Vec<StoredTuple>,
-    bytes_up: u64,
-    deliver_at: u64,
 }
 
 /// The simulated deployment: the TDS population, the untrusted SSI, and the
@@ -243,12 +183,9 @@ pub struct SimWorld {
     /// Delivery attempts per work item before abandon (SIZE-bounded) or
     /// abort (unbounded).
     pub retry_budget: u32,
-    /// True while the distribution-discovery sub-protocol is running: every
-    /// phase the runtime executes on its behalf is attributed to
-    /// [`Phase::Discovery`] — in [`RunStats`], in fault-plan coordinates and
-    /// in abort errors — so chaos schedules reach discovery traffic and the
-    /// cost model sees its load.
-    pub(crate) in_discovery: bool,
+    /// The builder's seed: the driver derives per-step TDS randomness from
+    /// it, while `rng` above is the stream that advances across queries.
+    seed: u64,
     ring: KeyRing,
     signer: CredentialSigner,
     system_querier: Querier,
@@ -309,14 +246,43 @@ impl SimWorld {
         self.epoch
     }
 
+    /// Run `f` on a [`ServiceDriver`] over this world's own `Ssi` and a
+    /// pool borrowing its population. The RNG, round clock and stats are
+    /// carried into the driver and back out — on errors too — so the clock
+    /// keeps advancing across queries and `stats` reads what the run did.
+    pub(crate) fn drive<T>(
+        &mut self,
+        f: impl FnOnce(&mut ServiceDriver<'_>, &Querier) -> Result<T>,
+    ) -> Result<T> {
+        let pool = LocalTdsPool::new(&self.tdss);
+        let mut driver = ServiceDriver::new(
+            &self.ssi,
+            &pool,
+            Arc::clone(&self.obs),
+            DriverConfig {
+                connectivity: self.connectivity,
+                seed: self.seed,
+                default_max_rounds: self.default_max_rounds,
+                retry_budget: self.retry_budget,
+                discovery_cache: None,
+            },
+        )?;
+        driver.rng = self.rng.clone();
+        driver.round = self.round;
+        driver.stats = std::mem::take(&mut self.stats);
+        let out = f(&mut driver, &self.system_querier);
+        self.rng = driver.rng;
+        self.round = driver.round;
+        self.stats = driver.stats;
+        out
+    }
+
     /// Prepare protocol parameters for a query, running the discovery
     /// sub-protocol now if the kind needs it. Useful to amortise discovery
     /// across many queries over the same grouping attributes — the paper's
     /// "done only once and refreshed from time to time".
     pub fn prepare_params(&mut self, query: &Query, kind: ProtocolKind) -> Result<ProtocolParams> {
-        let mut params = ProtocolParams::new(kind);
-        discovery::ensure_discovery(self, query, &mut params)?;
-        Ok(params)
+        self.drive(|driver, system| driver.prepare_params(Some(system), query, kind))
     }
 
     /// Like [`SimWorld::prepare_params`], but discovery itself runs on the
@@ -330,9 +296,12 @@ impl SimWorld {
         kind: ProtocolKind,
         n_workers: usize,
     ) -> Result<ProtocolParams> {
-        let querier = self.system_querier();
         crate::runtime::threaded::prepare_params_threaded(
-            &self.tdss, &querier, query, kind, n_workers,
+            &self.tdss,
+            &self.system_querier,
+            query,
+            kind,
+            n_workers,
         )
     }
 
@@ -355,833 +324,12 @@ impl SimWorld {
         &mut self,
         querier: &Querier,
         query: &Query,
-        mut params: ProtocolParams,
+        params: ProtocolParams,
         target: QueryTarget,
     ) -> Result<Vec<Vec<Value>>> {
-        self.stats = RunStats::new();
-        discovery::ensure_discovery(self, query, &mut params)?;
-        let blobs = self.run_to_blobs(querier, query, &params, target)?;
-        let mut rows = querier.decrypt_results(&blobs)?;
-        // ORDER BY / LIMIT are final-result operations: intermediates are
-        // unordered ciphertext sets, so the querier applies them locally.
-        tdsql_sql::order::apply_order_limit(query, &mut rows)?;
-        Ok(rows)
-    }
-
-    /// Run a query and leave the encrypted results with the SSI; returns the
-    /// blobs (used by the discovery sub-protocol, which seals for TDSs).
-    pub(crate) fn run_to_blobs(
-        &mut self,
-        querier: &Querier,
-        query: &Query,
-        params: &ProtocolParams,
-        target: QueryTarget,
-    ) -> Result<Vec<Bytes>> {
-        let plan = PhasePlan::compile(query, params);
-        let envelope = querier.make_envelope_targeted(query, params.kind, target, &mut self.rng);
-        let qid = self.ssi.post_query(envelope);
-        let env = self.ssi.envelope(qid)?;
-        // The query text (grouping attributes, literals) is sensitive: it
-        // enters the trace only as a keyed digest.
-        self.obs.event(
-            "query.run",
-            Some(self.round),
-            vec![
-                Field::u64("query", qid),
-                Field::str("protocol", params.kind.name()),
-                Field::bool("discovery", self.in_discovery),
-                Field::sensitive("sql", self.obs.redactor(), format!("{query:?}").as_bytes()),
-            ],
-        );
-
-        self.run_collection(qid, &env, params)?;
-        self.execute_plan(qid, &env, params, &plan)?;
-        Ok(self.ssi.results(qid)?)
-    }
-
-    /// The phase a runtime step is attributed to: itself normally, or
-    /// [`Phase::Discovery`] while the discovery sub-protocol drives the run.
-    pub(crate) fn effective_phase(&self, phase: Phase) -> Phase {
-        if self.in_discovery {
-            Phase::Discovery
-        } else {
-            phase
-        }
-    }
-
-    /// Partition a working set as the plan prescribes. Random partitioning
-    /// consumes the run's RNG (the shuffle is the SSI's only freedom);
-    /// by-tag partitioning is deterministic in the stored tags.
-    fn partition_working(
-        &mut self,
-        working: Vec<StoredTuple>,
-        how: Partitioning,
-    ) -> Vec<Vec<StoredTuple>> {
-        match how {
-            Partitioning::Random { chunk } => random_partitions(working, chunk, &mut self.rng),
-            Partitioning::ByTag { chunk } => tag_partitions(working, chunk)
-                .into_iter()
-                .map(|(_, tuples)| tuples)
-                .collect(),
-        }
-    }
-
-    /// Interpret the post-collection steps of a compiled [`PhasePlan`]:
-    /// reduce (iterative or per-tag) then finalize. This is the round
-    /// runtime's whole protocol dispatch — there is no per-protocol driver.
-    pub(crate) fn execute_plan(
-        &mut self,
-        qid: u64,
-        env: &QueryEnvelope,
-        params: &ProtocolParams,
-        plan: &PhasePlan,
-    ) -> Result<()> {
-        let agg = self.effective_phase(Phase::Aggregation);
-        let fil = self.effective_phase(Phase::Filtering);
-        if let Some(reduce) = plan.reduce {
-            // First wave: reduce raw collection tuples.
-            let working = self.ssi.take_working(qid)?;
-            if working.is_empty() {
-                return Ok(());
-            }
-            let partitions = self.partition_working(working, reduce.first);
-            self.process_partitions(
-                qid,
-                agg,
-                env,
-                params,
-                partitions,
-                |tds, ctx, partition, rng| {
-                    Ok(StepOutput::Working(tds.reduce_inputs(
-                        ctx,
-                        partition,
-                        reduce.retag,
-                        rng,
-                    )?))
-                },
-            )?;
-
-            // Iterate waves of partial batches until the plan's condition.
-            match reduce.until {
-                Until::SingleBatch => loop {
-                    let working = self.ssi.take_working(qid)?;
-                    if working.len() <= 1 {
-                        // Put the final batch back for the filtering phase.
-                        self.ssi.restore_working(qid, agg, working)?;
-                        break;
-                    }
-                    let partitions = self.partition_working(working, reduce.again);
-                    self.process_partitions(
-                        qid,
-                        agg,
-                        env,
-                        params,
-                        partitions,
-                        |tds, ctx, partition, rng| {
-                            Ok(StepOutput::Working(tds.reduce_partials(
-                                ctx,
-                                partition,
-                                reduce.retag,
-                                rng,
-                            )?))
-                        },
-                    )?;
-                },
-                Until::TagSingletons => loop {
-                    let working = self.ssi.take_working(qid)?;
-                    let mut per_tag: BTreeMap<GroupTag, usize> = BTreeMap::new();
-                    for t in &working {
-                        *per_tag.entry(t.tag.clone()).or_default() += 1;
-                    }
-                    if per_tag.values().all(|&n| n <= 1) {
-                        self.ssi.restore_working(qid, agg, working)?;
-                        break;
-                    }
-                    // Multi-batch tags get reduced; singletons pass through.
-                    let mut pass_through: Vec<StoredTuple> = Vec::new();
-                    let mut to_reduce: Vec<StoredTuple> = Vec::new();
-                    for t in working {
-                        if per_tag[&t.tag] <= 1 {
-                            pass_through.push(t);
-                        } else {
-                            to_reduce.push(t);
-                        }
-                    }
-                    self.ssi.restore_working(qid, agg, pass_through)?;
-                    let partitions = self.partition_working(to_reduce, reduce.again);
-                    self.process_partitions(
-                        qid,
-                        agg,
-                        env,
-                        params,
-                        partitions,
-                        |tds, ctx, partition, rng| {
-                            Ok(StepOutput::Working(tds.reduce_partials(
-                                ctx,
-                                partition,
-                                reduce.retag,
-                                rng,
-                            )?))
-                        },
-                    )?;
-                },
-            }
-        }
-
-        // Finalize the surviving working set.
-        let working = self.ssi.take_working(qid)?;
-        if working.is_empty() {
-            return Ok(());
-        }
-        let partitions = match plan.finalize.partitioning {
-            FinalizePartitioning::Whole => vec![working],
-            FinalizePartitioning::Chunked { chunk } => {
-                working.chunks(chunk).map(|c| c.to_vec()).collect()
-            }
-            FinalizePartitioning::Random { chunk } => {
-                random_partitions(working, chunk, &mut self.rng)
-            }
-        };
-        let dest = plan.finalize.dest;
-        match plan.finalize.op {
-            FinalizeOp::FilterRows => self.process_partitions(
-                qid,
-                fil,
-                env,
-                params,
-                partitions,
-                |tds, ctx, partition, rng| {
-                    Ok(StepOutput::Results(tds.filter_plain(ctx, partition, rng)?))
-                },
-            ),
-            FinalizeOp::FinalizeGroups => self.process_partitions(
-                qid,
-                fil,
-                env,
-                params,
-                partitions,
-                |tds, ctx, partition, rng| {
-                    Ok(StepOutput::Results(
-                        tds.finalize_groups(ctx, partition, dest, rng)?,
-                    ))
-                },
-            ),
-        }
-    }
-
-    /// Run several queries **concurrently**: their collection phases share
-    /// rounds (a connecting TDS downloads every pending query at once, the
-    /// paper's querybox model), then each query's aggregation/filtering runs
-    /// to completion. This is the Load_Q scalability story made executable:
-    /// the system's capacity to serve many queries is bounded by per-TDS
-    /// work, not by query count.
-    ///
-    /// Returns one result set per job, in order.
-    pub fn run_query_batch(
-        &mut self,
-        jobs: &[(&Querier, &Query, ProtocolParams)],
-    ) -> Result<Vec<Vec<Vec<Value>>>> {
-        self.stats = RunStats::new();
-        // Discovery first (sequential; amortised in practice).
-        let mut prepared: Vec<ProtocolParams> = Vec::with_capacity(jobs.len());
-        for (_, query, params) in jobs {
-            let mut p = params.clone();
-            discovery::ensure_discovery(self, query, &mut p)?;
-            prepared.push(p);
-        }
-        // Post every envelope.
-        let mut qids = Vec::with_capacity(jobs.len());
-        for ((querier, query, _), params) in jobs.iter().zip(prepared.iter()) {
-            let envelope = querier.make_envelope(query, params.kind, &mut self.rng);
-            qids.push(self.ssi.post_query(envelope));
-        }
-        // Interleaved collection: each round, a connected TDS answers every
-        // still-open query at once.
-        let max_rounds: Vec<u64> = qids
-            .iter()
-            .map(|&qid| {
-                self.ssi
-                    .envelope(qid)
-                    .map(|e| e.size.max_rounds.unwrap_or(self.default_max_rounds).max(1))
-                    .unwrap_or(1)
-            })
-            .collect();
-        let mut contributed = vec![vec![false; self.tdss.len()]; jobs.len()];
-        let mut open = vec![true; jobs.len()];
-        let mut rounds = 0u64;
-        while open.iter().any(|&o| o) {
-            rounds += 1;
-            self.round += 1;
-            self.stats.record_step(Phase::Collection);
-            self.rounds_consumed(1);
-            let mut round_max_bytes = 0u64;
-            let connected = self
-                .connectivity
-                .sample_connected(self.tdss.len(), &mut self.rng);
-            for i in connected {
-                let mut tds_bytes = 0u64;
-                for (j, &qid) in qids.iter().enumerate() {
-                    if !open[j] || contributed[j][i] || self.ssi.size_tuples_reached(qid)? {
-                        continue;
-                    }
-                    let env = self.ssi.envelope(qid)?;
-                    let tds = &self.tdss[i];
-                    let ctx = tds.open_query(&env, prepared[j].clone(), self.round)?;
-                    let tuples = tds.collect(&ctx, &mut self.rng)?;
-                    let bytes_up: u64 = tuples.iter().map(|t| t.blob.len() as u64).sum();
-                    let n = tuples.len() as u64;
-                    let id = tds.id;
-                    // Batch collection delivers each contribution exactly
-                    // once, but still under an assignment so the SSI ledger
-                    // stays the single source of delivery truth.
-                    let item = self.ssi.new_item(qid)?;
-                    let assignment = self.ssi.begin_assignment(qid, item)?;
-                    if self.ssi.receive_collection(qid, assignment, tuples)?
-                        == DeliveryOutcome::Accepted
-                    {
-                        self.stats.record_ssi_store(Phase::Collection, n, bytes_up);
-                    }
-                    self.stats.record(
-                        Phase::Collection,
-                        id,
-                        TdsWork {
-                            bytes_down: env.enc_query.len() as u64,
-                            bytes_up,
-                            tuples: n,
-                            crypto_blocks: bytes_up / 16,
-                        },
-                    );
-                    tds_bytes += env.enc_query.len() as u64 + bytes_up;
-                    contributed[j][i] = true;
-                }
-                round_max_bytes = round_max_bytes.max(tds_bytes);
-            }
-            self.stats
-                .record_step_critical(Phase::Collection, round_max_bytes);
-            for (j, &qid) in qids.iter().enumerate() {
-                if open[j]
-                    && (self.ssi.size_tuples_reached(qid)?
-                        || contributed[j].iter().all(|&c| c)
-                        || rounds >= max_rounds[j])
-                {
-                    if !self.ssi.size_tuples_reached(qid)? && !contributed[j].iter().all(|&c| c) {
-                        // Round bound hit with contributions missing: this
-                        // job finalizes over a partial tuple set.
-                        self.stats.partial = true;
-                    }
-                    self.ssi.close_collection(qid)?;
-                    open[j] = false;
-                }
-            }
-        }
-        // Aggregation + filtering + decryption per job.
-        let mut results = Vec::with_capacity(jobs.len());
-        for ((&qid, params), (querier, query, _)) in
-            qids.iter().zip(prepared.iter()).zip(jobs.iter())
-        {
-            let env = self.ssi.envelope(qid)?;
-            let plan = PhasePlan::compile(query, params);
-            self.execute_plan(qid, &env, params, &plan)?;
-            let blobs = self.ssi.results(qid)?;
-            let mut rows = querier.decrypt_results(&blobs)?;
-            tdsql_sql::order::apply_order_limit(query, &mut rows)?;
-            results.push(rows);
-        }
-        Ok(results)
-    }
-
-    /// Collection phase: rounds of connected TDSs answering, until SIZE is
-    /// reached, every TDS has contributed, or the round budget is exhausted.
-    ///
-    /// Transport is at-least-once under the connectivity's
-    /// [`crate::connectivity::FaultPlan`]: an upload may be lost (retried at
-    /// the TDS's next connection), duplicated (deduplicated by the SSI's
-    /// assignment ledger), delivered rounds late, or the downloaded envelope
-    /// corrupted (authenticated decryption fails at the TDS and the SSI
-    /// re-sends). Each TDS's contribution is one work item with a retry
-    /// budget; exhausting it aborts an unbounded query and degrades a
-    /// SIZE-bounded one to a partial result. If the round bound expires
-    /// before every targeted TDS answered, the query finalizes over the
-    /// tuples collected so far and the run is flagged partial.
-    pub(crate) fn run_collection(
-        &mut self,
-        qid: u64,
-        env: &QueryEnvelope,
-        params: &ProtocolParams,
-    ) -> Result<()> {
-        let phase = self.effective_phase(Phase::Collection);
-        let faults = self.connectivity.faults;
-        let budget = self.retry_budget;
-        let size_bounded = env.size.max_tuples.is_some() || env.size.max_rounds.is_some();
-        let max_rounds = env
-            .size
-            .max_rounds
-            .unwrap_or(self.default_max_rounds)
-            .max(1);
-        // TDSs outside the target never see the query: count them as done.
-        let mut contributed: Vec<bool> = self
-            .tdss
-            .iter()
-            .map(|t| !env.target.includes(t.id))
-            .collect();
-        let mut item_of: Vec<Option<u64>> = vec![None; self.tdss.len()];
-        let mut attempts: Vec<u32> = vec![0; self.tdss.len()];
-        let mut stash: Vec<LateCollection> = Vec::new();
-        let mut rounds = 0u64;
-        'outer: while rounds < max_rounds
-            && !self.ssi.size_tuples_reached(qid)?
-            && contributed.iter().any(|c| !c)
-        {
-            rounds += 1;
-            self.round += 1;
-            self.stats.record_step(phase);
-            self.flush_collection_stash(qid, &mut stash, &mut contributed, false)?;
-            let mut round_max_bytes = 0u64;
-            let connected = self
-                .connectivity
-                .sample_connected(self.tdss.len(), &mut self.rng);
-            for i in connected {
-                if contributed[i] || !env.target.includes(self.tdss[i].id) {
-                    continue;
-                }
-                if self.ssi.size_tuples_reached(qid)? {
-                    break 'outer;
-                }
-                if attempts[i] >= budget {
-                    if size_bounded {
-                        // Graceful degradation: give up on this TDS's
-                        // contribution and finalize over what arrived.
-                        self.stats.faults.items_abandoned += 1;
-                        self.stats.partial = true;
-                        contributed[i] = true;
-                        continue;
-                    }
-                    return Err(ProtocolError::QueryAborted {
-                        phase,
-                        retries: attempts[i],
-                    });
-                }
-                attempts[i] += 1;
-                let attempt = attempts[i];
-                let item = match item_of[i] {
-                    Some(it) => it,
-                    None => {
-                        let it = self.ssi.new_item(qid)?;
-                        item_of[i] = Some(it);
-                        it
-                    }
-                };
-                let tds = &self.tdss[i];
-                // Download leg: a corrupted envelope fails authenticated
-                // decryption at the TDS; the SSI re-sends next connection.
-                let ctx = if faults.corrupt_download(phase, item, attempt) {
-                    let mut bad = env.clone();
-                    bad.enc_query = faults.corrupt_blob(&env.enc_query, phase, item, attempt);
-                    match tds.open_query(&bad, params.clone(), self.round) {
-                        Err(ProtocolError::Crypto(_)) | Err(ProtocolError::Codec(_)) => {
-                            self.stats.faults.corrupt_rejected += 1;
-                            self.stats.record_reassignment(phase);
-                            continue;
-                        }
-                        other => other?,
-                    }
-                } else {
-                    tds.open_query(env, params.clone(), self.round)?
-                };
-                let tuples = tds.collect(&ctx, &mut self.rng)?;
-                let bytes_up: u64 = tuples.iter().map(|t| t.blob.len() as u64).sum();
-                let n = tuples.len() as u64;
-                let id = tds.id;
-                self.stats.record(
-                    phase,
-                    id,
-                    TdsWork {
-                        bytes_down: env.enc_query.len() as u64,
-                        bytes_up,
-                        tuples: n,
-                        crypto_blocks: bytes_up / 16,
-                    },
-                );
-                round_max_bytes = round_max_bytes.max(env.enc_query.len() as u64 + bytes_up);
-                // Upload leg.
-                if faults.lose_upload(phase, item, attempt) {
-                    self.stats.faults.lost_uploads += 1;
-                    continue;
-                }
-                let assignment = self.ssi.begin_assignment(qid, item)?;
-                if faults.deliver_late(phase, item, attempt) {
-                    stash.push(LateCollection {
-                        tds_index: i,
-                        assignment,
-                        tuples,
-                        bytes_up,
-                        deliver_at: self.round + LATE_DELAY,
-                    });
-                    continue;
-                }
-                let duplicate = if faults.duplicate_upload(phase, item, attempt) {
-                    Some(tuples.clone())
-                } else {
-                    None
-                };
-                match self.ssi.receive_collection(qid, assignment, tuples)? {
-                    DeliveryOutcome::Accepted => {
-                        self.stats.record_ssi_store(phase, n, bytes_up);
-                        contributed[i] = true;
-                    }
-                    DeliveryOutcome::Duplicate => self.stats.faults.duplicates_dropped += 1,
-                    DeliveryOutcome::LateAfterReassign => {
-                        self.stats.faults.late_after_reassign += 1;
-                    }
-                    DeliveryOutcome::WindowClosed => {}
-                }
-                if let Some(copy) = duplicate {
-                    if self.ssi.receive_collection(qid, assignment, copy)?
-                        == DeliveryOutcome::Duplicate
-                    {
-                        self.stats.faults.duplicates_dropped += 1;
-                    }
-                }
-            }
-            self.stats.record_step_critical(phase, round_max_bytes);
-        }
-        // Everything still in flight lands before the window closes.
-        self.flush_collection_stash(qid, &mut stash, &mut contributed, true)?;
-        self.rounds_consumed(rounds);
-        if !self.ssi.size_tuples_reached(qid)? && contributed.iter().any(|c| !c) {
-            // The round bound expired before every targeted TDS answered.
-            self.stats.partial = true;
-        }
-        self.obs.event(
-            "phase.done",
-            Some(self.round),
-            vec![
-                Field::u64("query", qid),
-                Field::str("phase", phase.to_string()),
-                Field::u64("rounds", rounds),
-                Field::u64("faults_absorbed", self.stats.faults.total()),
-                Field::bool("partial", self.stats.partial),
-            ],
-        );
-        self.ssi.close_collection(qid)
-    }
-
-    /// Deliver stashed late collection uploads whose flight time elapsed
-    /// (all of them when `force`), marking accepted contributors.
-    fn flush_collection_stash(
-        &mut self,
-        qid: u64,
-        stash: &mut Vec<LateCollection>,
-        contributed: &mut [bool],
-        force: bool,
-    ) -> Result<()> {
-        let phase = self.effective_phase(Phase::Collection);
-        let mut rest = Vec::new();
-        for entry in stash.drain(..) {
-            if !force && entry.deliver_at > self.round {
-                rest.push(entry);
-                continue;
-            }
-            let n = entry.tuples.len() as u64;
-            match self
-                .ssi
-                .receive_collection(qid, entry.assignment, entry.tuples)?
-            {
-                DeliveryOutcome::Accepted => {
-                    self.stats.record_ssi_store(phase, n, entry.bytes_up);
-                    contributed[entry.tds_index] = true;
-                }
-                DeliveryOutcome::Duplicate => self.stats.faults.duplicates_dropped += 1,
-                DeliveryOutcome::LateAfterReassign => self.stats.faults.late_after_reassign += 1,
-                DeliveryOutcome::WindowClosed => {}
-            }
-        }
-        *stash = rest;
-        Ok(())
-    }
-
-    fn rounds_consumed(&mut self, rounds: u64) {
-        self.stats.rounds += rounds;
-    }
-
-    /// Process a batch of partitions with the connected TDS population.
-    /// Dropouts re-queue the partition (SSI timeout + resend), and the
-    /// connectivity's [`crate::connectivity::FaultPlan`] additionally injects
-    /// upload loss, duplication, late delivery after reassignment, dispatch
-    /// reordering and payload corruption. Every work item carries a retry
-    /// budget with round-based backoff: exhausting it raises
-    /// [`ProtocolError::QueryAborted`] on an unbounded query and abandons the
-    /// item (partial result) on a SIZE-bounded one.
-    pub(crate) fn process_partitions<F>(
-        &mut self,
-        qid: u64,
-        phase: Phase,
-        env: &QueryEnvelope,
-        params: &ProtocolParams,
-        partitions: Vec<Vec<StoredTuple>>,
-        mut work: F,
-    ) -> Result<()>
-    where
-        F: FnMut(&Tds, &QueryContext, &[StoredTuple], &mut StdRng) -> Result<StepOutput>,
-    {
-        let faults = self.connectivity.faults;
-        let budget = self.retry_budget;
-        let size_bounded = env.size.max_tuples.is_some() || env.size.max_rounds.is_some();
-        let n_partitions = partitions.len() as u64;
-        let mut queue: VecDeque<WorkItem> = VecDeque::with_capacity(partitions.len());
-        for partition in partitions {
-            let item = self.ssi.new_item(qid)?;
-            queue.push_back(WorkItem {
-                item,
-                partition,
-                attempts: 0,
-                not_before: 0,
-            });
-        }
-        let mut stash: Vec<LateUpload> = Vec::new();
-        let mut spins = 0u64;
-        let spin_cap = 100_000;
-        while !queue.is_empty() {
-            spins += 1;
-            if spins > spin_cap {
-                return Err(ProtocolError::NoProgress {
-                    phase: "partition processing",
-                });
-            }
-            self.round += 1;
-            self.stats.record_step(phase);
-            self.rounds_consumed(1);
-            // Late uploads whose flight time elapsed land now; an accepted
-            // one completes its work item, so drop that item from the queue.
-            if self.flush_late_uploads(qid, phase, &mut stash, false)? {
-                let mut remaining = VecDeque::with_capacity(queue.len());
-                for w in queue.drain(..) {
-                    if !self.ssi.item_done(qid, w.item)? {
-                        remaining.push_back(w);
-                    }
-                }
-                queue = remaining;
-                if queue.is_empty() {
-                    break;
-                }
-            }
-            // Items whose backoff expired are dispatchable this round; a
-            // reordering fault shuffles the SSI's dispatch order.
-            let mut dispatchable: Vec<WorkItem> = Vec::new();
-            let mut waiting: VecDeque<WorkItem> = VecDeque::new();
-            for w in queue.drain(..) {
-                if w.not_before <= self.round {
-                    dispatchable.push(w);
-                } else {
-                    waiting.push_back(w);
-                }
-            }
-            queue = waiting;
-            if dispatchable.len() > 1 && faults.reorder_round(phase, self.round) {
-                dispatchable.shuffle(&mut self.rng);
-            }
-            let mut ready: VecDeque<WorkItem> = dispatchable.into();
-            let mut round_max_bytes = 0u64;
-            let connected = self
-                .connectivity
-                .sample_connected(self.tdss.len(), &mut self.rng);
-            for i in connected {
-                let Some(mut w) = ready.pop_front() else {
-                    break;
-                };
-                if w.attempts >= budget {
-                    if size_bounded {
-                        // Graceful SIZE degradation: abandon the item and
-                        // finalize over what the SSI already holds.
-                        self.stats.faults.items_abandoned += 1;
-                        self.stats.partial = true;
-                        continue;
-                    }
-                    return Err(ProtocolError::QueryAborted {
-                        phase,
-                        retries: w.attempts,
-                    });
-                }
-                w.attempts += 1;
-                let attempt = w.attempts;
-                if self.connectivity.drops(&mut self.rng) {
-                    self.stats.record_reassignment(phase);
-                    w.not_before = self.round + backoff(attempt);
-                    queue.push_back(w);
-                    continue;
-                }
-                let tds = &self.tdss[i];
-                let ctx = tds.open_query(env, params.clone(), self.round)?;
-                let bytes_down: u64 = w.partition.iter().map(|t| t.blob.len() as u64).sum();
-                let tuples_in = w.partition.len() as u64;
-                let id = tds.id;
-                // Download leg: corruption flips one ciphertext bit, the
-                // TDS's authenticated decryption rejects the partition, and
-                // the SSI re-sends it from its pristine copy.
-                let output = if faults.corrupt_download(phase, w.item, attempt) {
-                    let mut delivered = w.partition.clone();
-                    if let Some(first) = delivered.first_mut() {
-                        first.blob = faults.corrupt_blob(&first.blob, phase, w.item, attempt);
-                    }
-                    match work(tds, &ctx, &delivered, &mut self.rng) {
-                        Err(ProtocolError::Crypto(_)) | Err(ProtocolError::Codec(_)) => {
-                            self.stats.faults.corrupt_rejected += 1;
-                            self.stats.record_reassignment(phase);
-                            w.not_before = self.round + backoff(attempt);
-                            queue.push_back(w);
-                            continue;
-                        }
-                        other => other?,
-                    }
-                } else {
-                    work(tds, &ctx, &w.partition, &mut self.rng)?
-                };
-                let bytes_up = match &output {
-                    StepOutput::Working(ts) => ts.iter().map(|t| t.blob.len() as u64).sum(),
-                    StepOutput::Results(rs) => rs.iter().map(|b| b.len() as u64).sum(),
-                };
-                self.stats.record(
-                    phase,
-                    id,
-                    TdsWork {
-                        bytes_down,
-                        bytes_up,
-                        tuples: tuples_in,
-                        crypto_blocks: (bytes_down + bytes_up) / 16,
-                    },
-                );
-                round_max_bytes = round_max_bytes.max(bytes_down + bytes_up);
-                // Upload leg.
-                if faults.lose_upload(phase, w.item, attempt) {
-                    self.stats.faults.lost_uploads += 1;
-                    w.not_before = self.round + backoff(attempt);
-                    queue.push_back(w);
-                    continue;
-                }
-                let assignment = self.ssi.begin_assignment(qid, w.item)?;
-                if faults.deliver_late(phase, w.item, attempt) {
-                    // From the SSI's clock the upload timed out: the item is
-                    // re-queued while the bytes are still in flight.
-                    stash.push(LateUpload {
-                        assignment,
-                        output,
-                        bytes_up,
-                        deliver_at: self.round + LATE_DELAY,
-                    });
-                    w.not_before = self.round + backoff(attempt);
-                    queue.push_back(w);
-                    continue;
-                }
-                let duplicate = if faults.duplicate_upload(phase, w.item, attempt) {
-                    Some(clone_output(&output))
-                } else {
-                    None
-                };
-                match self.deliver_upload(qid, phase, assignment, output, bytes_up)? {
-                    DeliveryOutcome::Accepted => {}
-                    DeliveryOutcome::Duplicate => self.stats.faults.duplicates_dropped += 1,
-                    DeliveryOutcome::LateAfterReassign => {
-                        self.stats.faults.late_after_reassign += 1;
-                    }
-                    DeliveryOutcome::WindowClosed => {}
-                }
-                if let Some(copy) = duplicate {
-                    if self.deliver_upload(qid, phase, assignment, copy, bytes_up)?
-                        == DeliveryOutcome::Duplicate
-                    {
-                        self.stats.faults.duplicates_dropped += 1;
-                    }
-                }
-            }
-            // Un-dispatched items go back to the queue's front, in order.
-            while let Some(w) = ready.pop_back() {
-                queue.push_front(w);
-            }
-            self.stats.record_step_critical(phase, round_max_bytes);
-        }
-        // Whatever is still in flight lands now: completed items dedup it,
-        // abandoned items still gain their contribution (at-least-once holds
-        // even past the retry budget).
-        self.flush_late_uploads(qid, phase, &mut stash, true)?;
-        self.obs.event(
-            "phase.done",
-            Some(self.round),
-            vec![
-                Field::u64("query", qid),
-                Field::str("phase", phase.to_string()),
-                Field::u64("partitions", n_partitions),
-                Field::u64("faults_absorbed", self.stats.faults.total()),
-            ],
-        );
-        Ok(())
-    }
-
-    /// Deliver one upload (working tuples or result rows) under its
-    /// assignment, recording SSI storage on acceptance.
-    fn deliver_upload(
-        &mut self,
-        qid: u64,
-        phase: Phase,
-        assignment: AssignmentId,
-        output: StepOutput,
-        bytes_up: u64,
-    ) -> Result<DeliveryOutcome> {
-        Ok(match output {
-            StepOutput::Working(ts) => {
-                let n = ts.len() as u64;
-                let outcome = self.ssi.receive_working(qid, assignment, phase, ts)?;
-                if outcome == DeliveryOutcome::Accepted {
-                    self.stats.record_ssi_store(phase, n, bytes_up);
-                }
-                outcome
-            }
-            StepOutput::Results(rs) => {
-                let n = rs.len() as u64;
-                let outcome = self.ssi.receive_results(qid, assignment, rs)?;
-                if outcome == DeliveryOutcome::Accepted {
-                    self.stats.record_ssi_store(phase, n, bytes_up);
-                }
-                outcome
-            }
+        self.drive(|driver, system| {
+            driver.run_query_targeted(querier, Some(system), query, params, target)
         })
-    }
-
-    /// Deliver stashed late uploads whose flight time elapsed (all of them
-    /// when `force`). Returns whether any delivery was accepted — i.e.
-    /// completed a work item the queue may still hold.
-    fn flush_late_uploads(
-        &mut self,
-        qid: u64,
-        phase: Phase,
-        stash: &mut Vec<LateUpload>,
-        force: bool,
-    ) -> Result<bool> {
-        let mut accepted = false;
-        let mut rest = Vec::new();
-        for entry in stash.drain(..) {
-            if !force && entry.deliver_at > self.round {
-                rest.push(entry);
-                continue;
-            }
-            match self.deliver_upload(qid, phase, entry.assignment, entry.output, entry.bytes_up)? {
-                DeliveryOutcome::Accepted => accepted = true,
-                DeliveryOutcome::Duplicate => self.stats.faults.duplicates_dropped += 1,
-                DeliveryOutcome::LateAfterReassign => self.stats.faults.late_after_reassign += 1,
-                DeliveryOutcome::WindowClosed => {}
-            }
-        }
-        *stash = rest;
-        Ok(accepted)
-    }
-
-    /// The system querier used by the discovery sub-protocol.
-    pub(crate) fn system_querier(&self) -> Querier {
-        Querier::new(
-            self.system_querier.id.clone(),
-            &self.ring.k1,
-            self.signer
-                .issue(&self.system_querier.id, Role::new(SYSTEM_ROLE), u64::MAX),
-        )
     }
 }
 
@@ -1200,6 +348,7 @@ impl std::fmt::Debug for SimWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Phase;
     use crate::workload::{health_survey, HealthConfig};
     use tdsql_sql::parser::parse_query;
 
@@ -1234,13 +383,6 @@ mod tests {
             .run_query(&q, &query, ProtocolParams::new(ProtocolKind::SAgg))
             .unwrap();
         assert_eq!(rows, vec![vec![Value::Int(8)]]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let mut world = small_world(3);
-        let results = world.run_query_batch(&[]).unwrap();
-        assert!(results.is_empty());
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! The transport-agnostic service driver.
+//! The sequential plan interpreter.
 //!
 //! [`ServiceDriver`] executes a compiled [`PhasePlan`] against *any*
 //! implementation of the [`SsiService`] + [`TdsPool`] seam — the in-process
-//! [`crate::ssi::Ssi`]/[`crate::service::LocalTdsPool`] pair, or the framed
-//! TCP clients from `tdsql-net`. Its phase machinery mirrors the round
-//! runtime exactly (connectivity-sampled rounds, at-least-once delivery
-//! under the SSI settle ledger, fault-plan injection legs, retry budgets
-//! with round-based backoff, graceful SIZE degradation), so the five
-//! protocols and the chaos harness run unchanged over a real wire.
+//! [`crate::ssi::Ssi`]/[`crate::service::LocalTdsPool`] pair (which is how
+//! [`crate::runtime::SimWorld`] runs every query), or the framed TCP
+//! clients from `tdsql-net`. It is the only place the protocol engine of
+//! §3–§4 is written down: time advances in connectivity-sampled rounds,
+//! delivery is at-least-once under the SSI settle ledger, every work item
+//! carries a retry budget with round-based backoff, and a SIZE-bounded
+//! query degrades to a partial result where an unbounded one aborts — so
+//! the five protocols and the chaos harness run the same in a simulation
+//! and over a real wire.
 //!
 //! Two fault sources compose here:
 //!
 //! * the seeded [`crate::connectivity::FaultPlan`] injects loss,
-//!   duplication, late delivery, reordering and corruption exactly as the
-//!   round runtime does — same coordinates, same seeds;
+//!   duplication, late delivery, reordering and corruption at fixed
+//!   (phase, item, attempt) coordinates, whatever the backend;
 //! * *real* transport failures surface as
 //!   [`crate::service::is_transport_error`] errors from the remote
 //!   implementations, and are folded into the same taxonomy: a failed TDS
@@ -30,7 +33,7 @@ use tdsql_obs::{Field, Obs};
 use tdsql_crypto::rng::seq::SliceRandom;
 use tdsql_crypto::rng::{SeedableRng, StdRng};
 use tdsql_sql::ast::Query;
-use tdsql_sql::value::Value;
+use tdsql_sql::value::{GroupKey, Value};
 
 use crate::bytes::Bytes;
 use crate::connectivity::Connectivity;
@@ -48,14 +51,24 @@ use crate::ssi::sched::DiscoveryCache;
 use crate::stats::{Phase, RunStats, TdsWork};
 use crate::tds::ResultDest;
 
-/// Rounds a "late" delivery spends in flight before the SSI finally sees
-/// it (mirrors the round runtime).
+/// Rounds a "late" delivery spends in flight before the SSI finally sees it.
 const LATE_DELAY: u64 = 3;
 
 /// Round-based backoff after a failed delivery attempt: 2, 4, 8, 16, then
 /// 16 rounds between retries of the same work item.
 fn backoff(attempt: u32) -> u64 {
     1u64 << attempt.min(4)
+}
+
+/// Is a failed TDS step absorbed — the attempt consumed and the item
+/// retried — rather than fatal? A transport failure always is. An
+/// authenticated-decryption or decode rejection is only where the fault
+/// plan corrupted this very delivery: anywhere else it is the query's own
+/// error (a querier keyed to a stale epoch, a malformed envelope) and every
+/// TDS would reject every retry the same way.
+fn step_failure_absorbed(err: &ProtocolError, corrupted: bool) -> bool {
+    is_transport_error(err)
+        || (corrupted && matches!(err, ProtocolError::Crypto(_) | ProtocolError::Codec(_)))
 }
 
 /// Driver configuration (the knobs [`crate::runtime::SimBuilder`] exposes).
@@ -247,9 +260,23 @@ impl<'a> ServiceDriver<'a> {
         Ok(rows)
     }
 
-    /// Run discovery if the compiled plan needs it and `params` does not
-    /// already satisfy it: an S_Agg sub-query over the grouping attributes
-    /// whose results stay `k2`-sealed inside the TDS trust domain.
+    /// Prepare protocol parameters for a query, running the discovery
+    /// sub-protocol now if the kind needs it. Useful to amortise discovery
+    /// across many queries over the same grouping attributes — the paper's
+    /// "done only once and refreshed from time to time".
+    pub fn prepare_params(
+        &mut self,
+        system: Option<&Querier>,
+        query: &Query,
+        kind: ProtocolKind,
+    ) -> Result<ProtocolParams> {
+        let mut params = ProtocolParams::new(kind);
+        self.ensure_discovery(system, query, &mut params)?;
+        Ok(params)
+    }
+
+    /// Fill in the discovery-derived parameters the compiled plan needs, if
+    /// `params` does not already carry them.
     fn ensure_discovery(
         &mut self,
         system: Option<&Querier>,
@@ -267,7 +294,6 @@ impl<'a> ServiceDriver<'a> {
                 "protocol needs discovery but no system querier was provided".into(),
             )
         })?;
-        let query = discovery::discovery_query(target_query);
         // Shared-cache fast path: another driver (or an earlier query of
         // this one) already ran this exact discovery. The distribution a
         // querier holds after discovery is precisely what the cache
@@ -275,7 +301,7 @@ impl<'a> ServiceDriver<'a> {
         let cache_key = self
             .discovery_cache
             .as_ref()
-            .map(|_| DiscoveryCache::key(&query, need));
+            .map(|_| DiscoveryCache::key(&discovery::discovery_query(target_query), need));
         if let (Some(cache), Some(key)) = (&self.discovery_cache, &cache_key) {
             if let Some(distribution) = cache.get(key) {
                 self.obs.event(
@@ -287,6 +313,27 @@ impl<'a> ServiceDriver<'a> {
                 return Ok(());
             }
         }
+        let distribution = self.discover_distribution(system, target_query)?;
+        if let (Some(cache), Some(key)) = (&self.discovery_cache, cache_key) {
+            cache.put(key, distribution.clone());
+        }
+        discovery::apply_distribution(need, distribution, params);
+        Ok(())
+    }
+
+    /// Run the discovery sub-protocol for `target_query`'s grouping
+    /// attributes and return their distribution (key → true count): an
+    /// S_Agg sub-query posted as `system`, whose results stay `k2`-sealed
+    /// inside the TDS trust domain. Everything done on the sub-query's
+    /// behalf — stats, fault coordinates, abort errors — is attributed to
+    /// [`Phase::Discovery`], so chaos schedules reach discovery traffic and
+    /// the cost model sees its load.
+    pub fn discover_distribution(
+        &mut self,
+        system: &Querier,
+        target_query: &Query,
+    ) -> Result<Vec<(GroupKey, u64)>> {
+        let query = discovery::discovery_query(target_query);
         let dparams = ProtocolParams::new(ProtocolKind::SAgg);
         let plan = PhasePlan::compile(&query, &dparams).with_dest(ResultDest::Tds);
         let envelope = system.make_envelope(&query, dparams.kind, &mut self.rng);
@@ -300,12 +347,7 @@ impl<'a> ServiceDriver<'a> {
         run?;
         let blobs = self.control(|ssi| ssi.results(qid))?;
         let rows = self.pool.open_rows(&blobs)?;
-        let distribution = discovery::distribution_from_rows(rows, target_query.group_by.len())?;
-        if let (Some(cache), Some(key)) = (&self.discovery_cache, cache_key) {
-            cache.put(key, distribution.clone());
-        }
-        discovery::apply_distribution(need, distribution, params);
-        Ok(())
+        discovery::distribution_from_rows(rows, target_query.group_by.len())
     }
 
     /// Run a query and leave the encrypted results with the SSI; returns
@@ -382,8 +424,8 @@ impl<'a> ServiceDriver<'a> {
     }
 
     /// Interpret the post-collection steps of the compiled plan: reduce
-    /// (iterative or per-tag) then finalize — the identical dispatch the
-    /// round runtime performs, expressed over the service seam.
+    /// (iterative or per-tag) then finalize. This is the whole protocol
+    /// dispatch — there is no per-protocol driver.
     fn execute_plan(
         &mut self,
         qid: u64,
@@ -499,8 +541,19 @@ impl<'a> ServiceDriver<'a> {
 
     /// Collection phase: rounds of connected TDSs answering until SIZE is
     /// reached, every targeted TDS contributed, or the round budget is
-    /// exhausted — with the full fault-leg structure of the round runtime,
-    /// plus transport failures folded into the same taxonomy.
+    /// exhausted.
+    ///
+    /// Transport is at-least-once under the connectivity's
+    /// [`crate::connectivity::FaultPlan`]: an upload may be lost (retried at
+    /// the TDS's next connection), duplicated (deduplicated by the SSI's
+    /// assignment ledger), delivered rounds late, or the downloaded envelope
+    /// corrupted (authenticated decryption fails at the TDS and the SSI
+    /// re-sends); real transport failures fold into the same taxonomy. Each
+    /// TDS's contribution is one work item with a retry budget; exhausting
+    /// it aborts an unbounded query and degrades a SIZE-bounded one to a
+    /// partial result. If the round bound expires before every targeted TDS
+    /// answered, the query finalizes over the tuples collected so far and
+    /// the run is flagged partial.
     fn run_collection(
         &mut self,
         qid: u64,
@@ -570,7 +623,8 @@ impl<'a> ServiceDriver<'a> {
                 // decryption at the TDS; the SSI re-sends next connection.
                 // A transport failure of the step RPC is handled the same
                 // way — the attempt is consumed and the TDS retries later.
-                let stepped = if faults.corrupt_download(phase, item, attempt) {
+                let corrupted = faults.corrupt_download(phase, item, attempt);
+                let stepped = if corrupted {
                     let mut bad = env.clone();
                     bad.enc_query = faults.corrupt_blob(&env.enc_query, phase, item, attempt);
                     self.pool
@@ -586,10 +640,7 @@ impl<'a> ServiceDriver<'a> {
                             "collect step returned result rows".into(),
                         ))
                     }
-                    Err(e)
-                        if matches!(e, ProtocolError::Crypto(_) | ProtocolError::Codec(_))
-                            || is_transport_error(&e) =>
-                    {
+                    Err(e) if step_failure_absorbed(&e, corrupted) => {
                         self.stats.faults.corrupt_rejected += 1;
                         self.stats.record_reassignment(phase);
                         continue;
@@ -733,9 +784,14 @@ impl<'a> ServiceDriver<'a> {
         Ok(())
     }
 
-    /// Process a batch of partitions with the connected population: the
-    /// round runtime's at-least-once dispatch loop, with the TDS work
-    /// expressed as a [`TdsStep`] instead of a closure.
+    /// Process a batch of partitions with the connected population.
+    /// Dropouts re-queue the partition (SSI timeout + resend), and the
+    /// connectivity's [`crate::connectivity::FaultPlan`] additionally injects
+    /// upload loss, duplication, late delivery after reassignment, dispatch
+    /// reordering and payload corruption. Every work item carries a retry
+    /// budget with round-based backoff: exhausting it raises
+    /// [`ProtocolError::QueryAborted`] on an unbounded query and abandons the
+    /// item (partial result) on a SIZE-bounded one.
     fn process_partitions(
         &mut self,
         qid: u64,
@@ -832,7 +888,8 @@ impl<'a> ServiceDriver<'a> {
                 // bit (authenticated decryption rejects, the SSI re-sends
                 // its pristine copy); a transport failure of the RPC takes
                 // the same retry path.
-                let stepped = if faults.corrupt_download(phase, w.item, attempt) {
+                let corrupted = faults.corrupt_download(phase, w.item, attempt);
+                let stepped = if corrupted {
                     let mut delivered = w.partition.clone();
                     if let Some(first) = delivered.first_mut() {
                         first.blob = faults.corrupt_blob(&first.blob, phase, w.item, attempt);
@@ -845,10 +902,7 @@ impl<'a> ServiceDriver<'a> {
                 };
                 let output = match stepped {
                     Ok(o) => o,
-                    Err(e)
-                        if matches!(e, ProtocolError::Crypto(_) | ProtocolError::Codec(_))
-                            || is_transport_error(&e) =>
-                    {
+                    Err(e) if step_failure_absorbed(&e, corrupted) => {
                         self.stats.faults.corrupt_rejected += 1;
                         self.stats.record_reassignment(phase);
                         w.not_before = self.round + backoff(attempt);

@@ -217,7 +217,7 @@ impl ShardedQueue {
 ///
 /// Message *reorder* has no dedicated knob here: thread scheduling already
 /// delivers uploads in nondeterministic order, which is exactly the fault
-/// the round runtime has to synthesise. (Output bytes still don't depend on
+/// the sequential driver has to synthesise. (Output bytes still don't depend on
 /// that order — deliveries are merged by work-item id at the phase end.)
 #[derive(Debug, Clone, Copy)]
 pub struct FaultConfig {
@@ -452,7 +452,7 @@ where
 /// the upload may be lost (re-queued), held back until the end of the phase
 /// (stashed *and* re-queued, modelling an SSI timeout plus eventual
 /// delivery), or duplicated (second settle must come back `Duplicate`).
-/// Re-queueing is the threaded analogue of the round runtime's backoff.
+/// Re-queueing is the threaded analogue of the sequential driver's backoff.
 /// Item ids come from `next_item` so successive phases (and waves within
 /// one phase) never share fault coordinates.
 #[allow(clippy::too_many_arguments)]

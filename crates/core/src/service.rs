@@ -11,20 +11,21 @@
 //!   protocol-phase unit of work, always on ciphertext envelopes.
 //!
 //! The in-process implementations ([`Ssi`] itself and [`LocalTdsPool`])
-//! make the driver equivalent to the round runtime; `tdsql-net` implements
+//! are what [`crate::runtime::SimWorld`] drives; `tdsql-net` implements
 //! the same two traits over a length-prefixed framed TCP protocol, so the
 //! `ssi-server` / `tds-pool` / `querier` binaries run the *same* compiled
 //! [`crate::plan::PhasePlan`] with zero per-backend protocol forks.
 //!
 //! Transport failures are part of the design, not an afterthought: remote
 //! implementations map every socket-level failure (connection reset, short
-//! read, frame timeout) into [`ProtocolError::Codec`] messages with the
-//! `transport:` prefix recognised by [`is_transport_error`]. The driver
+//! read, frame timeout) into [`ProtocolError::Transport`], recognised by
+//! [`is_transport_error`]. The driver
 //! treats those exactly like fault-plan events — a failed TDS step becomes
 //! a reassignment, a failed delivery a lost upload — so retry budgets,
 //! dedup and [`ProtocolError::QueryAborted`] cover the real network for
 //! free.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use tdsql_crypto::rng::{SeedableRng, StdRng};
@@ -98,10 +99,9 @@ pub struct MultiStepPart {
 }
 
 /// Build the typed error a remote implementation reports when the
-/// transport itself fails. The `transport:` prefix is the contract
-/// [`is_transport_error`] recognises.
+/// transport itself fails.
 pub fn transport_error(what: impl std::fmt::Display) -> ProtocolError {
-    ProtocolError::Codec(format!("transport: {what}"))
+    ProtocolError::Transport(what.to_string())
 }
 
 /// Is this error a transport failure (connection reset, short read, frame
@@ -110,11 +110,10 @@ pub fn transport_error(what: impl std::fmt::Display) -> ProtocolError {
 /// fault taxonomy: a failed step is retried under the work item's budget
 /// instead of aborting the query.
 pub fn is_transport_error(err: &ProtocolError) -> bool {
-    match err {
-        ProtocolError::Codec(s) => s.starts_with("transport:"),
-        ProtocolError::BackendUnavailable { .. } => true,
-        _ => false,
-    }
+    matches!(
+        err,
+        ProtocolError::Transport(_) | ProtocolError::BackendUnavailable { .. }
+    )
 }
 
 /// The SSI as the driver sees it: envelope board, settle ledger, working
@@ -298,21 +297,24 @@ pub trait TdsPool: Send + Sync {
     }
 }
 
-/// The in-process pool: a shared slice of [`Tds`] instances, as provisioned
-/// by [`crate::runtime::SimBuilder`] or the workload generators.
+/// The in-process pool: a population of [`Tds`] instances, as provisioned
+/// by [`crate::runtime::SimBuilder`] or the workload generators. `P` is how
+/// the population is held — shared (`Arc<Vec<Tds>>`, the default: served
+/// pools, deployments) or borrowed for one call (`&Vec<Tds>`, how
+/// [`crate::runtime::SimWorld`] lends its own).
 ///
 /// The pool owns the [`QueryOpenCache`] its steps open envelopes through, so
 /// the decrypt + parse + plan of a posted query happens once per pool — not
 /// once per TDS per step — whether the pool is driven in process or served
 /// by `tds-pool`. Credential and access-policy checks still run per step.
-pub struct LocalTdsPool {
-    tdss: Arc<Vec<Tds>>,
+pub struct LocalTdsPool<P = Arc<Vec<Tds>>> {
+    tdss: P,
     open_cache: QueryOpenCache,
 }
 
-impl LocalTdsPool {
+impl<P: Deref<Target = Vec<Tds>>> LocalTdsPool<P> {
     /// Wrap a provisioned population.
-    pub fn new(tdss: Arc<Vec<Tds>>) -> Self {
+    pub fn new(tdss: P) -> Self {
         Self {
             tdss,
             open_cache: QueryOpenCache::new(),
@@ -320,7 +322,7 @@ impl LocalTdsPool {
     }
 
     /// The underlying population (server-side access for retention tests).
-    pub fn tdss(&self) -> &Arc<Vec<Tds>> {
+    pub fn tdss(&self) -> &[Tds] {
         &self.tdss
     }
 
@@ -331,7 +333,7 @@ impl LocalTdsPool {
     }
 }
 
-impl TdsPool for LocalTdsPool {
+impl<P: Deref<Target = Vec<Tds>> + Send + Sync> TdsPool for LocalTdsPool<P> {
     fn len(&self) -> Result<usize> {
         Ok(self.tdss.len())
     }
@@ -389,11 +391,13 @@ mod tests {
         let e = transport_error("connection reset by peer");
         assert!(is_transport_error(&e));
         match &e {
-            ProtocolError::Codec(s) => assert!(s.contains("connection reset")),
+            ProtocolError::Transport(s) => assert!(s.contains("connection reset")),
             other => panic!("wrong variant: {other:?}"),
         }
+        // The class is the variant, never the message: a codec error that
+        // merely *says* "transport:" is not retryable.
         assert!(!is_transport_error(&ProtocolError::Codec(
-            "unexpected end".into()
+            "transport: unexpected end".into()
         )));
         assert!(!is_transport_error(&ProtocolError::AccessDenied));
         // The terminal reconnect-exhaustion form is a transport error too:

@@ -196,7 +196,7 @@ pub struct RunStats {
     /// SIZE-bounded query abandoned work items after their retry budget.
     pub partial: bool,
     /// Named counters and latency/volume histograms recorded during the run.
-    /// The round runtime records virtual time (rounds, byte volumes); nothing
+    /// The driver records virtual time (rounds, byte volumes); nothing
     /// here ever holds a wall-clock reading, so stats stay replayable.
     pub metrics: MetricsSet,
 }

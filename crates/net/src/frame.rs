@@ -167,7 +167,7 @@ mod tests {
         let mut r = wire.as_slice();
         let err = read_frame(&mut r).unwrap_err();
         assert!(
-            tdsql_core::service::is_transport_error(&err),
+            matches!(&err, ProtocolError::Transport(m) if m.contains("short read of frame payload")),
             "expected transport error, got {err:?}"
         );
     }

@@ -8,9 +8,10 @@
 //! exact byte strings the `tuple_codec` envelopes produced — the codec
 //! frames them, it never looks inside.
 //!
-//! Error transport preserves the [`ProtocolError`] *variant class* — a
-//! remote `Crypto`/`Codec` rejection is retryable at the driver exactly
-//! like a local one — though the two `&'static str` payloads
+//! Error transport preserves the [`ProtocolError`] *variant class* — the
+//! driver's retry decisions (`Transport`/`BackendUnavailable` always, a
+//! `Crypto`/`Codec` rejection where the fault plan injected corruption)
+//! read the same remotely as locally — though the three `&'static str` payloads
 //! (`NoProgress.phase`, `LengthOverflow.what`, `InvalidTransition.what`)
 //! cannot carry arbitrary remote strings and decode to a fixed `"remote"`
 //! marker instead.
@@ -597,6 +598,10 @@ pub(crate) fn put_error(out: &mut Vec<u8>, e: &ProtocolError) -> Result<()> {
             put_u64(out, *offset);
             put_str(out, "wire error detail", what)?;
         }
+        ProtocolError::Transport(s) => {
+            put_u8(out, 14);
+            put_str(out, "wire error detail", s)?;
+        }
     }
     Ok(())
 }
@@ -664,6 +669,7 @@ pub(crate) fn take_error(buf: &[u8], pos: &mut usize) -> Result<ProtocolError> {
             offset: take_u64(buf, pos)?,
             what: take_str(buf, pos)?,
         },
+        14 => ProtocolError::Transport(take_str(buf, pos)?),
         _ => return Err(bad("error kind")),
     })
 }
@@ -1376,18 +1382,23 @@ mod tests {
 
     #[test]
     fn error_classes_survive_transport() {
-        // Crypto / Codec classes drive the driver's retry decisions; the
-        // wire must preserve them exactly.
-        for (err, check) in [
-            (ProtocolError::Crypto(CryptoError::TagMismatch), true),
-            (ProtocolError::Codec("garbled".into()), true),
-            (ProtocolError::AccessDenied, false),
+        // The Crypto / Codec / Transport classes drive the driver's retry
+        // decisions; the wire must carry them variant for variant.
+        for err in [
+            ProtocolError::Crypto(CryptoError::TagMismatch),
+            ProtocolError::Codec("garbled".into()),
+            ProtocolError::Transport("connection reset by peer".into()),
+            ProtocolError::AccessDenied,
         ] {
             let mut out = Vec::new();
             put_error(&mut out, &err).unwrap();
             let got = take_error(&out, &mut 0).unwrap();
-            let retryable = matches!(got, ProtocolError::Crypto(_) | ProtocolError::Codec(_));
-            assert_eq!(retryable, check, "{err:?} -> {got:?}");
+            assert_eq!(got, err);
+            assert_eq!(
+                tdsql_core::service::is_transport_error(&got),
+                matches!(err, ProtocolError::Transport(_)),
+                "{err:?} -> {got:?}"
+            );
         }
         // Reconnect exhaustion stays a transport error across the hop,
         // and the journal-corruption class survives with its payload.

@@ -1,7 +1,27 @@
 //! Shared helpers for the integration tests.
 #![allow(dead_code)] // not every suite uses every helper
 
+use tdsql_core::querier::Querier;
+use tdsql_crypto::credential::{CredentialSigner, Role};
+use tdsql_crypto::KeyRing;
 use tdsql_sql::value::Value;
+
+/// A querier with a valid, never-expiring credential but `k1` of key epoch
+/// `epoch` — stale (or premature) against a population provisioned at any
+/// other epoch of the same master seed.
+pub fn querier_at_epoch(
+    master_seed: &[u8],
+    authority_secret: &[u8],
+    id: &str,
+    role: &str,
+    epoch: u32,
+) -> Querier {
+    Querier::new(
+        id,
+        &KeyRing::derive_epoch(master_seed, epoch).k1,
+        CredentialSigner::new(authority_secret).issue(id, Role::new(role), u64::MAX),
+    )
+}
 
 /// Sort rows into a canonical order so protocol output (which has no defined
 /// row order) can be compared against the oracle.

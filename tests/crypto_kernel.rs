@@ -19,7 +19,7 @@ use tdsql_core::protocol::ProtocolKind;
 use tdsql_core::runtime::SimBuilder;
 use tdsql_core::workload::{smart_meters, SmartMeterConfig};
 use tdsql_crypto::aes::{aes_backend, Aes128, AesBackend, BLOCK_SIZE};
-use tdsql_crypto::rng::{RngCore, SeedableRng, StdRng};
+use tdsql_crypto::rng::{SeedableRng, StdRng};
 use tdsql_crypto::{ctr, DetCipher, KeyRing, NDetCipher};
 use tdsql_sql::parser::parse_query;
 

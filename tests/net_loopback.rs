@@ -374,3 +374,41 @@ fn ssi_server_survives_abrupt_disconnects_and_garbage() {
     let envelope = tdsql_core::service::SsiService::envelope(&ssi, qid).expect("download");
     assert_eq!(envelope.query_id, qid);
 }
+
+/// A querier keyed to the wrong epoch is the query's own error, not a
+/// corrupted delivery: it crosses the wire as the `Crypto` it is, and the
+/// driver stops at the first TDS instead of burning the retry budget on
+/// every one of them.
+#[test]
+fn stale_epoch_querier_is_a_typed_crypto_error_across_the_wire() {
+    use tdsql_core::stats::Phase;
+
+    let dep = deployment();
+    let stale = common::querier_at_epoch(
+        &dep.master_seed,
+        &dep.authority_secret,
+        "energy-co",
+        &dep.role,
+        1,
+    );
+    let obs = Arc::new(Obs::new(b"stale-epoch"));
+    let ssi = RemoteSsi::connect(spawn_ssi().to_string(), Arc::clone(&obs));
+    let pool =
+        RemoteTdsPool::connect(spawn_pool(&dep).to_string(), Arc::clone(&obs)).expect("roster");
+    let mut driver =
+        ServiceDriver::new(&ssi, &pool, obs, DriverConfig::default()).expect("remote driver");
+    let err = driver
+        .run_query(
+            &stale,
+            None,
+            &parse_query(SQL).expect("parse"),
+            ProtocolParams::new(ProtocolKind::SAgg),
+        )
+        .unwrap_err();
+    assert!(matches!(err, ProtocolError::Crypto(_)), "{err:?}");
+    assert_eq!(driver.stats.faults.total(), 0, "nothing was absorbed");
+    let collection = driver.stats.phase(Phase::Collection);
+    assert_eq!(collection.steps, 1, "stopped in its first round");
+    assert_eq!(collection.partitions_reassigned, 0, "and never retried");
+    assert_eq!(collection.participating_tds(), 0);
+}

@@ -303,3 +303,44 @@ fn querier_and_ssi_collusion_gains_nothing_beyond_result() {
         assert!(k1.decrypt(&t.blob).is_err(), "k1 must not open k2 material");
     }
 }
+
+#[test]
+fn heterogeneous_policies_partition_the_population() {
+    // Half the consumers opted out (their policy denies the supplier):
+    // they still answer — with dummies — and the aggregate covers only the
+    // opt-ins, without the SSI or the querier learning who is who.
+    let (dbs, _) = smart_meters(&SmartMeterConfig {
+        n_tds: 20,
+        districts: 2,
+        readings_per_tds: 1,
+        ..Default::default()
+    });
+    let n = dbs.len();
+    let policies: Vec<AccessPolicy> = (0..n)
+        .map(|i| {
+            if i % 2 == 0 {
+                AccessPolicy::allow_all(Role::new("supplier"))
+            } else {
+                AccessPolicy::deny_all()
+            }
+        })
+        .collect();
+    let mut world = SimBuilder::new()
+        .seed(832)
+        .build_with_policies(dbs, policies);
+    let querier = world.make_querier("energy-co", "supplier");
+    let query = parse_query("SELECT COUNT(*) FROM consumer").unwrap();
+    let rows = world
+        .run_query(&querier, &query, ProtocolParams::new(ProtocolKind::SAgg))
+        .unwrap();
+    assert_eq!(
+        rows,
+        vec![vec![tdsql_sql::value::Value::Int((n / 2) as i64)]]
+    );
+    // Everyone participated in collection regardless of policy.
+    assert_eq!(
+        world.stats.phase(Phase::Collection).participating_tds(),
+        n,
+        "opt-outs are indistinguishable at the SSI"
+    );
+}

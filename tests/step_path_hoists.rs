@@ -11,7 +11,7 @@ mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use common::assert_rows_eq;
+use common::{assert_rows_eq, querier_at_epoch};
 use tdsql_core::bytes::Bytes;
 use tdsql_core::histogram::Histogram;
 use tdsql_core::message::{AssignmentId, DeliveryOutcome, QueryEnvelope, StoredTuple};
@@ -20,8 +20,8 @@ use tdsql_core::stats::Phase;
 use tdsql_core::tds::{QueryOpenCache, ResultDest, RetagMode};
 use tdsql_core::workload::SmartMeterConfig;
 use tdsql_core::{
-    DriverConfig, LocalTdsPool, MultiStepPart, ProtocolKind, ProtocolParams, Result, ServiceDriver,
-    SsiService, StepResult, TdsPool, TdsStep,
+    DriverConfig, LocalTdsPool, MultiStepPart, ProtocolError, ProtocolKind, ProtocolParams, Result,
+    ServiceDriver, SsiService, StepResult, TdsPool, TdsStep,
 };
 use tdsql_crypto::rng::{SeedableRng, StdRng};
 use tdsql_net::deploy::Deployment;
@@ -209,10 +209,14 @@ fn eviction_is_invisible() {
     }
 }
 
-/// Counts `size_tuples_reached`; forwards everything.
+/// Counts `size_tuples_reached`, `new_item` and `begin_assignment`;
+/// forwards everything.
+#[derive(Default)]
 struct CountingSsi {
     inner: Ssi,
     size_polls: AtomicU64,
+    new_items: AtomicU64,
+    assignments: AtomicU64,
 }
 
 impl SsiService for CountingSsi {
@@ -223,9 +227,11 @@ impl SsiService for CountingSsi {
         SsiService::envelope(&self.inner, query_id)
     }
     fn new_item(&self, query_id: u64) -> Result<u64> {
+        self.new_items.fetch_add(1, Ordering::Relaxed);
         SsiService::new_item(&self.inner, query_id)
     }
     fn begin_assignment(&self, query_id: u64, item: u64) -> Result<AssignmentId> {
+        self.assignments.fetch_add(1, Ordering::Relaxed);
         SsiService::begin_assignment(&self.inner, query_id, item)
     }
     fn item_done(&self, query_id: u64, item: u64) -> Result<bool> {
@@ -285,10 +291,7 @@ impl SsiService for CountingSsi {
 fn run_counting(sql: &str) -> (Vec<Vec<Value>>, u64, tdsql_core::stats::RunStats) {
     let dep = deployment();
     let (pool, _) = dep.provision();
-    let ssi = CountingSsi {
-        inner: Ssi::new(),
-        size_polls: AtomicU64::new(0),
-    };
+    let ssi = CountingSsi::default();
     let config = DriverConfig {
         seed: 0x512e,
         ..DriverConfig::default()
@@ -349,4 +352,36 @@ fn size_is_polled_per_tds_only_when_the_query_bounds_tuples() {
         counted, 5,
         "the result covers exactly the five contributors"
     );
+}
+
+#[test]
+fn a_stale_epoch_querier_fails_typed_at_its_first_contact() {
+    // No fault plan, so nothing was corrupted in transit: a TDS that cannot
+    // authenticate the envelope is reporting the query's own error, and
+    // every other TDS — and every retry — would report it again.
+    let dep = deployment();
+    let (pool, _) = dep.provision();
+    let ssi = CountingSsi::default();
+    let obs = Arc::new(Obs::new(b"stale-epoch"));
+    let mut driver = ServiceDriver::new(&ssi, &pool, obs, DriverConfig::default()).unwrap();
+    let stale = querier_at_epoch(
+        &dep.master_seed,
+        &dep.authority_secret,
+        "energy-co",
+        &dep.role,
+        1,
+    );
+    let err = driver
+        .run_query(
+            &stale,
+            None,
+            &parse_query(AGG).unwrap(),
+            ProtocolParams::new(ProtocolKind::SAgg),
+        )
+        .unwrap_err();
+    assert!(matches!(err, ProtocolError::Crypto(_)), "{err}");
+    assert_eq!(driver.stats.faults.corrupt_rejected, 0);
+    assert_eq!(driver.stats.faults.total(), 0);
+    assert_eq!(ssi.new_items.load(Ordering::Relaxed), 1, "one contact");
+    assert_eq!(ssi.assignments.load(Ordering::Relaxed), 0, "no delivery");
 }
