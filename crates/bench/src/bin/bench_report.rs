@@ -8,7 +8,6 @@
 //! cargo run --release -p tdsql-bench --bin bench_report -- --throughput --determinism full
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check-throughput BENCH_7.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check-throughput BENCH_7.json --floor
-//! cargo run --release -p tdsql-bench --bin bench_report -- --check-throughput-v1 BENCH_5.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --throughput-smoke
 //! cargo run --release -p tdsql-bench --bin bench_report -- --net     # write BENCH_6.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check-net BENCH_6.json
@@ -63,8 +62,6 @@
 //! `--check-throughput BENCH_7.json` validates the committed artifact's
 //! schema; adding `--floor` also reruns S_Agg @ 10k live and fails if it
 //! regresses more than 30% below the committed row's tuples/second.
-//! The superseded v1 artifact (`BENCH_5.json`) stays validated by
-//! `--check-throughput-v1`.
 //!
 //! ## Loopback network mode (`--net` → `BENCH_6.json`)
 //!
@@ -708,17 +705,11 @@ fn run_mixed_report() {
 
 // --- throughput mode (BENCH_7.json) -------------------------------------
 
-/// Schema identifier of the *previous* throughput artifact (BENCH_5.json,
-/// kept committed for history); its validator stays available under
-/// `--check-throughput-v1`.
-const THROUGHPUT_SCHEMA_V1: &str = "tdsql-bench-throughput/v1";
 /// Schema identifier of the current throughput report; bump on row-layout
 /// changes.
 const THROUGHPUT_SCHEMA: &str = "tdsql-bench-throughput/v2";
 const THROUGHPUT_SEED: u64 = 5;
 const THROUGHPUT_WORKERS: usize = 8;
-/// Sweep of the superseded v1 artifact (row-count check only).
-const THROUGHPUT_SWEEP_V1: [usize; 3] = [1_000, 10_000, 100_000];
 const THROUGHPUT_SWEEP: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 /// Above this population the default determinism mode drops from `full`
 /// (1-worker reference over the whole population) to `sampled`, and the
@@ -748,18 +739,6 @@ const THROUGHPUT_ROW_KEYS: [&str; 11] = [
     "aes_blocks_batched",
     "arena_bytes",
 ];
-/// Keys of the superseded v1 rows (BENCH_5.json).
-const THROUGHPUT_ROW_KEYS_V1: [&str; 8] = [
-    "protocol",
-    "n_tds",
-    "wall_ms",
-    "tuples",
-    "tuples_per_sec",
-    "results",
-    "determinism_checked",
-    "key_schedules_delta",
-];
-
 /// How a throughput row's byte-determinism was verified.
 ///
 /// `full` reruns the whole population with 1 worker and asserts the result
@@ -1095,39 +1074,6 @@ fn check_throughput(content: &str) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// Validator for the superseded v1 artifact (`BENCH_5.json`), kept so the
-/// committed history stays checkable.
-fn check_throughput_v1(content: &str) -> std::result::Result<(), String> {
-    let header = format!("{{\"schema\":\"{THROUGHPUT_SCHEMA_V1}\"");
-    if !content.starts_with(&header) {
-        return Err(format!(
-            "missing or wrong schema header (want {THROUGHPUT_SCHEMA_V1})"
-        ));
-    }
-    let row_count = content.matches("{\"protocol\":").count();
-    let want: usize = THROUGHPUT_SWEEP_V1
-        .iter()
-        .map(|&n| throughput_protocols(n).len())
-        .sum();
-    if row_count != want {
-        return Err(format!("expected {want} rows, found {row_count}"));
-    }
-    for key in THROUGHPUT_ROW_KEYS_V1 {
-        let occurrences = content.matches(&format!("\"{key}\":")).count();
-        if occurrences != row_count {
-            return Err(format!(
-                "key {key} appears {occurrences} times, expected {row_count}"
-            ));
-        }
-    }
-    for n in THROUGHPUT_SWEEP_V1 {
-        if !content.contains(&format!("\"n_tds\":{n}")) {
-            return Err(format!("sweep point n_tds={n} missing from report"));
-        }
-    }
-    Ok(())
-}
-
 /// Extract `tuples_per_sec` from the committed row matching (protocol,
 /// n_tds). Keeps the dependency-free hand-rolled JSON discipline of the
 /// rest of this binary: rows are emitted one per line by
@@ -1311,21 +1257,6 @@ fn main() {
                 run_floor_check(&content);
             }
             return;
-        }
-        Some("--check-throughput-v1") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_5.json");
-            let content =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            match check_throughput_v1(&content) {
-                Ok(()) => {
-                    println!("{path}: schema ok");
-                    return;
-                }
-                Err(why) => {
-                    eprintln!("{path}: schema violation: {why}");
-                    std::process::exit(1);
-                }
-            }
         }
         _ => {}
     }

@@ -84,6 +84,18 @@ pub enum ProtocolError {
         /// What failed.
         what: String,
     },
+    /// The admission scheduler refused to park another query for this
+    /// querier: its wait queue is at [`crate::ssi::SchedConfig::queue_cap`].
+    /// Backpressure, not a transport failure: nothing retries it
+    /// ([`crate::service::is_transport_error`] is false).
+    AdmissionRejected {
+        /// The querier whose queue is full.
+        querier: String,
+        /// Queries it already has parked.
+        waiting: usize,
+        /// The configured per-querier queue cap.
+        cap: usize,
+    },
     /// A delivery (or state query) addressed a query id with no live
     /// server-side state — never posted, or already purged.
     UnknownQuery {
@@ -135,6 +147,15 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::JournalCorrupt { offset, what } => {
                 write!(f, "settle journal corrupt at byte {offset}: {what}")
             }
+            ProtocolError::AdmissionRejected {
+                querier,
+                waiting,
+                cap,
+            } => write!(
+                f,
+                "protocol: scheduler: admission queue full for querier {querier} \
+                 ({waiting} waiting, cap {cap})"
+            ),
             ProtocolError::UnknownQuery { query_id } => {
                 write!(
                     f,

@@ -49,6 +49,7 @@ pub mod access;
 pub mod adversary;
 pub mod arena;
 pub mod bytes;
+pub mod codec;
 pub mod connectivity;
 pub mod error;
 pub mod explain;

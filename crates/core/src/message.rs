@@ -131,14 +131,20 @@ pub struct Observation {
 impl Observation {
     /// Record a stored tuple.
     pub fn of(query_id: u64, phase: Phase, tuple: &StoredTuple) -> Self {
-        let digest = tdsql_crypto::sha256::Sha256::digest(&tuple.blob);
+        Self::of_parts(query_id, phase, &tuple.tag, &tuple.blob)
+    }
+
+    /// Record a ciphertext and the tag it travelled with (sealed result
+    /// rows and cache blobs travel with [`GroupTag::None`]).
+    pub fn of_parts(query_id: u64, phase: Phase, tag: &GroupTag, blob: &[u8]) -> Self {
+        let digest = tdsql_crypto::sha256::Sha256::digest(blob);
         let mut d = [0u8; 16];
         d.copy_from_slice(&digest[..16]);
         Self {
             query_id,
             phase,
-            tag: tuple.tag.clone(),
-            blob_len: tuple.blob.len(),
+            tag: tag.clone(),
+            blob_len: blob.len(),
             blob_digest: d,
         }
     }

@@ -8,11 +8,12 @@
 //!   a worker pops from its home shard and steals from neighbours only
 //!   when its shard runs dry, so queue locks are uncontended in steady
 //!   state (the old design funnelled every pop through one global mutex);
-//! * delivery bookkeeping is **lock-striped** ([`StripedLedger`]) — two
-//!   deliveries for different work items settle on different stripes and
-//!   never serialize;
-//! * worker outputs stay **thread-local** until the phase ends, then merge
-//!   once, sorted by work-item id.
+//! * deliveries settle through the SSI's own lock-striped
+//!   [`SettleLedger`], one per run — two deliveries for different work
+//!   items settle on different stripes and never serialize;
+//! * worker outputs, fault counters, held-back uploads and abandoned items
+//!   stay **thread-local** ([`WorkerLocal`]) until the phase ends, then
+//!   merge once, sorted by work-item id.
 //!
 //! Determinism: every work item draws its randomness from a private RNG
 //! seeded by `(phase seed, item, attempt)` — never from a per-worker
@@ -37,13 +38,14 @@ use tdsql_sql::value::Value;
 use crate::arena::TupleArena;
 use crate::connectivity::FaultPlan;
 use crate::error::{ProtocolError, Result};
-use crate::message::{DeliveryOutcome, GroupTag, StoredTuple};
+use crate::message::{AssignmentId, GroupTag, StoredTuple};
 use crate::partition::{random_partitions, tag_partitions};
 use crate::plan::{
     DiscoveryNeed, FinalizeOp, FinalizePartitioning, Partitioning, PhasePlan, Until,
 };
 use crate::protocol::{discovery, ProtocolKind, ProtocolParams};
 use crate::querier::Querier;
+use crate::ssi::{SettleLedger, SettleVerdict};
 use crate::stats::{FaultStats, Phase};
 use crate::tds::{QueryOpenCache, ResultDest, Tds};
 
@@ -254,104 +256,145 @@ pub struct ThreadedRunReport {
     pub metrics: MetricsSet,
 }
 
-impl ThreadedRunReport {
-    fn absorb(&mut self, ledger: DeliveryLedger) {
-        self.faults.absorb(&ledger.stats);
-        self.partial |= !ledger.abandoned.is_empty();
-    }
+/// The [`SettleLedger`] assignment id of one `(item, attempt)`: an attempt
+/// number is unique per item here, so the pair is the assignment.
+fn assignment_id(item: u64, attempt: u32) -> AssignmentId {
+    AssignmentId((item << 32) | u64::from(attempt))
 }
 
-/// The SSI-side delivery ledger, mirrored in memory for the threaded
-/// runtime: which (item, attempt) assignments have settled, which items are
-/// complete, and which were abandoned. Mirrors `Ssi::settle` exactly so the
-/// two runtimes share one at-least-once contract.
+/// What one worker accumulates during a phase, merged once at the phase
+/// end ([`finish_phase`]) — nothing here is shared while the phase runs.
 #[derive(Default)]
-struct DeliveryLedger {
-    /// Assignments that already settled — keyed (item, attempt) since an
-    /// attempt number is unique per item here.
-    settled: BTreeSet<(u64, u32)>,
-    /// Items with an accepted delivery.
-    done: BTreeSet<u64>,
-    /// Items whose retry budget ran out under `degrade`.
-    abandoned: BTreeSet<u64>,
+struct WorkerLocal {
+    /// Accepted deliveries, keyed by work item.
+    accepted: Vec<(u64, WorkerOutput)>,
     /// Uploads held back by the network, delivered at the end of the phase.
     stash: Vec<(u64, u32, WorkerOutput)>,
+    /// Items whose retry budget ran out under `degrade`.
+    abandoned: BTreeSet<u64>,
     /// Fault counters for this phase.
     stats: FaultStats,
 }
 
-impl DeliveryLedger {
-    fn settle(&mut self, item: u64, attempt: u32) -> DeliveryOutcome {
-        if !self.settled.insert((item, attempt)) {
-            return DeliveryOutcome::Duplicate;
-        }
-        if !self.done.insert(item) {
-            return DeliveryOutcome::LateAfterReassign;
-        }
-        DeliveryOutcome::Accepted
-    }
+/// How one delivery attempt ended, for the loop that made it.
+enum Attempt {
+    /// The item needs no further attempt: it settled, or was abandoned.
+    Resolved,
+    /// The attempt was absorbed by the fault plan; try the item again.
+    Retry,
+    /// The run fails with this error.
+    Fatal(ProtocolError),
+}
 
-    /// Deliver everything the network held back, in (item, attempt) order
-    /// so the flush is schedule-independent. An accepted late delivery
-    /// completes its item — even one that was already abandoned (the
-    /// at-least-once contract holds past the budget).
-    fn flush_stash(&mut self, accepted: &mut Vec<(u64, WorkerOutput)>) {
-        let mut stash = std::mem::take(&mut self.stash);
-        stash.sort_by_key(|(item, attempt, _)| (*item, *attempt));
-        for (item, attempt, output) in stash {
-            match self.settle(item, attempt) {
-                DeliveryOutcome::Accepted => {
-                    if self.abandoned.remove(&item) {
-                        self.stats.items_abandoned -= 1;
-                    }
-                    accepted.push((item, output));
-                }
-                DeliveryOutcome::Duplicate => self.stats.duplicates_dropped += 1,
-                DeliveryOutcome::LateAfterReassign => self.stats.late_after_reassign += 1,
-                DeliveryOutcome::WindowClosed => {}
+/// One at-least-once delivery attempt, `attempt` (1-based) for `item`, with
+/// the fault plan's dice rolled on both legs in transport order: the
+/// download may be corrupted (`run` is told, the TDS rejects it — MAC or
+/// decrypt failure — and the item is retried), the upload may be lost
+/// (retried), held back until the end of the phase (stashed *and* retried,
+/// modelling an SSI timeout plus eventual delivery), or duplicated (the
+/// second settle must come back `Duplicate`). An attempt past the retry
+/// budget abandons the item (`degrade`) or aborts the query.
+fn faulty_attempt(
+    cfg: &FaultConfig,
+    phase: Phase,
+    item: u64,
+    attempt: u32,
+    ledger: &SettleLedger,
+    local: &mut WorkerLocal,
+    run: impl FnOnce(bool) -> Result<WorkerOutput>,
+) -> Attempt {
+    if attempt > cfg.retry_budget {
+        if !cfg.degrade {
+            return Attempt::Fatal(ProtocolError::QueryAborted {
+                phase,
+                retries: attempt - 1,
+            });
+        }
+        local.stats.items_abandoned += 1;
+        local.abandoned.insert(item);
+        return Attempt::Resolved;
+    }
+    let assignment = assignment_id(item, attempt);
+    ledger.issue(assignment, item);
+
+    // Download leg.
+    let corrupted = cfg.faults.corrupt_download(phase, item, attempt);
+    let output = match run(corrupted) {
+        Err(ProtocolError::Crypto(_) | ProtocolError::Codec(_)) if corrupted => {
+            // Tamper detected exactly as designed: reject the delivery and
+            // have the SSI re-send the work.
+            local.stats.corrupt_rejected += 1;
+            return Attempt::Retry;
+        }
+        Err(e) => return Attempt::Fatal(e),
+        Ok(output) => output,
+    };
+
+    // Upload leg.
+    if cfg.faults.lose_upload(phase, item, attempt) {
+        local.stats.lost_uploads += 1;
+        return Attempt::Retry;
+    }
+    if cfg.faults.deliver_late(phase, item, attempt) {
+        // The SSI times out and re-sends; the upload arrives eventually
+        // (flushed at the end of the phase).
+        local.stash.push((item, attempt, output));
+        return Attempt::Retry;
+    }
+    match ledger.settle(assignment) {
+        SettleVerdict::Accepted => {
+            // The network may replay the same assignment; the ledger must
+            // drop the second copy.
+            if cfg.faults.duplicate_upload(phase, item, attempt)
+                && ledger.settle(assignment) == SettleVerdict::Duplicate
+            {
+                local.stats.duplicates_dropped += 1;
             }
+            local.accepted.push((item, output));
         }
+        SettleVerdict::Duplicate => local.stats.duplicates_dropped += 1,
+        SettleVerdict::LateAfterReassign => local.stats.late_after_reassign += 1,
+        SettleVerdict::WindowClosed | SettleVerdict::RejectInvalid => {}
     }
+    Attempt::Resolved
 }
 
-/// A lock-striped [`DeliveryLedger`]: deliveries for different work items
-/// settle on different stripes, so concurrent settles only serialize when
-/// they actually race on the *same* item (which is the race the ledger
-/// exists to adjudicate). Item → stripe is a pure function, so one item's
-/// whole history lives on one stripe.
-struct StripedLedger {
-    stripes: Vec<Mutex<DeliveryLedger>>,
-}
-
-impl StripedLedger {
-    fn new(n_stripes: usize) -> Self {
-        Self {
-            stripes: (0..n_stripes.max(1))
-                .map(|_| Mutex::new(DeliveryLedger::default()))
-                .collect(),
+/// Close a phase: merge the workers' local state, deliver everything the
+/// network held back — in (item, attempt) order so the flush is
+/// schedule-independent — and fold the counters into `report`. An accepted
+/// late delivery completes its item, even one that was already abandoned
+/// (the at-least-once contract holds past the budget).
+fn finish_phase(
+    locals: Vec<WorkerLocal>,
+    ledger: &SettleLedger,
+    report: &mut ThreadedRunReport,
+) -> Vec<(u64, WorkerOutput)> {
+    let mut merged = WorkerLocal::default();
+    for local in locals {
+        merged.accepted.extend(local.accepted);
+        merged.stash.extend(local.stash);
+        merged.abandoned.extend(local.abandoned);
+        merged.stats.absorb(&local.stats);
+    }
+    merged
+        .stash
+        .sort_by_key(|(item, attempt, _)| (*item, *attempt));
+    for (item, attempt, output) in merged.stash {
+        match ledger.settle(assignment_id(item, attempt)) {
+            SettleVerdict::Accepted => {
+                if merged.abandoned.remove(&item) {
+                    merged.stats.items_abandoned -= 1;
+                }
+                merged.accepted.push((item, output));
+            }
+            SettleVerdict::Duplicate => merged.stats.duplicates_dropped += 1,
+            SettleVerdict::LateAfterReassign => merged.stats.late_after_reassign += 1,
+            SettleVerdict::WindowClosed | SettleVerdict::RejectInvalid => {}
         }
     }
-
-    fn stripe(&self, item: u64) -> &Mutex<DeliveryLedger> {
-        &self.stripes[(item as usize) % self.stripes.len()]
-    }
-
-    /// Collapse the stripes into one ledger at phase end (single-threaded).
-    /// Item sets are disjoint across stripes, so the merge is a plain union.
-    fn into_merged(self) -> DeliveryLedger {
-        let mut merged = DeliveryLedger::default();
-        for s in self.stripes {
-            let led = s
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            merged.settled.extend(led.settled);
-            merged.done.extend(led.done);
-            merged.abandoned.extend(led.abandoned);
-            merged.stash.extend(led.stash);
-            merged.stats.absorb(&led.stats);
-        }
-        merged
-    }
+    report.faults.absorb(&merged.stats);
+    report.partial |= !merged.abandoned.is_empty();
+    merged.accepted
 }
 
 /// Merge per-worker `(item, output)` lists into the phase's working set and
@@ -371,7 +414,8 @@ fn merge_outputs(mut accepted: Vec<(u64, WorkerOutput)>) -> (Vec<StoredTuple>, V
     (working, results)
 }
 
-/// Fan a set of partitions out to `n_workers` threads; each partition is
+/// Fan a set of partitions out to `n_workers` threads (clamped to
+/// `1..=tdss.len()`; an empty population is an error); each partition is
 /// processed by some TDS via `work`. Returns the merged outputs, ordered by
 /// partition index regardless of scheduling.
 ///
@@ -390,6 +434,10 @@ pub fn parallel_partitions<F>(
 where
     F: Fn(&Tds, &[StoredTuple], &mut StdRng) -> Result<WorkerOutput> + Sync,
 {
+    if tdss.is_empty() {
+        return Err(ProtocolError::Protocol("empty TDS population".into()));
+    }
+    let n_workers = n_workers.clamp(1, tdss.len());
     let items: Vec<FWorkItem> = partitions
         .into_iter()
         .enumerate()
@@ -445,16 +493,10 @@ where
 }
 
 /// [`parallel_partitions`] with at-least-once delivery faults injected on
-/// both legs of every worker step.
-///
-/// Per attempt, in transport order: the download may be corrupted (the TDS
-/// rejects the partition — MAC/decrypt failure — and the item is re-queued),
-/// the upload may be lost (re-queued), held back until the end of the phase
-/// (stashed *and* re-queued, modelling an SSI timeout plus eventual
-/// delivery), or duplicated (second settle must come back `Duplicate`).
-/// Re-queueing is the threaded analogue of the sequential driver's backoff.
-/// Item ids come from `next_item` so successive phases (and waves within
-/// one phase) never share fault coordinates.
+/// both legs of every worker step ([`faulty_attempt`]). A retried item is
+/// re-queued — the threaded analogue of the sequential driver's backoff.
+/// Item ids come from the run's `ledger`, so successive phases (and waves
+/// within one phase) never share fault coordinates.
 #[allow(clippy::too_many_arguments)]
 fn parallel_partitions_faulty<F>(
     tdss: &[Tds],
@@ -462,7 +504,7 @@ fn parallel_partitions_faulty<F>(
     seed: u64,
     phase: Phase,
     cfg: &FaultConfig,
-    next_item: &mut u64,
+    ledger: &SettleLedger,
     report: &mut ThreadedRunReport,
     partitions: Vec<Vec<StoredTuple>>,
     work: F,
@@ -471,162 +513,78 @@ where
     F: Fn(&Tds, &[StoredTuple], &mut StdRng) -> Result<WorkerOutput> + Sync,
 {
     if !cfg.faults.is_active() {
-        // Healthy path: identical behaviour (and cost) to the plain fan-out.
-        *next_item += partitions.len() as u64;
+        // Healthy path: identical behaviour (and cost) to the plain fan-out,
+        // which numbers its items from 0 and needs no ledger.
         return parallel_partitions(tdss, n_workers, seed, partitions, work);
     }
 
     let items: Vec<FWorkItem> = partitions
         .into_iter()
-        .map(|partition| {
-            let item = *next_item;
-            *next_item += 1;
-            FWorkItem {
-                item,
-                partition,
-                attempts: 0,
-            }
+        .map(|partition| FWorkItem {
+            item: ledger.new_item(),
+            partition,
+            attempts: 0,
         })
         .collect();
     let queue = ShardedQueue::deal(items, n_workers);
-    let ledger = StripedLedger::new(n_workers.max(8));
     let first_err = FirstError::new();
 
-    let accepted = std::thread::scope(|scope| {
+    let locals = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_workers);
         for w in 0..n_workers {
             let queue = &queue;
-            let ledger = &ledger;
             let first_err = &first_err;
             let work = &work;
             let tds = &tdss[w % tdss.len()];
             handles.push(scope.spawn(move || {
-                let mut local: Vec<(u64, WorkerOutput)> = Vec::new();
+                let mut local = WorkerLocal::default();
                 while let Some(mut fw) = queue.pop_or_wait(w) {
                     if first_err.is_set() {
                         // A peer already failed; resolve and drain quietly.
                         queue.resolve();
                         continue;
                     }
-                    if fw.attempts >= cfg.retry_budget {
-                        if cfg.degrade {
-                            let mut led = lock(ledger.stripe(fw.item));
-                            led.stats.items_abandoned += 1;
-                            led.abandoned.insert(fw.item);
-                        } else {
-                            first_err.set(ProtocolError::QueryAborted {
-                                phase,
-                                retries: fw.attempts,
-                            });
-                        }
-                        queue.resolve();
-                        continue;
-                    }
                     fw.attempts += 1;
-                    let attempt = fw.attempts;
-                    let mut rng = item_rng(seed, fw.item, attempt);
-
-                    // Download leg: the partition the TDS sees may be corrupt.
-                    let corrupted = cfg.faults.corrupt_download(phase, fw.item, attempt);
-                    let corrupted_copy = corrupted.then(|| {
-                        let mut copy = fw.partition.clone();
-                        if let Some(first) = copy.first_mut() {
-                            first.blob =
-                                cfg.faults
-                                    .corrupt_blob(&first.blob, phase, fw.item, attempt);
-                        }
-                        copy
-                    });
-                    let input: &[StoredTuple] = corrupted_copy.as_deref().unwrap_or(&fw.partition);
-
-                    let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        work(tds, input, &mut rng)
-                    }))
-                    .unwrap_or_else(|payload| Err(panic_to_error(payload)));
-
-                    let output = match step {
-                        Err(e)
-                            if corrupted
-                                && matches!(
-                                    e,
-                                    ProtocolError::Crypto(_) | ProtocolError::Codec(_)
-                                ) =>
-                        {
-                            // Tamper detected exactly as designed: reject the
-                            // delivery and have the SSI re-send the partition.
-                            lock(ledger.stripe(fw.item)).stats.corrupt_rejected += 1;
-                            queue.requeue(fw);
-                            continue;
-                        }
-                        Err(e) => {
+                    let (item, attempt) = (fw.item, fw.attempts);
+                    let run = |corrupted: bool| {
+                        let mut rng = item_rng(seed, item, attempt);
+                        // The partition the TDS sees may be corrupt.
+                        let corrupted_copy = corrupted.then(|| {
+                            let mut copy = fw.partition.clone();
+                            if let Some(first) = copy.first_mut() {
+                                first.blob =
+                                    cfg.faults.corrupt_blob(&first.blob, phase, item, attempt);
+                            }
+                            copy
+                        });
+                        let input: &[StoredTuple] =
+                            corrupted_copy.as_deref().unwrap_or(&fw.partition);
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            work(tds, input, &mut rng)
+                        }))
+                        .unwrap_or_else(|payload| Err(panic_to_error(payload)))
+                    };
+                    match faulty_attempt(cfg, phase, item, attempt, ledger, &mut local, run) {
+                        Attempt::Resolved => queue.resolve(),
+                        Attempt::Retry => queue.requeue(fw),
+                        Attempt::Fatal(e) => {
                             first_err.set(e);
                             queue.resolve();
-                            continue;
                         }
-                        Ok(output) => output,
-                    };
-
-                    // Upload leg.
-                    if cfg.faults.lose_upload(phase, fw.item, attempt) {
-                        lock(ledger.stripe(fw.item)).stats.lost_uploads += 1;
-                        queue.requeue(fw);
-                        continue;
                     }
-                    if cfg.faults.deliver_late(phase, fw.item, attempt) {
-                        // The SSI times out and re-sends; the upload arrives
-                        // eventually (flushed at the end of the phase).
-                        lock(ledger.stripe(fw.item))
-                            .stash
-                            .push((fw.item, attempt, output));
-                        queue.requeue(fw);
-                        continue;
-                    }
-                    let duplicated = cfg.faults.duplicate_upload(phase, fw.item, attempt);
-                    let mut led = lock(ledger.stripe(fw.item));
-                    match led.settle(fw.item, attempt) {
-                        DeliveryOutcome::Accepted => {
-                            if led.abandoned.remove(&fw.item) {
-                                led.stats.items_abandoned -= 1;
-                            }
-                            if duplicated {
-                                // The network replays the same assignment;
-                                // the ledger must drop the second copy.
-                                if led.settle(fw.item, attempt) == DeliveryOutcome::Duplicate {
-                                    led.stats.duplicates_dropped += 1;
-                                }
-                            }
-                            drop(led);
-                            local.push((fw.item, output));
-                        }
-                        DeliveryOutcome::Duplicate => {
-                            led.stats.duplicates_dropped += 1;
-                        }
-                        DeliveryOutcome::LateAfterReassign => {
-                            led.stats.late_after_reassign += 1;
-                        }
-                        DeliveryOutcome::WindowClosed => {}
-                    }
-                    queue.resolve();
                 }
                 local
             }));
         }
-        let mut accepted = Vec::new();
-        for h in handles {
-            if let Ok(local) = h.join() {
-                accepted.extend(local);
-            }
-        }
-        accepted
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().ok())
+            .collect::<Vec<_>>()
     });
     if let Some(e) = first_err.take() {
         return Err(e);
     }
-    let mut accepted = accepted;
-    let mut merged = ledger.into_merged();
-    merged.flush_stash(&mut accepted);
-    report.absorb(merged);
-    Ok(merge_outputs(accepted))
+    Ok(merge_outputs(finish_phase(locals, ledger, report)))
 }
 
 /// Partition the working set as a plan step prescribes (threaded flavour:
@@ -751,9 +709,10 @@ fn run_plan_threaded_impl(
     let mut seed_rng = StdRng::seed_from_u64(0xc0ffee);
     let envelope = querier.make_envelope(query, params.kind, &mut seed_rng);
     let mut report = ThreadedRunReport::default();
-    // Work item ids are global across phases so no two fault decisions ever
-    // share a (phase, item, attempt) coordinate with different meanings.
-    let mut next_item: u64 = 0;
+    // One ledger for the whole run: work item ids are global across phases,
+    // so no two fault decisions ever share a (phase, item, attempt)
+    // coordinate with different meanings. Only faulty runs touch it.
+    let ledger = SettleLedger::new();
 
     // --- Collection phase: every TDS contributes concurrently. -----------
     // A TDS's contribution can only come from that TDS, so retries stay
@@ -764,7 +723,6 @@ fn run_plan_threaded_impl(
     // set is byte-identical for any worker count.
     let phase_clock = std::time::Instant::now();
     let faults_active = cfg.faults.is_active();
-    let col_ledger = StripedLedger::new(n_workers.max(8));
     let first_err = FirstError::new();
     // One open cache for the whole run: the envelope's k1 decrypt + parse +
     // plan compilation happen once, not once per TDS. Per-TDS trust checks
@@ -777,19 +735,23 @@ fn run_plan_threaded_impl(
     let shared_params = std::sync::Arc::new(params.clone());
     let arena_flushed = AtomicU64::new(0);
     let chunk_size = tdss.len().div_ceil(n_workers);
-    let item_base = next_item;
-    next_item += tdss.len() as u64;
-    let accepted = std::thread::scope(|scope| {
+    // TDS `i` contributes work item `i`: the first ids of the fresh ledger.
+    if faults_active {
+        for _ in tdss {
+            ledger.new_item();
+        }
+    }
+    let locals = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_workers);
         for (w, chunk) in tdss.chunks(chunk_size).enumerate() {
-            let col_ledger = &col_ledger;
+            let ledger = &ledger;
             let first_err = &first_err;
             let envelope = &envelope;
             let open_cache = &open_cache;
             let shared_params = &shared_params;
             let arena_flushed = &arena_flushed;
             handles.push(scope.spawn(move || {
-                let mut local: Vec<(u64, WorkerOutput)> = Vec::new();
+                let mut local = WorkerLocal::default();
                 // Healthy-path sealing buffer: tuples from many TDSs land in
                 // one contiguous arena, flushed as zero-copy views past
                 // ARENA_FLUSH_BYTES. The faulty path keeps per-item Vecs —
@@ -801,7 +763,7 @@ fn run_plan_threaded_impl(
                 };
                 let mut arena_first: Option<u64> = None;
                 for (k, tds) in chunk.iter().enumerate() {
-                    let item = item_base + (w * chunk_size + k) as u64;
+                    let item = (w * chunk_size + k) as u64;
                     if !faults_active {
                         // Healthy fast path: no fault legs, no ledger locks —
                         // collection scales with zero shared-state traffic.
@@ -830,7 +792,7 @@ fn run_plan_threaded_impl(
                                     flush_arena(
                                         &mut arena,
                                         &mut arena_first,
-                                        &mut local,
+                                        &mut local.accepted,
                                         arena_flushed,
                                     );
                                 }
@@ -842,30 +804,18 @@ fn run_plan_threaded_impl(
                         }
                         continue;
                     }
+                    // A TDS's contribution can only come from that TDS, so
+                    // a retry is the next turn of this loop, not a re-queue.
                     let mut attempt: u32 = 0;
                     loop {
                         if first_err.is_set() {
                             return local;
                         }
-                        if attempt >= cfg.retry_budget {
-                            if cfg.degrade {
-                                let mut led = lock(col_ledger.stripe(item));
-                                led.stats.items_abandoned += 1;
-                                led.abandoned.insert(item);
-                                break;
-                            }
-                            first_err.set(ProtocolError::QueryAborted {
-                                phase: col_phase,
-                                retries: attempt,
-                            });
-                            return local;
-                        }
                         attempt += 1;
-                        let mut rng = item_rng(COLLECTION_SEED, item, attempt);
-                        // Download leg: the query envelope itself may arrive
-                        // corrupted — `open_query` then fails to authenticate.
-                        let corrupted = cfg.faults.corrupt_download(col_phase, item, attempt);
-                        let step = (|| -> Result<Vec<StoredTuple>> {
+                        let run = |corrupted: bool| {
+                            let mut rng = item_rng(COLLECTION_SEED, item, attempt);
+                            // The query envelope itself may arrive corrupted
+                            // — `open_query` then fails to authenticate.
                             let ctx = if corrupted {
                                 let mut bad = envelope.clone();
                                 bad.enc_query = cfg.faults.corrupt_blob(
@@ -878,86 +828,39 @@ fn run_plan_threaded_impl(
                             } else {
                                 tds.open_query(envelope, params.clone(), 0)?
                             };
-                            tds.collect(&ctx, &mut rng)
-                        })();
-                        let tuples = match step {
-                            Err(e)
-                                if corrupted
-                                    && matches!(
-                                        e,
-                                        ProtocolError::Crypto(_) | ProtocolError::Codec(_)
-                                    ) =>
-                            {
-                                lock(col_ledger.stripe(item)).stats.corrupt_rejected += 1;
-                                continue;
-                            }
-                            Err(e) => {
+                            Ok(WorkerOutput::Working(tds.collect(&ctx, &mut rng)?))
+                        };
+                        match faulty_attempt(cfg, col_phase, item, attempt, ledger, &mut local, run)
+                        {
+                            Attempt::Resolved => break,
+                            Attempt::Retry => {}
+                            Attempt::Fatal(e) => {
                                 first_err.set(e);
                                 return local;
                             }
-                            Ok(tuples) => tuples,
-                        };
-                        // Upload leg.
-                        if cfg.faults.lose_upload(col_phase, item, attempt) {
-                            lock(col_ledger.stripe(item)).stats.lost_uploads += 1;
-                            continue;
-                        }
-                        if cfg.faults.deliver_late(col_phase, item, attempt) {
-                            lock(col_ledger.stripe(item)).stash.push((
-                                item,
-                                attempt,
-                                WorkerOutput::Working(tuples),
-                            ));
-                            continue;
-                        }
-                        let duplicated = cfg.faults.duplicate_upload(col_phase, item, attempt);
-                        let mut led = lock(col_ledger.stripe(item));
-                        match led.settle(item, attempt) {
-                            DeliveryOutcome::Accepted => {
-                                if duplicated
-                                    && led.settle(item, attempt) == DeliveryOutcome::Duplicate
-                                {
-                                    led.stats.duplicates_dropped += 1;
-                                }
-                                drop(led);
-                                local.push((item, WorkerOutput::Working(tuples)));
-                                break;
-                            }
-                            DeliveryOutcome::Duplicate => {
-                                led.stats.duplicates_dropped += 1;
-                                break;
-                            }
-                            DeliveryOutcome::LateAfterReassign => {
-                                led.stats.late_after_reassign += 1;
-                                break;
-                            }
-                            DeliveryOutcome::WindowClosed => break,
                         }
                     }
                 }
-                flush_arena(&mut arena, &mut arena_first, &mut local, arena_flushed);
+                flush_arena(
+                    &mut arena,
+                    &mut arena_first,
+                    &mut local.accepted,
+                    arena_flushed,
+                );
                 local
             }));
         }
-        let mut accepted = Vec::new();
-        for h in handles {
-            if let Ok(local) = h.join() {
-                accepted.extend(local);
-            }
-        }
-        accepted
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().ok())
+            .collect::<Vec<_>>()
     });
     if let Some(e) = first_err.take() {
         return Err(e);
     }
-    let mut accepted = accepted;
-    {
-        // Deliver stashed (late) collection uploads before the window closes.
-        let mut led = col_ledger.into_merged();
-        led.flush_stash(&mut accepted);
-        report.absorb(led);
-    }
-    let (mut working, _) = merge_outputs(accepted);
+    // Stashed (late) collection uploads are delivered before the window
+    // closes.
+    let (mut working, _) = merge_outputs(finish_phase(locals, &ledger, &mut report));
     report.metrics.observe(
         &format!("threaded.{col_phase}.wall_us"),
         phase_clock.elapsed().as_micros() as u64,
@@ -999,7 +902,7 @@ fn run_plan_threaded_impl(
             first_seed,
             agg_phase,
             cfg,
-            &mut next_item,
+            &ledger,
             &mut report,
             partitions,
             |tds, p, rng| {
@@ -1022,7 +925,7 @@ fn run_plan_threaded_impl(
                         0xfeed,
                         agg_phase,
                         cfg,
-                        &mut next_item,
+                        &ledger,
                         &mut report,
                         partitions,
                         |tds, p, rng| {
@@ -1054,7 +957,7 @@ fn run_plan_threaded_impl(
                     0x5e9,
                     agg_phase,
                     cfg,
-                    &mut next_item,
+                    &ledger,
                     &mut report,
                     partitions,
                     |tds, p, rng| {
@@ -1098,7 +1001,7 @@ fn run_plan_threaded_impl(
         seed,
         fin_phase,
         cfg,
-        &mut next_item,
+        &ledger,
         &mut report,
         partitions,
         |tds, p, rng| {

@@ -3,10 +3,11 @@
 //! Every state transition the wire can cause on the [`super::Ssi`] is
 //! appended here as one length-prefixed, checksummed record, fsynced per
 //! the [`SyncPolicy`]. After a crash, [`super::Ssi::recover`] replays the
-//! journal through the *real* settle ledger (`QueryHandle::settle`), with
-//! every replayed verdict model-checked against [`super::SETTLE_TRANSITIONS`]
-//! — so the exactly-one-`Accepted` invariant PR 6's verifier proves
-//! statically survives process death, not just packet loss.
+//! journal through the *real* settle ledger ([`super::SettleLedger::settle`]),
+//! with every replayed verdict model-checked against
+//! [`super::SETTLE_TRANSITIONS`] — so the exactly-one-`Accepted` invariant
+//! PR 6's verifier proves statically survives process death, not just
+//! packet loss.
 //!
 //! ## Record format
 //!
@@ -20,7 +21,10 @@
 //! against torn/bit-rotted storage, not authentication — the journal sits
 //! inside the SSI's own trust domain). `len` is bounds-checked against
 //! [`MAX_RECORD`] *before* any allocation, reusing the `tdsql-net` frame
-//! discipline.
+//! discipline. A payload is one kind byte and then fields written by
+//! [`crate::codec`] — the functions the network wire uses, so an envelope
+//! or a tuple batch is the same bytes in a journal record as in a frame,
+//! and a decoder bound argued there holds here.
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -51,14 +55,16 @@ use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
-use tdsql_crypto::credential::{Credential, Role};
 use tdsql_crypto::sha256::Sha256;
-use tdsql_sql::ast::SizeClause;
 
 use crate::bytes::Bytes;
+use crate::codec::{
+    bad, expect_consumed, len_u32, put_blobs, put_bool, put_envelope, put_phase, put_tuples,
+    put_u32, put_u64, put_u64s, put_u8, put_vec, take_blobs, take_bool, take_envelope, take_phase,
+    take_tuples, take_u64, take_u64s, take_u8, take_vec,
+};
 use crate::error::{ProtocolError, Result};
-use crate::message::{GroupTag, QueryEnvelope, QueryTarget, StoredTuple};
-use crate::protocol::ProtocolKind;
+use crate::message::{QueryEnvelope, StoredTuple};
 use crate::stats::Phase;
 
 /// File magic: 8 bytes, versioned. A file shorter than this is treated as
@@ -232,281 +238,46 @@ pub struct SnapshotState {
     pub queries: Vec<QuerySnapshot>,
 }
 
-// ---------------------------------------------------------------------------
-// Byte codec (self-contained: `core` cannot depend on `tdsql-net`, so the
-// journal mirrors the wire codec's bounds-before-allocation idiom locally).
-// ---------------------------------------------------------------------------
-
-/// Decode-side error: a human-readable reason, mapped by the caller into
-/// [`ProtocolError::JournalCorrupt`] with the record's file offset.
-type Decode<T> = std::result::Result<T, String>;
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-fn len_u32(what: &'static str, len: usize) -> Result<u32> {
-    u32::try_from(len).map_err(|_| ProtocolError::LengthOverflow {
-        what,
-        len,
-        max: u32::MAX as usize,
-    })
-}
-
-fn put_bytes(out: &mut Vec<u8>, what: &'static str, b: &[u8]) -> Result<()> {
-    put_u32(out, len_u32(what, b.len())?);
-    out.extend_from_slice(b);
-    Ok(())
-}
-
-fn put_str(out: &mut Vec<u8>, what: &'static str, s: &str) -> Result<()> {
-    put_bytes(out, what, s.as_bytes())
-}
-
-fn take_u8(buf: &[u8], pos: &mut usize) -> Decode<u8> {
-    let b = *buf.get(*pos).ok_or("unexpected end of record")?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn take_bool(buf: &[u8], pos: &mut usize) -> Decode<bool> {
-    match take_u8(buf, pos)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err("bad bool".into()),
+impl QuerySnapshot {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
+        put_envelope(out, &self.envelope)?;
+        put_bool(out, self.closed);
+        put_u64(out, self.next_item);
+        put_tuples(out, &self.collection)?;
+        put_tuples(out, &self.working)?;
+        put_blobs(out, &self.results)?;
+        put_vec(
+            out,
+            "journal snapshot assignments",
+            &self.assignments,
+            |out, (assignment, item, settled)| {
+                put_u64(out, *assignment);
+                put_u64(out, *item);
+                put_bool(out, *settled);
+                Ok(())
+            },
+        )?;
+        put_u64s(out, "journal snapshot items", &self.items_done)
     }
-}
 
-fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Decode<[u8; N]> {
-    let end = pos.checked_add(N).ok_or("offset overflow")?;
-    let slice = buf.get(*pos..end).ok_or("unexpected end of record")?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(slice);
-    *pos = end;
-    Ok(out)
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize) -> Decode<u32> {
-    Ok(u32::from_be_bytes(take_array::<4>(buf, pos)?))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize) -> Decode<u64> {
-    Ok(u64::from_be_bytes(take_array::<8>(buf, pos)?))
-}
-
-/// Length-checked before allocation: the length word must fit in what is
-/// actually left of the (already size-bounded) payload buffer.
-fn take_bytes(buf: &[u8], pos: &mut usize) -> Decode<Vec<u8>> {
-    let len = take_u32(buf, pos)? as usize;
-    let end = pos.checked_add(len).ok_or("offset overflow")?;
-    let slice = buf.get(*pos..end).ok_or("length beyond record end")?;
-    *pos = end;
-    Ok(slice.to_vec())
-}
-
-fn take_str(buf: &[u8], pos: &mut usize) -> Decode<String> {
-    String::from_utf8(take_bytes(buf, pos)?).map_err(|_| "invalid utf-8".into())
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
+    fn decode(buf: &[u8], pos: &mut usize) -> Result<QuerySnapshot> {
+        Ok(QuerySnapshot {
+            envelope: take_envelope(buf, pos)?,
+            closed: take_bool(buf, pos)?,
+            next_item: take_u64(buf, pos)?,
+            collection: take_tuples(buf, pos)?,
+            working: take_tuples(buf, pos)?,
+            results: take_blobs(buf, pos)?,
+            assignments: take_vec(buf, pos, |buf, pos| {
+                Ok((
+                    take_u64(buf, pos)?,
+                    take_u64(buf, pos)?,
+                    take_bool(buf, pos)?,
+                ))
+            })?,
+            items_done: take_u64s(buf, pos)?,
+        })
     }
-}
-
-fn take_opt_u64(buf: &[u8], pos: &mut usize) -> Decode<Option<u64>> {
-    match take_u8(buf, pos)? {
-        0 => Ok(None),
-        1 => Ok(Some(take_u64(buf, pos)?)),
-        _ => Err("bad option tag".into()),
-    }
-}
-
-fn put_phase(out: &mut Vec<u8>, p: Phase) {
-    put_u8(
-        out,
-        match p {
-            Phase::Discovery => 0,
-            Phase::Collection => 1,
-            Phase::Aggregation => 2,
-            Phase::Filtering => 3,
-        },
-    );
-}
-
-fn take_phase(buf: &[u8], pos: &mut usize) -> Decode<Phase> {
-    Ok(match take_u8(buf, pos)? {
-        0 => Phase::Discovery,
-        1 => Phase::Collection,
-        2 => Phase::Aggregation,
-        3 => Phase::Filtering,
-        _ => return Err("bad phase".into()),
-    })
-}
-
-fn put_kind(out: &mut Vec<u8>, k: ProtocolKind) {
-    match k {
-        ProtocolKind::Basic => put_u8(out, 0),
-        ProtocolKind::SAgg => put_u8(out, 1),
-        ProtocolKind::RnfNoise { nf } => {
-            put_u8(out, 2);
-            put_u32(out, nf);
-        }
-        ProtocolKind::CNoise => put_u8(out, 3),
-        ProtocolKind::EdHist { buckets } => {
-            put_u8(out, 4);
-            put_u32(out, buckets);
-        }
-    }
-}
-
-fn take_kind(buf: &[u8], pos: &mut usize) -> Decode<ProtocolKind> {
-    Ok(match take_u8(buf, pos)? {
-        0 => ProtocolKind::Basic,
-        1 => ProtocolKind::SAgg,
-        2 => ProtocolKind::RnfNoise {
-            nf: take_u32(buf, pos)?,
-        },
-        3 => ProtocolKind::CNoise,
-        4 => ProtocolKind::EdHist {
-            buckets: take_u32(buf, pos)?,
-        },
-        _ => return Err("bad protocol kind".into()),
-    })
-}
-
-fn put_envelope(out: &mut Vec<u8>, e: &QueryEnvelope) -> Result<()> {
-    put_u64(out, e.query_id);
-    put_bytes(out, "journal enc_query", &e.enc_query)?;
-    put_str(out, "journal credential id", &e.credential.querier_id)?;
-    put_str(out, "journal credential role", &e.credential.role.0)?;
-    put_u64(out, e.credential.expires_at_round);
-    out.extend_from_slice(&e.credential.signature());
-    put_opt_u64(out, e.size.max_tuples);
-    put_opt_u64(out, e.size.max_rounds);
-    put_kind(out, e.protocol);
-    match &e.target {
-        QueryTarget::Crowd => put_u8(out, 0),
-        QueryTarget::Tds(ids) => {
-            put_u8(out, 1);
-            put_u32(out, len_u32("journal target ids", ids.len())?);
-            for id in ids {
-                put_u64(out, *id);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn take_envelope(buf: &[u8], pos: &mut usize) -> Decode<QueryEnvelope> {
-    let query_id = take_u64(buf, pos)?;
-    let enc_query = Bytes::from(take_bytes(buf, pos)?);
-    let querier_id = take_str(buf, pos)?;
-    let role = Role(take_str(buf, pos)?);
-    let expires_at_round = take_u64(buf, pos)?;
-    let signature = take_array::<32>(buf, pos)?;
-    let credential = Credential::from_parts(querier_id, role, expires_at_round, signature);
-    let size = SizeClause {
-        max_tuples: take_opt_u64(buf, pos)?,
-        max_rounds: take_opt_u64(buf, pos)?,
-    };
-    let protocol = take_kind(buf, pos)?;
-    let target = match take_u8(buf, pos)? {
-        0 => QueryTarget::Crowd,
-        1 => {
-            let n = take_u32(buf, pos)? as usize;
-            let mut ids = Vec::new();
-            for _ in 0..n {
-                ids.push(take_u64(buf, pos)?);
-            }
-            QueryTarget::Tds(ids)
-        }
-        _ => return Err("bad query target".into()),
-    };
-    Ok(QueryEnvelope {
-        query_id,
-        enc_query,
-        credential,
-        size,
-        protocol,
-        target,
-    })
-}
-
-fn put_tuple(out: &mut Vec<u8>, t: &StoredTuple) -> Result<()> {
-    match &t.tag {
-        GroupTag::None => put_u8(out, 0),
-        GroupTag::Det(v) => {
-            put_u8(out, 1);
-            put_bytes(out, "journal det tag", v)?;
-        }
-        GroupTag::Bucket(b) => {
-            put_u8(out, 2);
-            out.extend_from_slice(b);
-        }
-    }
-    put_bytes(out, "journal tuple blob", &t.blob)
-}
-
-fn take_tuple(buf: &[u8], pos: &mut usize) -> Decode<StoredTuple> {
-    let tag = match take_u8(buf, pos)? {
-        0 => GroupTag::None,
-        1 => GroupTag::Det(Bytes::from(take_bytes(buf, pos)?)),
-        2 => GroupTag::Bucket(take_array::<8>(buf, pos)?),
-        _ => return Err("bad group tag".into()),
-    };
-    let blob = Bytes::from(take_bytes(buf, pos)?);
-    Ok(StoredTuple { tag, blob })
-}
-
-fn put_tuples(out: &mut Vec<u8>, tuples: &[StoredTuple]) -> Result<()> {
-    put_u32(out, len_u32("journal tuple count", tuples.len())?);
-    for t in tuples {
-        put_tuple(out, t)?;
-    }
-    Ok(())
-}
-
-fn take_tuples(buf: &[u8], pos: &mut usize) -> Decode<Vec<StoredTuple>> {
-    let n = take_u32(buf, pos)? as usize;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(take_tuple(buf, pos)?);
-    }
-    Ok(out)
-}
-
-fn put_rows(out: &mut Vec<u8>, rows: &[Bytes]) -> Result<()> {
-    put_u32(out, len_u32("journal row count", rows.len())?);
-    for r in rows {
-        put_bytes(out, "journal result row", r)?;
-    }
-    Ok(())
-}
-
-fn take_rows(buf: &[u8], pos: &mut usize) -> Decode<Vec<Bytes>> {
-    let n = take_u32(buf, pos)? as usize;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(Bytes::from(take_bytes(buf, pos)?));
-    }
-    Ok(out)
 }
 
 impl JournalRecord {
@@ -581,7 +352,7 @@ impl JournalRecord {
                 put_u8(&mut out, 8);
                 put_u64(&mut out, *query_id);
                 put_u64(&mut out, *assignment);
-                put_rows(&mut out, rows)?;
+                put_blobs(&mut out, rows)?;
             }
             JournalRecord::QueryPurged { query_id } => {
                 put_u8(&mut out, 9);
@@ -591,34 +362,12 @@ impl JournalRecord {
                 put_u8(&mut out, 10);
                 put_u64(&mut out, state.next_query_id);
                 put_u64(&mut out, state.next_assignment_id);
-                put_u32(
+                put_vec(
                     &mut out,
-                    len_u32("journal snapshot queries", state.queries.len())?,
-                );
-                for q in &state.queries {
-                    put_envelope(&mut out, &q.envelope)?;
-                    put_bool(&mut out, q.closed);
-                    put_u64(&mut out, q.next_item);
-                    put_tuples(&mut out, &q.collection)?;
-                    put_tuples(&mut out, &q.working)?;
-                    put_rows(&mut out, &q.results)?;
-                    put_u32(
-                        &mut out,
-                        len_u32("journal snapshot assignments", q.assignments.len())?,
-                    );
-                    for (a, item, settled) in &q.assignments {
-                        put_u64(&mut out, *a);
-                        put_u64(&mut out, *item);
-                        put_bool(&mut out, *settled);
-                    }
-                    put_u32(
-                        &mut out,
-                        len_u32("journal snapshot items", q.items_done.len())?,
-                    );
-                    for item in &q.items_done {
-                        put_u64(&mut out, *item);
-                    }
-                }
+                    "journal snapshot queries",
+                    &state.queries,
+                    |out, q| q.encode(out),
+                )?;
             }
         }
         if out.len() > MAX_RECORD {
@@ -632,8 +381,8 @@ impl JournalRecord {
     }
 
     /// Decode a payload. The record must consume the whole payload —
-    /// trailing bytes are corruption, same as the wire codec.
-    fn decode(buf: &[u8]) -> Decode<JournalRecord> {
+    /// trailing bytes are corruption, as on the wire.
+    fn decode(buf: &[u8]) -> Result<JournalRecord> {
         let mut pos = 0usize;
         let rec = match take_u8(buf, &mut pos)? {
             0 => JournalRecord::QueryPosted {
@@ -673,7 +422,7 @@ impl JournalRecord {
             8 => JournalRecord::ResultsAccepted {
                 query_id: take_u64(buf, &mut pos)?,
                 assignment: take_u64(buf, &mut pos)?,
-                rows: take_rows(buf, &mut pos)?,
+                rows: take_blobs(buf, &mut pos)?,
             },
             9 => JournalRecord::QueryPurged {
                 query_id: take_u64(buf, &mut pos)?,
@@ -681,39 +430,7 @@ impl JournalRecord {
             10 => {
                 let next_query_id = take_u64(buf, &mut pos)?;
                 let next_assignment_id = take_u64(buf, &mut pos)?;
-                let n_queries = take_u32(buf, &mut pos)? as usize;
-                let mut queries = Vec::new();
-                for _ in 0..n_queries {
-                    let envelope = take_envelope(buf, &mut pos)?;
-                    let closed = take_bool(buf, &mut pos)?;
-                    let next_item = take_u64(buf, &mut pos)?;
-                    let collection = take_tuples(buf, &mut pos)?;
-                    let working = take_tuples(buf, &mut pos)?;
-                    let results = take_rows(buf, &mut pos)?;
-                    let n_assignments = take_u32(buf, &mut pos)? as usize;
-                    let mut assignments = Vec::new();
-                    for _ in 0..n_assignments {
-                        let a = take_u64(buf, &mut pos)?;
-                        let item = take_u64(buf, &mut pos)?;
-                        let settled = take_bool(buf, &mut pos)?;
-                        assignments.push((a, item, settled));
-                    }
-                    let n_items = take_u32(buf, &mut pos)? as usize;
-                    let mut items_done = Vec::new();
-                    for _ in 0..n_items {
-                        items_done.push(take_u64(buf, &mut pos)?);
-                    }
-                    queries.push(QuerySnapshot {
-                        envelope,
-                        closed,
-                        next_item,
-                        collection,
-                        working,
-                        results,
-                        assignments,
-                        items_done,
-                    });
-                }
+                let queries = take_vec(buf, &mut pos, QuerySnapshot::decode)?;
                 JournalRecord::Snapshot {
                     state: SnapshotState {
                         next_query_id,
@@ -722,11 +439,9 @@ impl JournalRecord {
                     },
                 }
             }
-            _ => return Err("bad record kind".into()),
+            _ => return Err(bad("record kind")),
         };
-        if pos != buf.len() {
-            return Err("trailing bytes after record".into());
-        }
+        expect_consumed(buf, pos)?;
         Ok(rec)
     }
 }
@@ -808,8 +523,13 @@ impl Journal {
                 if stored_sum != &full[..CHECKSUM_LEN] {
                     return Err(corrupt(pos as u64, "record checksum mismatch"));
                 }
-                let rec =
-                    JournalRecord::decode(payload).map_err(|what| corrupt(pos as u64, what))?;
+                let rec = JournalRecord::decode(payload).map_err(|e| {
+                    let what = match e {
+                        ProtocolError::Codec(msg) => msg,
+                        other => other.to_string(),
+                    };
+                    corrupt(pos as u64, what)
+                })?;
                 records.push((pos as u64, rec));
                 pos = sum_start + CHECKSUM_LEN;
                 valid_len = pos;

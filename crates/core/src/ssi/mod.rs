@@ -10,12 +10,10 @@
 //!
 //! Concurrency: every delivery method takes `&self`. Per-query state lives
 //! behind an [`Arc`] handle pulled from a briefly read-locked registry, and
-//! inside a query the settle ledger is **lock-striped** twice — assignment
-//! slots by assignment id, completed items by work-item id — so concurrent
-//! deliveries serialize only when they genuinely race on the same item or
-//! assignment (the races the dedup ledger exists to adjudicate). 100k TDSs
-//! uploading collection tuples for different work items touch 100k different
-//! stripe combinations, not one mutex.
+//! inside a query the exactly-once bookkeeping is one lock-striped
+//! [`SettleLedger`] ([`ledger`] — the transition tables, the striping and
+//! the argument for both live there), so concurrent deliveries serialize
+//! only when they genuinely race on the same item or assignment.
 //!
 //! With a settle journal attached the picture changes deliberately: every
 //! mutating method enters the journal critical section *before* its
@@ -25,7 +23,7 @@
 //! writers anyway (one append-only file), so the striping win is reserved
 //! for the journal-less in-process deployments that actually profit from it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -43,15 +41,16 @@ use crate::protocol::ProtocolKind;
 use crate::stats::Phase;
 
 pub mod journal;
+pub mod ledger;
 pub mod sched;
 
 pub use journal::{Journal, JournalConfig, JournalRecord, SyncPolicy};
+pub use ledger::{
+    settle_transition, window_guard, GuardAction, ItemState, LedgerState, PhaseClass, SettleLedger,
+    SettleTransition, SettleVerdict, SlotState, WindowGuard, WindowState, SETTLE_TRANSITIONS,
+    WINDOW_GUARDS,
+};
 pub use sched::{DiscoveryCache, Permit, SchedConfig, Scheduler};
-
-/// Stripes per ledger level. Settles take two short critical sections (one
-/// assignment stripe, then one item stripe — sequential, never nested), so a
-/// modest stripe count already removes essentially all false sharing.
-const LEDGER_STRIPES: usize = 16;
 
 /// Lock a mutex, recovering the data on poison: a panicking delivery thread
 /// must not poison the server for everyone else.
@@ -69,11 +68,11 @@ type Seq<'a> = Option<MutexGuard<'a, journal::Journal>>;
 /// analyzer never declared — a leak, caught at the exact receive call.
 /// Compiled out of release builds (the SSI is untrusted; the check protects
 /// the TDS-side plan execution during development, not the server).
-fn debug_check_declared(envelope: &QueryEnvelope, phase: Phase, tuples: &[StoredTuple]) {
+fn debug_check_declared(envelope: &QueryEnvelope, phase: Phase, upload: &Upload) {
     if cfg!(debug_assertions) {
         let decl = ExposureDeclaration::for_protocol(envelope.protocol);
-        for t in tuples {
-            let form = TagForm::of(&t.tag);
+        for (tag, _) in upload.parts() {
+            let form = TagForm::of(tag);
             debug_assert!(
                 decl.allows(phase, form),
                 "undeclared exposure: protocol {} showed the SSI a {:?} tag \
@@ -86,259 +85,6 @@ fn debug_check_declared(envelope: &QueryEnvelope, phase: Phase, tuples: &[Stored
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The settle-ledger transition model — **one source of truth**, three users.
-//
-// The exactly-once settlement argument rests on a small state machine: a
-// delivery quotes an assignment (unissued / issued / settled), covers a work
-// item (pending / done) and arrives relative to the collection window (open /
-// closed for collection uploads; the post-collection phases invert the
-// check). The tables below state every transition as data so that
-//
-// * the runtime's `QueryHandle::settle` is asserted against them by an
-//   exhaustive table-driven test in this file (replacing the hand-written
-//   per-case assertions),
-// * the static model checker (`tdsql-analyze::verify::settle`) explores all
-//   interleavings of the same tables and proves exactly-one-`Accepted` per
-//   item and no double-merge via `LateAfterReassign`,
-// * a reader can audit the whole contract in one screen.
-// ---------------------------------------------------------------------------
-
-/// Abstract state of the assignment slot a delivery quotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SlotState {
-    /// The SSI never issued this assignment id.
-    Unissued,
-    /// Issued, no delivery under it has settled yet.
-    Issued,
-    /// A delivery under it already settled (accepted or rejected).
-    Settled,
-}
-
-/// Abstract state of the work item an assignment covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ItemState {
-    /// No assignment has completed this item yet.
-    Pending,
-    /// Some assignment's delivery already completed this item.
-    Done,
-}
-
-/// Abstract state of the collection window at delivery time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WindowState {
-    /// SIZE has not closed collection yet.
-    Open,
-    /// `close_collection` ran; aggregation/filtering may proceed.
-    Closed,
-}
-
-/// Which receive path a delivery takes (the window guard differs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PhaseClass {
-    /// `receive_collection`: valid only while the window is open.
-    Collection,
-    /// `receive_working` / `receive_results`: valid only after it closed.
-    PostCollection,
-}
-
-/// What the ledger does with a delivery, abstractly: the four
-/// [`DeliveryOutcome`]s plus the typed refusal
-/// ([`ProtocolError::InvalidTransition`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SettleVerdict {
-    /// Merged into the query state — must happen exactly once per item.
-    Accepted,
-    /// Same assignment already settled; dropped.
-    Duplicate,
-    /// Different assignment already completed the item; dropped.
-    LateAfterReassign,
-    /// Collection delivery after SIZE closed the window; dropped.
-    WindowClosed,
-    /// Typed refusal (`InvalidTransition`) — never silently dropped.
-    RejectInvalid,
-}
-
-/// What the per-phase window guard decides before the ledger core runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardAction {
-    /// Hand the delivery to the settle core.
-    Proceed,
-    /// Short-circuit with the given verdict; the ledger is not consulted
-    /// and no state changes.
-    Stop(SettleVerdict),
-}
-
-/// One row of the window-guard table.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowGuard {
-    /// Which receive path.
-    pub class: PhaseClass,
-    /// Window state at arrival.
-    pub window: WindowState,
-    /// What the guard does.
-    pub action: GuardAction,
-    /// One-line justification.
-    pub why: &'static str,
-}
-
-/// The window guard, exhaustively: collection uploads are dropped (not
-/// errored) after SIZE closes the window — stream semantics; aggregation and
-/// filtering uploads before it closes are lifecycle violations — a typed
-/// error, because no correct interpreter produces them.
-pub const WINDOW_GUARDS: &[WindowGuard] = &[
-    WindowGuard {
-        class: PhaseClass::Collection,
-        window: WindowState::Open,
-        action: GuardAction::Proceed,
-        why: "collection upload inside the window settles normally",
-    },
-    WindowGuard {
-        class: PhaseClass::Collection,
-        window: WindowState::Closed,
-        action: GuardAction::Stop(SettleVerdict::WindowClosed),
-        why: "SIZE closed the window; late tuples drop under stream semantics",
-    },
-    WindowGuard {
-        class: PhaseClass::PostCollection,
-        window: WindowState::Open,
-        action: GuardAction::Stop(SettleVerdict::RejectInvalid),
-        why: "aggregation/filtering output cannot precede window close",
-    },
-    WindowGuard {
-        class: PhaseClass::PostCollection,
-        window: WindowState::Closed,
-        action: GuardAction::Proceed,
-        why: "aggregation/filtering settle normally once collection closed",
-    },
-];
-
-/// Look up the guard action for a receive path and window state. The match
-/// indexes into [`WINDOW_GUARDS`] (row order is fixed and asserted by a
-/// test) so the table stays the single authority.
-pub fn window_guard(class: PhaseClass, window: WindowState) -> GuardAction {
-    let idx = match (class, window) {
-        (PhaseClass::Collection, WindowState::Open) => 0,
-        (PhaseClass::Collection, WindowState::Closed) => 1,
-        (PhaseClass::PostCollection, WindowState::Open) => 2,
-        (PhaseClass::PostCollection, WindowState::Closed) => 3,
-    };
-    WINDOW_GUARDS[idx].action
-}
-
-/// One row of the settle-core transition table.
-#[derive(Debug, Clone, Copy)]
-pub struct SettleTransition {
-    /// Assignment-slot state before the delivery.
-    pub slot: SlotState,
-    /// Work-item state before the delivery.
-    pub item: ItemState,
-    /// The ledger's verdict.
-    pub verdict: SettleVerdict,
-    /// Slot state after.
-    pub slot_after: SlotState,
-    /// Item state after.
-    pub item_after: ItemState,
-    /// Does the delivery's payload merge into the query state? Must be true
-    /// exactly for `Accepted` — the invariant the model checker proves.
-    pub merges: bool,
-    /// Can a correct runtime actually reach this pre-state? (`Settled` with
-    /// the item still `Pending` cannot: settling marks the item done or
-    /// observes it done.) The model checker proves the claim.
-    pub reachable: bool,
-    /// One-line justification.
-    pub why: &'static str,
-}
-
-/// The settle core, exhaustively over slot × item pre-states. This is
-/// [`QueryHandle::settle`] as data; `settle_matches_transition_table` (tests
-/// below) drives the real ledger through every reachable row.
-pub const SETTLE_TRANSITIONS: &[SettleTransition] = &[
-    SettleTransition {
-        slot: SlotState::Unissued,
-        item: ItemState::Pending,
-        verdict: SettleVerdict::RejectInvalid,
-        slot_after: SlotState::Unissued,
-        item_after: ItemState::Pending,
-        merges: false,
-        reachable: true,
-        why: "delivery under an assignment the SSI never issued",
-    },
-    SettleTransition {
-        slot: SlotState::Unissued,
-        item: ItemState::Done,
-        verdict: SettleVerdict::RejectInvalid,
-        slot_after: SlotState::Unissued,
-        item_after: ItemState::Done,
-        merges: false,
-        reachable: true,
-        why: "forged assignment ids are refused even for finished items",
-    },
-    SettleTransition {
-        slot: SlotState::Issued,
-        item: ItemState::Pending,
-        verdict: SettleVerdict::Accepted,
-        slot_after: SlotState::Settled,
-        item_after: ItemState::Done,
-        merges: true,
-        reachable: true,
-        why: "first completed delivery per work item wins",
-    },
-    SettleTransition {
-        slot: SlotState::Issued,
-        item: ItemState::Done,
-        verdict: SettleVerdict::LateAfterReassign,
-        slot_after: SlotState::Settled,
-        item_after: ItemState::Done,
-        merges: false,
-        reachable: true,
-        why: "another assignment already completed the item; never re-merged",
-    },
-    SettleTransition {
-        slot: SlotState::Settled,
-        item: ItemState::Pending,
-        verdict: SettleVerdict::Duplicate,
-        slot_after: SlotState::Settled,
-        item_after: ItemState::Pending,
-        merges: false,
-        reachable: false,
-        why: "unreachable: a settled slot implies its item is done",
-    },
-    SettleTransition {
-        slot: SlotState::Settled,
-        item: ItemState::Done,
-        verdict: SettleVerdict::Duplicate,
-        slot_after: SlotState::Settled,
-        item_after: ItemState::Done,
-        merges: false,
-        reachable: true,
-        why: "the same assignment re-delivered; dropped",
-    },
-];
-
-/// Look up the settle-core transition for a pre-state. The match indexes
-/// into [`SETTLE_TRANSITIONS`] (row order is fixed and asserted by a test)
-/// so the table stays the single authority — total over the cross product.
-pub fn settle_transition(slot: SlotState, item: ItemState) -> &'static SettleTransition {
-    let idx = match (slot, item) {
-        (SlotState::Unissued, ItemState::Pending) => 0,
-        (SlotState::Unissued, ItemState::Done) => 1,
-        (SlotState::Issued, ItemState::Pending) => 2,
-        (SlotState::Issued, ItemState::Done) => 3,
-        (SlotState::Settled, ItemState::Pending) => 4,
-        (SlotState::Settled, ItemState::Done) => 5,
-    };
-    &SETTLE_TRANSITIONS[idx]
-}
-
-/// One issued assignment: which work item it covers, and whether a delivery
-/// under it already settled (accepted or rejected).
-#[derive(Debug, Clone, Copy)]
-struct AssignmentSlot {
-    item: u64,
-    settled: bool,
 }
 
 /// Per-query server-side state, shared by `Arc` so deliveries to different
@@ -354,13 +100,8 @@ struct QueryHandle {
     /// Final `k1`-encrypted rows awaiting the querier.
     results: Mutex<Vec<Bytes>>,
     collection_closed: AtomicBool,
-    /// Issued assignments, striped by [`AssignmentId`].
-    assignments: Vec<Mutex<BTreeMap<u64, AssignmentSlot>>>,
-    /// Work items already completed by some assignment's delivery, striped
-    /// by item id.
-    items_done: Vec<Mutex<BTreeSet<u64>>>,
-    /// Next work-item id to hand out.
-    next_item: AtomicU64,
+    /// Work items, assignments and who settled what.
+    ledger: SettleLedger,
 }
 
 impl QueryHandle {
@@ -371,50 +112,57 @@ impl QueryHandle {
             working: Mutex::new(Vec::new()),
             results: Mutex::new(Vec::new()),
             collection_closed: AtomicBool::new(false),
-            assignments: (0..LEDGER_STRIPES).map(|_| Mutex::default()).collect(),
-            items_done: (0..LEDGER_STRIPES).map(|_| Mutex::default()).collect(),
-            next_item: AtomicU64::new(0),
+            ledger: SettleLedger::new(),
         }
     }
 
-    fn assignment_stripe(&self, assignment: AssignmentId) -> &Mutex<BTreeMap<u64, AssignmentSlot>> {
-        &self.assignments[(assignment.0 as usize) % LEDGER_STRIPES]
+    fn window(&self) -> WindowState {
+        if self.collection_closed.load(Ordering::Acquire) {
+            WindowState::Closed
+        } else {
+            WindowState::Open
+        }
     }
+}
 
-    fn item_stripe(&self, item: u64) -> &Mutex<BTreeSet<u64>> {
-        &self.items_done[(item as usize) % LEDGER_STRIPES]
-    }
+/// What a delivery carries: tagged intermediate tuples (collection,
+/// aggregation) or sealed, untagged result rows (filtering).
+enum Upload {
+    Tuples(Vec<StoredTuple>),
+    Rows(Vec<Bytes>),
+}
 
-    /// Dedup core: settle a delivery under `assignment`. First completed
-    /// delivery per work item is accepted; a repeat of the same assignment is
-    /// a duplicate; a different assignment of an already-done item is a late
-    /// arrival after reassignment. Rejects assignments the SSI never issued.
-    ///
-    /// Two sequential critical sections: the assignment stripe adjudicates
-    /// "did *this* assignment already settle?", then the item stripe
-    /// adjudicates "did *any* assignment already complete this item?". The
-    /// item stripe is the single serialization point per item, so even under
-    /// concurrent racing assignments exactly one delivery comes back
-    /// [`DeliveryOutcome::Accepted`].
-    fn settle(&self, query_id: u64, assignment: AssignmentId) -> Result<DeliveryOutcome> {
-        let item = {
-            let mut slots = lock(self.assignment_stripe(assignment));
-            let slot = slots
-                .get_mut(&assignment.0)
-                .ok_or(ProtocolError::InvalidTransition {
-                    query_id,
-                    what: "delivery under an assignment the SSI never issued",
-                })?;
-            if slot.settled {
-                return Ok(DeliveryOutcome::Duplicate);
-            }
-            slot.settled = true;
-            slot.item
+impl Upload {
+    /// Everything the SSI can see of the payload: each ciphertext with the
+    /// tag it travelled under (result rows travel untagged).
+    fn parts(&self) -> impl Iterator<Item = (&GroupTag, &Bytes)> {
+        let (tuples, rows): (&[StoredTuple], &[Bytes]) = match self {
+            Upload::Tuples(tuples) => (tuples, &[]),
+            Upload::Rows(rows) => (&[], rows),
         };
-        if !lock(self.item_stripe(item)).insert(item) {
-            return Ok(DeliveryOutcome::LateAfterReassign);
-        }
-        Ok(DeliveryOutcome::Accepted)
+        tuples
+            .iter()
+            .map(|t| (&t.tag, &t.blob))
+            .chain(rows.iter().map(|blob| (&GroupTag::None, blob)))
+    }
+}
+
+/// A [`SettleVerdict`] as the service surface reports it: the four
+/// [`DeliveryOutcome`]s, or the typed refusal naming `refused`.
+fn outcome_of(
+    query_id: u64,
+    verdict: SettleVerdict,
+    refused: &'static str,
+) -> Result<DeliveryOutcome> {
+    match verdict {
+        SettleVerdict::Accepted => Ok(DeliveryOutcome::Accepted),
+        SettleVerdict::Duplicate => Ok(DeliveryOutcome::Duplicate),
+        SettleVerdict::LateAfterReassign => Ok(DeliveryOutcome::LateAfterReassign),
+        SettleVerdict::WindowClosed => Ok(DeliveryOutcome::WindowClosed),
+        SettleVerdict::RejectInvalid => Err(ProtocolError::InvalidTransition {
+            query_id,
+            what: refused,
+        }),
     }
 }
 
@@ -515,13 +263,7 @@ impl Ssi {
     /// then). Tag payloads never appear in clear: they are folded into a
     /// single keyed digest, so the trace reveals at most what the SSI's own
     /// observation log already holds.
-    fn trace_observe(
-        &self,
-        query_id: u64,
-        phase: Phase,
-        protocol: ProtocolKind,
-        tuples: &[StoredTuple],
-    ) {
+    fn trace_observe(&self, query_id: u64, phase: Phase, protocol: ProtocolKind, upload: &Upload) {
         let Some(obs) = &self.obs else { return };
         let decl = ExposureDeclaration::for_protocol(protocol);
         let mut forms: Vec<&'static str> = Vec::new();
@@ -529,9 +271,11 @@ impl Ssi {
         let mut bytes = 0u64;
         let mut tagged = false;
         let mut tag_material: Vec<u8> = Vec::new();
-        for t in tuples {
-            bytes += t.blob.len() as u64;
-            let form = TagForm::of(&t.tag);
+        let mut count = 0u64;
+        for (tag, blob) in upload.parts() {
+            count += 1;
+            bytes += blob.len() as u64;
+            let form = TagForm::of(tag);
             if decl.allows(phase, form) {
                 let name = match form {
                     TagForm::None => "none",
@@ -544,7 +288,7 @@ impl Ssi {
             } else {
                 undeclared = true;
             }
-            match &t.tag {
+            match tag {
                 GroupTag::None => tag_material.push(0),
                 GroupTag::Det(v) => {
                     tagged = true;
@@ -562,10 +306,14 @@ impl Ssi {
         if undeclared {
             forms.push("undeclared");
         }
+        if forms.is_empty() && matches!(upload, Upload::Rows(_)) {
+            // Sealed rows are untagged by type, even when there are none.
+            forms.push("none");
+        }
         let mut fields = vec![
             Field::u64("query", query_id),
             Field::str("phase", phase.to_string()),
-            Field::u64("tuples", tuples.len() as u64),
+            Field::u64("tuples", count),
             Field::u64("bytes", bytes),
             Field::str("forms", forms.join(",")),
         ];
@@ -675,7 +423,7 @@ impl Ssi {
     pub fn new_item(&self, query_id: u64) -> Result<u64> {
         let st = self.handle(query_id)?;
         let mut seq = self.seq();
-        let item = st.next_item.fetch_add(1, Ordering::Relaxed);
+        let item = st.ledger.new_item();
         self.append_seq(&mut seq, || journal::JournalRecord::ItemAllocated {
             query_id,
             item,
@@ -689,20 +437,15 @@ impl Ssi {
     pub fn begin_assignment(&self, query_id: u64, item: u64) -> Result<AssignmentId> {
         let st = self.handle(query_id)?;
         let mut seq = self.seq();
-        if item >= st.next_item.load(Ordering::Relaxed) {
+        // Checked before an id is drawn: a refused request consumes none.
+        if !st.ledger.allocated(item) {
             return Err(ProtocolError::InvalidTransition {
                 query_id,
                 what: "assignment for a work item the SSI never allocated",
             });
         }
         let id = self.next_assignment_id.fetch_add(1, Ordering::Relaxed);
-        lock(st.assignment_stripe(AssignmentId(id))).insert(
-            id,
-            AssignmentSlot {
-                item,
-                settled: false,
-            },
-        );
+        st.ledger.issue(AssignmentId(id), item);
         self.append_seq(&mut seq, || journal::JournalRecord::AssignmentIssued {
             query_id,
             assignment: id,
@@ -713,14 +456,118 @@ impl Ssi {
 
     /// Has this work item already been completed by some delivery?
     pub fn item_done(&self, query_id: u64, item: u64) -> Result<bool> {
-        let st = self.handle(query_id)?;
-        let done = lock(st.item_stripe(item)).contains(&item);
-        Ok(done)
+        Ok(self.handle(query_id)?.ledger.item_done(item))
     }
 
     /// The posted envelope — what connecting TDSs download (step 2).
     pub fn envelope(&self, query_id: u64) -> Result<QueryEnvelope> {
         Ok(self.handle(query_id)?.envelope.clone())
+    }
+
+    /// The one delivery body behind the four public receive methods.
+    ///
+    /// In order: archive (threat-model retention), enter the sequencing
+    /// section, consult [`window_guard`] for the receive path's `class`,
+    /// trip the debug exposure check, settle under `assignment` — and only
+    /// on [`SettleVerdict::Accepted`] observe, merge and journal. The
+    /// sequencing section spans guard + settle + merge + append, so a
+    /// concurrent `close_collection` or `take_working` cannot slot its
+    /// record between this delivery's window check and its `…Accepted`
+    /// record (see [`Ssi::seq`]).
+    ///
+    /// `assignment: None` is [`Ssi::restore_working`]: SSI-internal data
+    /// movement that never crossed the faulty transport, so neither the
+    /// window guard nor the ledger is consulted and the tuples always merge.
+    fn deliver(
+        &self,
+        query_id: u64,
+        assignment: Option<AssignmentId>,
+        phase: Phase,
+        class: PhaseClass,
+        upload: Upload,
+    ) -> Result<DeliveryOutcome> {
+        // Hashed before the sequencing section, not inside it.
+        let observed: Vec<Observation> = upload
+            .parts()
+            .map(|(tag, blob)| Observation::of_parts(query_id, phase, tag, blob))
+            .collect();
+        if let Upload::Tuples(tuples) = &upload {
+            self.retain(query_id, phase, tuples);
+        }
+        let st = self.handle(query_id)?;
+        let mut seq = self.seq();
+        // An unassigned delivery (`restore_working`) passes the guard and
+        // the ledger untouched.
+        let guard = match assignment {
+            Some(_) => window_guard(class, st.window()),
+            None => GuardAction::Proceed,
+        };
+        if let GuardAction::Stop(verdict) = guard {
+            // Collection uploads after SIZE closed the window drop (the
+            // paper's stream semantics); aggregation/filtering uploads
+            // before it closed are refused.
+            return outcome_of(
+                query_id,
+                verdict,
+                "aggregation/filtering delivery while the collection window is open",
+            );
+        }
+        debug_check_declared(&st.envelope, phase, &upload);
+        let verdict = assignment.map_or(SettleVerdict::Accepted, |a| st.ledger.settle(a));
+        if verdict != SettleVerdict::Accepted {
+            return outcome_of(
+                query_id,
+                verdict,
+                "delivery under an assignment the SSI never issued",
+            );
+        }
+        self.trace_observe(query_id, phase, st.envelope.protocol, &upload);
+        // Merges clone (Arc bumps); the originals go to the journal record.
+        let record = match (upload, assignment, class) {
+            (Upload::Tuples(tuples), Some(a), PhaseClass::Collection) => {
+                lock(&st.collection).extend(tuples.iter().cloned());
+                journal::JournalRecord::CollectionAccepted {
+                    query_id,
+                    assignment: a.0,
+                    tuples,
+                }
+            }
+            (Upload::Tuples(tuples), Some(a), PhaseClass::PostCollection) => {
+                lock(&st.working).extend(tuples.iter().cloned());
+                journal::JournalRecord::WorkingAccepted {
+                    query_id,
+                    assignment: a.0,
+                    phase,
+                    tuples,
+                }
+            }
+            (Upload::Tuples(tuples), None, _) => {
+                lock(&st.working).extend(tuples.iter().cloned());
+                journal::JournalRecord::WorkingRestored {
+                    query_id,
+                    phase,
+                    tuples,
+                }
+            }
+            (Upload::Rows(rows), Some(a), _) => {
+                lock(&st.results).extend(rows.iter().cloned());
+                journal::JournalRecord::ResultsAccepted {
+                    query_id,
+                    assignment: a.0,
+                    rows,
+                }
+            }
+            (Upload::Rows(_), None, _) => {
+                return Err(ProtocolError::Protocol(
+                    "result rows are only delivered under an assignment".into(),
+                ))
+            }
+        };
+        // Logged after the merge, not before: which of the two growing
+        // vectors reallocates first moves the process's peak RSS.
+        lock(&self.observations).extend(observed);
+        self.append_seq(&mut seq, || record)?;
+        Ok(DeliveryOutcome::Accepted)
     }
 
     /// Receive collection-phase tuples from a TDS (step 4 / 4'), delivered
@@ -732,36 +579,13 @@ impl Ssi {
         assignment: AssignmentId,
         tuples: Vec<StoredTuple>,
     ) -> Result<DeliveryOutcome> {
-        let obs: Vec<Observation> = tuples
-            .iter()
-            .map(|t| Observation::of(query_id, Phase::Collection, t))
-            .collect();
-        self.retain(query_id, Phase::Collection, &tuples);
-        let st = self.handle(query_id)?;
-        debug_check_declared(&st.envelope, Phase::Collection, &tuples);
-        // The sequencing section spans window check + settle + merge +
-        // append, so a concurrent `close_collection` cannot slot its
-        // `CollectionClosed` record between our window check and our
-        // `CollectionAccepted` record (see `seq`).
-        let mut seq = self.seq();
-        if st.collection_closed.load(Ordering::Acquire) {
-            // Late arrivals after SIZE closed the window are dropped; the
-            // paper's stream semantics end the window at SIZE.
-            return Ok(DeliveryOutcome::WindowClosed);
-        }
-        let outcome = st.settle(query_id, assignment)?;
-        if outcome == DeliveryOutcome::Accepted {
-            self.trace_observe(query_id, Phase::Collection, st.envelope.protocol, &tuples);
-            // Tuple clones are Arc bumps.
-            lock(&st.collection).extend(tuples.iter().cloned());
-            lock(&self.observations).extend(obs);
-            self.append_seq(&mut seq, || journal::JournalRecord::CollectionAccepted {
-                query_id,
-                assignment: assignment.0,
-                tuples,
-            })?;
-        }
-        Ok(outcome)
+        self.deliver(
+            query_id,
+            Some(assignment),
+            Phase::Collection,
+            PhaseClass::Collection,
+            Upload::Tuples(tuples),
+        )
     }
 
     /// Number of tuples collected so far (what the SIZE clause sees).
@@ -847,37 +671,13 @@ impl Ssi {
         phase: Phase,
         tuples: Vec<StoredTuple>,
     ) -> Result<DeliveryOutcome> {
-        let obs: Vec<Observation> = tuples
-            .iter()
-            .map(|t| Observation::of(query_id, phase, t))
-            .collect();
-        self.retain(query_id, phase, &tuples);
-        let st = self.handle(query_id)?;
-        // Sequenced like `receive_collection`: window check + settle +
-        // merge + append are one atomic step relative to `take_working`
-        // and `close_collection`, so a `WorkingAccepted` record can never
-        // land on the far side of the `WorkingTaken` that drained it.
-        let mut seq = self.seq();
-        if !st.collection_closed.load(Ordering::Acquire) {
-            return Err(ProtocolError::InvalidTransition {
-                query_id,
-                what: "aggregation delivery while the collection window is open",
-            });
-        }
-        debug_check_declared(&st.envelope, phase, &tuples);
-        let outcome = st.settle(query_id, assignment)?;
-        if outcome == DeliveryOutcome::Accepted {
-            self.trace_observe(query_id, phase, st.envelope.protocol, &tuples);
-            lock(&st.working).extend(tuples.iter().cloned());
-            lock(&self.observations).extend(obs);
-            self.append_seq(&mut seq, || journal::JournalRecord::WorkingAccepted {
-                query_id,
-                assignment: assignment.0,
-                phase,
-                tuples,
-            })?;
-        }
-        Ok(outcome)
+        self.deliver(
+            query_id,
+            Some(assignment),
+            phase,
+            PhaseClass::PostCollection,
+            Upload::Tuples(tuples),
+        )
     }
 
     /// Re-park tuples into the working set **without** delivery semantics —
@@ -890,23 +690,14 @@ impl Ssi {
         phase: Phase,
         tuples: Vec<StoredTuple>,
     ) -> Result<()> {
-        let obs: Vec<Observation> = tuples
-            .iter()
-            .map(|t| Observation::of(query_id, phase, t))
-            .collect();
-        self.retain(query_id, phase, &tuples);
-        let st = self.handle(query_id)?;
-        debug_check_declared(&st.envelope, phase, &tuples);
-        let mut seq = self.seq();
-        self.trace_observe(query_id, phase, st.envelope.protocol, &tuples);
-        lock(&st.working).extend(tuples.iter().cloned());
-        lock(&self.observations).extend(obs);
-        self.append_seq(&mut seq, || journal::JournalRecord::WorkingRestored {
+        self.deliver(
             query_id,
+            None,
             phase,
-            tuples,
-        })?;
-        Ok(())
+            PhaseClass::PostCollection,
+            Upload::Tuples(tuples),
+        )
+        .map(|_| ())
     }
 
     /// Current working-set size.
@@ -926,59 +717,13 @@ impl Ssi {
         assignment: AssignmentId,
         rows: Vec<Bytes>,
     ) -> Result<DeliveryOutcome> {
-        let obs: Vec<Observation> = rows
-            .iter()
-            .map(|blob| {
-                Observation::of(
-                    query_id,
-                    Phase::Filtering,
-                    &StoredTuple {
-                        tag: crate::message::GroupTag::None,
-                        blob: blob.clone(),
-                    },
-                )
-            })
-            .collect();
-        let st = self.handle(query_id)?;
-        let mut seq = self.seq();
-        if !st.collection_closed.load(Ordering::Acquire) {
-            return Err(ProtocolError::InvalidTransition {
-                query_id,
-                what: "filtering delivery while the collection window is open",
-            });
-        }
-        if cfg!(debug_assertions) {
-            let decl = ExposureDeclaration::for_protocol(st.envelope.protocol);
-            debug_assert!(
-                decl.allows(Phase::Filtering, TagForm::None),
-                "protocol {} declares no filtering-phase output",
-                st.envelope.protocol.name(),
-            );
-        }
-        let outcome = st.settle(query_id, assignment)?;
-        if outcome == DeliveryOutcome::Accepted {
-            if let Some(o) = &self.obs {
-                o.event(
-                    "ssi.observe",
-                    None,
-                    vec![
-                        Field::u64("query", query_id),
-                        Field::str("phase", Phase::Filtering.to_string()),
-                        Field::u64("tuples", rows.len() as u64),
-                        Field::u64("bytes", rows.iter().map(|b| b.len() as u64).sum()),
-                        Field::str("forms", "none"),
-                    ],
-                );
-            }
-            lock(&st.results).extend(rows.iter().cloned());
-            lock(&self.observations).extend(obs);
-            self.append_seq(&mut seq, || journal::JournalRecord::ResultsAccepted {
-                query_id,
-                assignment: assignment.0,
-                rows,
-            })?;
-        }
-        Ok(outcome)
+        self.deliver(
+            query_id,
+            Some(assignment),
+            Phase::Filtering,
+            PhaseClass::PostCollection,
+            Upload::Rows(rows),
+        )
     }
 
     /// Deliver the concatenated result to the querier (step 13). `Bytes`
@@ -992,13 +737,11 @@ impl Ssi {
     /// Park a named k2-sealed blob for later download by TDSs (histogram
     /// cache and similar cross-query state).
     pub fn put_cache(&self, name: &str, blob: Bytes) {
-        lock(&self.observations).push(Observation::of(
+        lock(&self.observations).push(Observation::of_parts(
             u64::MAX,
             Phase::Collection,
-            &StoredTuple {
-                tag: crate::message::GroupTag::None,
-                blob: blob.clone(),
-            },
+            &GroupTag::None,
+            &blob,
         ));
         lock(&self.cache).insert(name.to_string(), blob);
     }
@@ -1139,27 +882,16 @@ impl Ssi {
         let queries = self.queries.read().unwrap_or_else(PoisonError::into_inner);
         let mut snaps = Vec::with_capacity(queries.len());
         for st in queries.values() {
-            let mut assignments = Vec::new();
-            for stripe in &st.assignments {
-                for (a, slot) in lock(stripe).iter() {
-                    assignments.push((*a, slot.item, slot.settled));
-                }
-            }
-            assignments.sort_unstable();
-            let mut items_done = Vec::new();
-            for stripe in &st.items_done {
-                items_done.extend(lock(stripe).iter().copied());
-            }
-            items_done.sort_unstable();
+            let ledger = st.ledger.state();
             snaps.push(journal::QuerySnapshot {
                 envelope: st.envelope.clone(),
                 closed: st.collection_closed.load(Ordering::Acquire),
-                next_item: st.next_item.load(Ordering::Relaxed),
+                next_item: ledger.next_item,
                 collection: lock(&st.collection).clone(),
                 working: lock(&st.working).clone(),
                 results: lock(&st.results).clone(),
-                assignments,
-                items_done,
+                assignments: ledger.assignments,
+                items_done: ledger.items_done,
             });
         }
         journal::SnapshotState {
@@ -1172,7 +904,7 @@ impl Ssi {
     /// Open (or create) a settle journal and reconstruct the SSI from it.
     ///
     /// Replay drives the *real* ledger: every journaled settle is re-run
-    /// through `QueryHandle::settle` and its verdict is model-checked
+    /// through [`SettleLedger::settle`] and its verdict is model-checked
     /// against [`SETTLE_TRANSITIONS`] — a journal whose records would
     /// double-`Accepted` an item is rejected as
     /// [`ProtocolError::JournalCorrupt`], never merged twice. Replay
@@ -1219,7 +951,7 @@ impl Ssi {
                 let st = self
                     .handle(query_id)
                     .map_err(|_| corrupt("item allocated for an unknown query"))?;
-                st.next_item.fetch_max(item + 1, Ordering::Relaxed);
+                st.ledger.note_allocated(item);
             }
             R::AssignmentIssued {
                 query_id,
@@ -1229,19 +961,12 @@ impl Ssi {
                 let st = self
                     .handle(query_id)
                     .map_err(|_| corrupt("assignment issued for an unknown query"))?;
-                if item >= st.next_item.load(Ordering::Relaxed) {
+                if !st.ledger.allocated(item) {
                     return Err(corrupt("assignment for a work item never allocated"));
                 }
                 self.next_assignment_id
                     .fetch_max(assignment + 1, Ordering::Relaxed);
-                let replaced = lock(st.assignment_stripe(AssignmentId(assignment))).insert(
-                    assignment,
-                    AssignmentSlot {
-                        item,
-                        settled: false,
-                    },
-                );
-                if replaced.is_some() {
+                if !st.ledger.issue(AssignmentId(assignment), item) {
                     return Err(corrupt("assignment issued twice"));
                 }
             }
@@ -1256,7 +981,7 @@ impl Ssi {
                 if st.collection_closed.load(Ordering::Acquire) {
                     return Err(corrupt("accepted collection after the window closed"));
                 }
-                if self.replay_settle(&st, offset, query_id, assignment)? {
+                if self.replay_settle(&st.ledger, offset, assignment)? {
                     lock(&st.collection).extend(tuples);
                 }
             }
@@ -1299,7 +1024,7 @@ impl Ssi {
                 if !st.collection_closed.load(Ordering::Acquire) {
                     return Err(corrupt("accepted aggregation before the window closed"));
                 }
-                if self.replay_settle(&st, offset, query_id, assignment)? {
+                if self.replay_settle(&st.ledger, offset, assignment)? {
                     lock(&st.working).extend(tuples);
                 }
             }
@@ -1314,7 +1039,7 @@ impl Ssi {
                 if !st.collection_closed.load(Ordering::Acquire) {
                     return Err(corrupt("accepted results before the window closed"));
                 }
-                if self.replay_settle(&st, offset, query_id, assignment)? {
+                if self.replay_settle(&st.ledger, offset, assignment)? {
                     lock(&st.results).extend(rows);
                 }
             }
@@ -1342,41 +1067,19 @@ impl Ssi {
     /// snapshot already contains must never double-merge). Any other
     /// verdict means the journal claims an acceptance the transition table
     /// forbids — a double-settle — and recovery refuses.
-    fn replay_settle(
-        &self,
-        st: &QueryHandle,
-        offset: u64,
-        query_id: u64,
-        assignment: u64,
-    ) -> Result<bool> {
+    fn replay_settle(&self, ledger: &SettleLedger, offset: u64, assignment: u64) -> Result<bool> {
         let corrupt = |what: &'static str| ProtocolError::JournalCorrupt {
             offset,
             what: what.to_string(),
         };
         let aid = AssignmentId(assignment);
         // Classify the pre-state abstractly...
-        let (slot_state, item) = {
-            let slots = lock(st.assignment_stripe(aid));
-            match slots.get(&assignment) {
-                None => return Err(corrupt("accepted settle under an unissued assignment")),
-                Some(slot) if slot.settled => (SlotState::Settled, slot.item),
-                Some(slot) => (SlotState::Issued, slot.item),
-            }
+        let Some((slot, item)) = ledger.pre_state(aid) else {
+            return Err(corrupt("accepted settle under an unissued assignment"));
         };
-        let item_state = if lock(st.item_stripe(item)).contains(&item) {
-            ItemState::Done
-        } else {
-            ItemState::Pending
-        };
-        let expected = settle_transition(slot_state, item_state).verdict;
+        let expected = settle_transition(slot, item).verdict;
         // ...then drive the real ledger and cross-check the two.
-        let verdict = match st.settle(query_id, aid) {
-            Ok(DeliveryOutcome::Accepted) => SettleVerdict::Accepted,
-            Ok(DeliveryOutcome::Duplicate) => SettleVerdict::Duplicate,
-            Ok(DeliveryOutcome::LateAfterReassign) => SettleVerdict::LateAfterReassign,
-            Ok(DeliveryOutcome::WindowClosed) => SettleVerdict::WindowClosed,
-            Err(_) => SettleVerdict::RejectInvalid,
-        };
+        let verdict = ledger.settle(aid);
         if verdict != expected {
             return Err(corrupt(
                 "replayed settle diverged from the transition table",
@@ -1412,27 +1115,20 @@ impl Ssi {
             if !q.closed {
                 index.insert(posted_key(&q.envelope), id);
             }
-            let st = QueryHandle::new(q.envelope);
+            let ledger = SettleLedger::from_state(LedgerState {
+                next_item: q.next_item,
+                assignments: q.assignments,
+                items_done: q.items_done,
+            })
+            .map_err(corrupt)?;
+            let st = QueryHandle {
+                ledger,
+                ..QueryHandle::new(q.envelope)
+            };
             st.collection_closed.store(q.closed, Ordering::Release);
-            st.next_item.store(q.next_item, Ordering::Relaxed);
             *lock(&st.collection) = q.collection;
             *lock(&st.working) = q.working;
             *lock(&st.results) = q.results;
-            for (assignment, item, settled) in q.assignments {
-                if item >= q.next_item {
-                    return Err(corrupt(
-                        "snapshot assignment for a work item never allocated",
-                    ));
-                }
-                let replaced = lock(st.assignment_stripe(AssignmentId(assignment)))
-                    .insert(assignment, AssignmentSlot { item, settled });
-                if replaced.is_some() {
-                    return Err(corrupt("snapshot repeats an assignment"));
-                }
-            }
-            for item in q.items_done {
-                lock(st.item_stripe(item)).insert(item);
-            }
             if map.insert(id, Arc::new(st)).is_some() {
                 return Err(corrupt("snapshot repeats a query"));
             }
@@ -1554,16 +1250,37 @@ mod tests {
         }
     }
 
+    /// The public receive methods, as inputs to the table-driven test.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Input {
+        Collection,
+        Working,
+        Results,
+        /// `restore_working`: no assignment.
+        Restore,
+    }
+
     /// Drive the real ledger through every reachable row of
-    /// [`SETTLE_TRANSITIONS`] × [`WINDOW_GUARDS`] and assert the runtime's
+    /// [`SETTLE_TRANSITIONS`] × [`WINDOW_GUARDS`], through every public
+    /// receive method of the guard's class, and assert the runtime's
     /// verdict and post-state match the table — the single exhaustive
     /// replacement for the old hand-written duplicate/late/lifecycle
     /// assertions, and the link that keeps the static model checker
     /// (`tdsql-analyze::verify::settle`) honest about the runtime.
+    /// `restore_working` rides along as one more post-collection input: it
+    /// carries no assignment, so whatever the window and the ledger say it
+    /// merges, and it moves neither.
     #[test]
     fn settle_matches_transition_table() {
         for guard in WINDOW_GUARDS {
-            for t in SETTLE_TRANSITIONS {
+            let inputs: &[Input] = match guard.class {
+                PhaseClass::Collection => &[Input::Collection],
+                PhaseClass::PostCollection => &[Input::Working, Input::Results, Input::Restore],
+            };
+            for (&input, t) in inputs
+                .iter()
+                .flat_map(|i| SETTLE_TRANSITIONS.iter().map(move |t| (i, t)))
+            {
                 if !t.reachable {
                     continue; // proven unreachable by the model checker
                 }
@@ -1599,22 +1316,32 @@ mod tests {
                     + ssi.results(qid).unwrap().len();
 
                 // Deliver through the receive path under test.
-                let got = match guard.class {
-                    PhaseClass::Collection => {
-                        ssi.receive_collection(qid, assignment, vec![tuple(1)])
-                    }
-                    PhaseClass::PostCollection => {
+                let got = match input {
+                    Input::Collection => ssi.receive_collection(qid, assignment, vec![tuple(1)]),
+                    Input::Working => {
                         ssi.receive_working(qid, assignment, Phase::Aggregation, vec![tuple(1)])
                     }
+                    Input::Results => {
+                        ssi.receive_results(qid, assignment, vec![Bytes::from_static(b"row")])
+                    }
+                    Input::Restore => ssi
+                        .restore_working(qid, Phase::Aggregation, vec![tuple(1)])
+                        .map(|()| DeliveryOutcome::Accepted),
                 };
 
-                // Expected verdict: the guard short-circuits, else the core.
-                let want = match guard.action {
-                    GuardAction::Stop(v) => v,
-                    GuardAction::Proceed => t.verdict,
+                // Expected verdict: the guard short-circuits, else the core;
+                // an unassigned restore consults neither.
+                let consulted = match (input, guard.action) {
+                    (Input::Restore, _) => None,
+                    (_, action) => Some(action),
+                };
+                let want = match consulted {
+                    None => SettleVerdict::Accepted,
+                    Some(GuardAction::Stop(v)) => v,
+                    Some(GuardAction::Proceed) => t.verdict,
                 };
                 let label = format!(
-                    "{:?}/{:?} × {:?}/{:?}",
+                    "{input:?} {:?}/{:?} × {:?}/{:?}",
                     guard.class, guard.window, t.slot, t.item
                 );
                 match (want, got) {
@@ -1640,10 +1367,11 @@ mod tests {
                     "{label}: merge count"
                 );
                 // … and the item is done exactly when the table's post-state
-                // (or the untouched pre-state, for guard stops) says so.
-                let item_after = match guard.action {
-                    GuardAction::Proceed => t.item_after,
-                    GuardAction::Stop(_) => t.item,
+                // (or the untouched pre-state, for guard stops and restores)
+                // says so.
+                let item_after = match consulted {
+                    Some(GuardAction::Proceed) => t.item_after,
+                    Some(GuardAction::Stop(_)) | None => t.item,
                 };
                 assert_eq!(
                     ssi.item_done(qid, item).unwrap(),

@@ -117,8 +117,9 @@ impl Scheduler {
     /// [`Permit`] immediately when capacity allows and nobody is waiting;
     /// otherwise parks FIFO behind the querier's earlier arrivals and
     /// blocks until dispatched. A querier whose queue is at
-    /// [`SchedConfig::queue_cap`] is rejected with a typed error instead
-    /// of parking — callers surface that as backpressure.
+    /// [`SchedConfig::queue_cap`] is rejected with
+    /// [`ProtocolError::AdmissionRejected`] instead of parking — callers
+    /// surface that as backpressure.
     pub fn admit(&self, querier_id: &str) -> Result<Permit<'_>> {
         let mut st = lock(&self.state);
         let under_global = st.total_live < self.config.max_live;
@@ -136,11 +137,11 @@ impl Scheduler {
         let mine = st.waiting.get(querier_id).map_or(0, |q| q.len());
         if mine >= self.config.queue_cap {
             lock(&self.metrics).inc("ssi.sched.rejected", 1);
-            return Err(ProtocolError::Protocol(format!(
-                "scheduler: admission queue full for querier {querier_id} \
-                 ({mine} waiting, cap {cap})",
-                cap = self.config.queue_cap
-            )));
+            return Err(ProtocolError::AdmissionRejected {
+                querier: querier_id.to_string(),
+                waiting: mine,
+                cap: self.config.queue_cap,
+            });
         }
         let ticket = st.next_ticket;
         st.next_ticket += 1;
@@ -418,7 +419,13 @@ mod tests {
         });
         let _held = s.admit("alice").unwrap();
         let err = s.admit("alice").unwrap_err();
-        assert!(err.to_string().contains("admission queue full"), "{err}");
+        assert!(
+            matches!(
+                &err,
+                ProtocolError::AdmissionRejected { querier, waiting: 0, cap: 0 } if querier == "alice"
+            ),
+            "{err}"
+        );
         assert_eq!(s.metrics().counter("ssi.sched.rejected"), 1);
     }
 

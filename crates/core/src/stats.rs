@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use tdsql_obs::MetricsSet;
-
 /// Phases of the generic protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
@@ -34,39 +32,6 @@ impl Phase {
         Phase::Aggregation,
         Phase::Filtering,
     ];
-}
-
-/// The metric names one phase records under (`<phase>.<what>`), as statics:
-/// [`RunStats`] records several times per TDS contact, and formatting a name
-/// each time was most of the driver's own cost per contact.
-struct PhaseMetricNames {
-    tds_bytes: &'static str,
-    ssi_store_bytes: &'static str,
-    steps: &'static str,
-    critical_path_bytes: &'static str,
-}
-
-macro_rules! phase_metric_names {
-    ($phase:literal) => {
-        &PhaseMetricNames {
-            tds_bytes: concat!($phase, ".tds_bytes"),
-            ssi_store_bytes: concat!($phase, ".ssi_store_bytes"),
-            steps: concat!($phase, ".steps"),
-            critical_path_bytes: concat!($phase, ".critical_path_bytes"),
-        }
-    };
-}
-
-impl Phase {
-    /// Must spell each phase as its [`std::fmt::Display`] does (unit-tested).
-    fn metric_names(self) -> &'static PhaseMetricNames {
-        match self {
-            Phase::Discovery => phase_metric_names!("discovery"),
-            Phase::Collection => phase_metric_names!("collection"),
-            Phase::Aggregation => phase_metric_names!("aggregation"),
-            Phase::Filtering => phase_metric_names!("filtering"),
-        }
-    }
 }
 
 impl std::fmt::Display for Phase {
@@ -195,10 +160,6 @@ pub struct RunStats {
     /// SIZE window closed before every targeted TDS contributed, or when a
     /// SIZE-bounded query abandoned work items after their retry budget.
     pub partial: bool,
-    /// Named counters and latency/volume histograms recorded during the run.
-    /// The driver records virtual time (rounds, byte volumes); nothing
-    /// here ever holds a wall-clock reading, so stats stay replayable.
-    pub metrics: MetricsSet,
 }
 
 impl RunStats {
@@ -209,8 +170,6 @@ impl RunStats {
 
     /// Record TDS work in a phase.
     pub fn record(&mut self, phase: Phase, tds_id: u64, work: TdsWork) {
-        self.metrics
-            .observe(phase.metric_names().tds_bytes, work.bytes());
         self.per_phase
             .entry(phase)
             .or_default()
@@ -225,14 +184,11 @@ impl RunStats {
         let p = self.per_phase.entry(phase).or_default();
         p.ssi_tuples_stored += tuples;
         p.ssi_bytes_stored += bytes;
-        self.metrics
-            .observe(phase.metric_names().ssi_store_bytes, bytes);
     }
 
     /// Count one sequential step of a phase.
     pub fn record_step(&mut self, phase: Phase) {
         self.per_phase.entry(phase).or_default().steps += 1;
-        self.metrics.inc(phase.metric_names().steps, 1);
     }
 
     /// Record the busiest single-TDS byte volume of the current step.
@@ -242,8 +198,6 @@ impl RunStats {
             .or_default()
             .critical_path_bytes
             .push(max_tds_bytes);
-        self.metrics
-            .observe(phase.metric_names().critical_path_bytes, max_tds_bytes);
     }
 
     /// Count one partition reassignment after a dropout.
@@ -336,20 +290,6 @@ mod tests {
         assert_eq!(s.load_bytes(), 145);
         // TDS 1 moved 35 bytes, TDS 2 moved 110 → average 72.5.
         assert!((s.avg_tds_bytes() - 72.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn static_metric_names_follow_display() {
-        for phase in Phase::ALL {
-            let names = phase.metric_names();
-            assert_eq!(names.tds_bytes, format!("{phase}.tds_bytes"));
-            assert_eq!(names.ssi_store_bytes, format!("{phase}.ssi_store_bytes"));
-            assert_eq!(names.steps, format!("{phase}.steps"));
-            assert_eq!(
-                names.critical_path_bytes,
-                format!("{phase}.critical_path_bytes")
-            );
-        }
     }
 
     #[test]

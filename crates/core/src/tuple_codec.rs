@@ -19,6 +19,7 @@
 use tdsql_sql::aggregate::AggState;
 use tdsql_sql::value::{GroupKey, Value};
 
+use crate::codec::{len_u32, put_blob, take_blob, take_u32, take_u8};
 use crate::error::{ProtocolError, Result};
 
 fn corrupt(msg: &str) -> ProtocolError {
@@ -67,35 +68,12 @@ fn len_u16(what: &'static str, len: usize) -> Result<u16> {
     })
 }
 
-/// Checked narrowing of a collection length to a `u32` wire counter.
-fn len_u32(what: &'static str, len: usize) -> Result<u32> {
-    u32::try_from(len).map_err(|_| ProtocolError::LengthOverflow {
-        what,
-        len,
-        max: u32::MAX as usize,
-    })
-}
-
-fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    let b = *buf.get(*pos).ok_or_else(|| corrupt("unexpected end"))?;
-    *pos += 1;
-    Ok(b)
-}
-
 fn read_u16(buf: &[u8], pos: &mut usize) -> Result<u16> {
     let s = buf
         .get(*pos..*pos + 2)
         .ok_or_else(|| corrupt("unexpected end"))?;
     *pos += 2;
     Ok(u16::from_be_bytes(s.try_into().unwrap()))
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let s = buf
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| corrupt("unexpected end"))?;
-    *pos += 4;
-    Ok(u32::from_be_bytes(s.try_into().unwrap()))
 }
 
 fn decode_values(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<Value>> {
@@ -185,7 +163,7 @@ impl PlainTuple {
     /// Decode (padding is ignored).
     pub fn decode(buf: &[u8]) -> Result<PlainTuple> {
         let mut pos = 0;
-        match read_u8(buf, &mut pos)? {
+        match take_u8(buf, &mut pos)? {
             0 => {
                 let n = read_u16(buf, &mut pos)? as usize;
                 Ok(PlainTuple::Row(decode_values(buf, &mut pos, n)?))
@@ -230,8 +208,7 @@ impl AggInput {
         let start = out.len();
         let body = (|| -> Result<()> {
             out.push(self.fake as u8);
-            out.extend_from_slice(&len_u32("AggInput group key", self.key.0.len())?.to_be_bytes());
-            out.extend_from_slice(&self.key.0);
+            put_blob(out, "AggInput group key", &self.key.0)?;
             out.extend_from_slice(&len_u16("AggInput inputs", self.inputs.len())?.to_be_bytes());
             for v in &self.inputs {
                 v.canonical_bytes(out);
@@ -255,17 +232,12 @@ impl AggInput {
     /// Decode (padding is ignored).
     pub fn decode(buf: &[u8]) -> Result<AggInput> {
         let mut pos = 0;
-        let fake = match read_u8(buf, &mut pos)? {
+        let fake = match take_u8(buf, &mut pos)? {
             0 => false,
             1 => true,
             t => return Err(corrupt(&format!("bad AggInput flag {t}"))),
         };
-        let key_len = read_u32(buf, &mut pos)? as usize;
-        let key_bytes = buf
-            .get(pos..pos + key_len)
-            .ok_or_else(|| corrupt("truncated group key"))?
-            .to_vec();
-        pos += key_len;
+        let key_bytes = take_blob(buf, &mut pos)?;
         let n = read_u16(buf, &mut pos)? as usize;
         let inputs = decode_values(buf, &mut pos, n)?;
         Ok(AggInput {
@@ -297,10 +269,7 @@ impl PartialAggBatch {
             &len_u32("PartialAggBatch entries", self.entries.len())?.to_be_bytes(),
         );
         for (key, states) in &self.entries {
-            out.extend_from_slice(
-                &len_u32("PartialAggBatch group key", key.0.len())?.to_be_bytes(),
-            );
-            out.extend_from_slice(&key.0);
+            put_blob(&mut out, "PartialAggBatch group key", &key.0)?;
             out.extend_from_slice(&len_u16("PartialAggBatch states", states.len())?.to_be_bytes());
             for st in states {
                 st.encode(&mut out);
@@ -312,15 +281,10 @@ impl PartialAggBatch {
     /// Decode.
     pub fn decode(buf: &[u8]) -> Result<PartialAggBatch> {
         let mut pos = 0;
-        let n = read_u32(buf, &mut pos)? as usize;
+        let n = take_u32(buf, &mut pos)? as usize;
         let mut entries = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let key_len = read_u32(buf, &mut pos)? as usize;
-            let key_bytes = buf
-                .get(pos..pos + key_len)
-                .ok_or_else(|| corrupt("truncated group key"))?
-                .to_vec();
-            pos += key_len;
+            let key_bytes = take_blob(buf, &mut pos)?;
             let n_states = read_u16(buf, &mut pos)? as usize;
             let mut states = Vec::with_capacity(n_states);
             for _ in 0..n_states {

@@ -1,12 +1,14 @@
 //! Wire message codecs for the SSI and TDS-pool protocols.
 //!
-//! Hand-rolled big-endian codecs in the `tuple_codec` idiom: explicit
-//! length prefixes, checked counter widths (a too-long vector is a typed
-//! [`ProtocolError::LengthOverflow`], never a silently wrapped counter),
-//! and bounds-checked reads (a truncated message is a typed
-//! `Codec("unexpected end …")`). Ciphertext blobs cross the wire as the
-//! exact byte strings the `tuple_codec` envelopes produced — the codec
-//! frames them, it never looks inside.
+//! The messages are framed here; the bytes of everything inside them —
+//! integers, blobs, envelope, credential, tuples, tags, phase, protocol
+//! kind — come from [`tdsql_core::codec`], the one codec the settle journal
+//! also writes with: explicit length prefixes, checked counter widths (a
+//! too-long vector is a typed [`ProtocolError::LengthOverflow`], never a
+//! silently wrapped counter), and bounds-checked reads (a truncated message
+//! is a typed `Codec("unexpected end …")`). Ciphertext blobs cross the wire
+//! as the exact byte strings the `tuple_codec` envelopes produced — the
+//! codec frames them, it never looks inside.
 //!
 //! Error transport preserves the [`ProtocolError`] *variant class* — the
 //! driver's retry decisions (`Transport`/`BackendUnavailable` always, a
@@ -17,120 +19,22 @@
 //! marker instead.
 
 use tdsql_core::bytes::Bytes;
+use tdsql_core::codec::{
+    bad, expect_consumed, put_blob, put_blobs, put_bool, put_envelope, put_kind, put_phase,
+    put_str, put_tuples, put_u32, put_u64, put_u64s, put_u8, put_vec, take_blob, take_blobs,
+    take_bool, take_envelope, take_kind, take_phase, take_str, take_tuples, take_u32, take_u64,
+    take_u64s, take_u8, take_vec,
+};
 use tdsql_core::error::{ProtocolError, Result};
 use tdsql_core::histogram::Histogram;
-use tdsql_core::message::{
-    AssignmentId, DeliveryOutcome, GroupTag, QueryEnvelope, QueryTarget, StoredTuple,
-};
-use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
+use tdsql_core::message::{AssignmentId, DeliveryOutcome, QueryEnvelope, StoredTuple};
+use tdsql_core::protocol::ProtocolParams;
 use tdsql_core::service::{MultiStepPart, StepResult, TdsStep};
 use tdsql_core::stats::Phase;
 use tdsql_core::tds::{ResultDest, RetagMode};
-use tdsql_crypto::credential::{Credential, Role};
 use tdsql_crypto::CryptoError;
-use tdsql_sql::ast::SizeClause;
 use tdsql_sql::error::SqlError;
 use tdsql_sql::value::{GroupKey, Value};
-
-// ---------------------------------------------------------------------------
-// Primitive helpers
-// ---------------------------------------------------------------------------
-
-fn eof() -> ProtocolError {
-    ProtocolError::Codec("unexpected end of wire message".into())
-}
-
-fn bad(what: &str) -> ProtocolError {
-    ProtocolError::Codec(format!("malformed wire message: {what}"))
-}
-
-/// Checked vector/byte-string counter: refuses to emit a length the wire
-/// format cannot carry instead of wrapping it.
-fn len_u32(what: &'static str, len: usize) -> Result<u32> {
-    u32::try_from(len).map_err(|_| ProtocolError::LengthOverflow {
-        what,
-        len,
-        max: u32::MAX as usize,
-    })
-}
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn take_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    let b = *buf.get(*pos).ok_or_else(eof)?;
-    *pos += 1;
-    Ok(b)
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let end = pos.checked_add(4).ok_or_else(eof)?;
-    let slice = buf.get(*pos..end).ok_or_else(eof)?;
-    let mut b = [0u8; 4];
-    b.copy_from_slice(slice);
-    *pos = end;
-    Ok(u32::from_be_bytes(b))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let end = pos.checked_add(8).ok_or_else(eof)?;
-    let slice = buf.get(*pos..end).ok_or_else(eof)?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(slice);
-    *pos = end;
-    Ok(u64::from_be_bytes(b))
-}
-
-fn put_blob(out: &mut Vec<u8>, what: &'static str, bytes: &[u8]) -> Result<()> {
-    put_u32(out, len_u32(what, bytes.len())?);
-    out.extend_from_slice(bytes);
-    Ok(())
-}
-
-/// Bounds-checked byte string: the declared length must fit inside the
-/// remaining message, so a hostile count cannot trigger a huge allocation.
-fn take_blob(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
-    let len = take_u32(buf, pos)? as usize;
-    let end = pos.checked_add(len).ok_or_else(eof)?;
-    let slice = buf.get(*pos..end).ok_or_else(eof)?;
-    *pos = end;
-    Ok(slice.to_vec())
-}
-
-fn put_str(out: &mut Vec<u8>, what: &'static str, s: &str) -> Result<()> {
-    put_blob(out, what, s.as_bytes())
-}
-
-fn take_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    String::from_utf8(take_blob(buf, pos)?).map_err(|_| bad("non-UTF-8 string"))
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-    }
-}
-
-fn take_opt_u64(buf: &[u8], pos: &mut usize) -> Result<Option<u64>> {
-    match take_u8(buf, pos)? {
-        0 => Ok(None),
-        1 => Ok(Some(take_u64(buf, pos)?)),
-        _ => Err(bad("option flag")),
-    }
-}
 
 fn take_usize(buf: &[u8], pos: &mut usize) -> Result<usize> {
     usize::try_from(take_u64(buf, pos)?).map_err(|_| bad("usize out of range"))
@@ -141,220 +45,22 @@ fn take_usize(buf: &[u8], pos: &mut usize) -> Result<usize> {
 // ---------------------------------------------------------------------------
 
 fn put_values(out: &mut Vec<u8>, row: &[Value]) -> Result<()> {
-    put_u32(out, len_u32("wire value row", row.len())?);
-    for v in row {
+    put_vec(out, "wire value row", row, |out, v| {
         v.canonical_bytes(out);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn take_values(buf: &[u8], pos: &mut usize) -> Result<Vec<Value>> {
-    let n = take_u32(buf, pos)? as usize;
-    let mut row = Vec::new();
-    for _ in 0..n {
-        row.push(Value::decode_canonical(buf, pos)?);
-    }
-    Ok(row)
+    take_vec(buf, pos, |buf, pos| Ok(Value::decode_canonical(buf, pos)?))
 }
 
 pub(crate) fn put_rows(out: &mut Vec<u8>, rows: &[Vec<Value>]) -> Result<()> {
-    put_u32(out, len_u32("wire rows", rows.len())?);
-    for row in rows {
-        put_values(out, row)?;
-    }
-    Ok(())
+    put_vec(out, "wire rows", rows, |out, row| put_values(out, row))
 }
 
 pub(crate) fn take_rows(buf: &[u8], pos: &mut usize) -> Result<Vec<Vec<Value>>> {
-    let n = take_u32(buf, pos)? as usize;
-    let mut rows = Vec::new();
-    for _ in 0..n {
-        rows.push(take_values(buf, pos)?);
-    }
-    Ok(rows)
-}
-
-fn put_tag(out: &mut Vec<u8>, tag: &GroupTag) -> Result<()> {
-    match tag {
-        GroupTag::None => put_u8(out, 0),
-        GroupTag::Det(b) => {
-            put_u8(out, 1);
-            put_blob(out, "wire group tag", b)?;
-        }
-        GroupTag::Bucket(b) => {
-            put_u8(out, 2);
-            out.extend_from_slice(b);
-        }
-    }
-    Ok(())
-}
-
-fn take_tag(buf: &[u8], pos: &mut usize) -> Result<GroupTag> {
-    Ok(match take_u8(buf, pos)? {
-        0 => GroupTag::None,
-        1 => GroupTag::Det(Bytes::from(take_blob(buf, pos)?)),
-        2 => {
-            let end = pos.checked_add(8).ok_or_else(eof)?;
-            let slice = buf.get(*pos..end).ok_or_else(eof)?;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(slice);
-            *pos = end;
-            GroupTag::Bucket(b)
-        }
-        _ => return Err(bad("group tag kind")),
-    })
-}
-
-fn put_tuple(out: &mut Vec<u8>, t: &StoredTuple) -> Result<()> {
-    put_tag(out, &t.tag)?;
-    put_blob(out, "wire tuple blob", &t.blob)
-}
-
-fn take_tuple(buf: &[u8], pos: &mut usize) -> Result<StoredTuple> {
-    let tag = take_tag(buf, pos)?;
-    let blob = Bytes::from(take_blob(buf, pos)?);
-    Ok(StoredTuple { tag, blob })
-}
-
-pub(crate) fn put_tuples(out: &mut Vec<u8>, ts: &[StoredTuple]) -> Result<()> {
-    put_u32(out, len_u32("wire tuples", ts.len())?);
-    for t in ts {
-        put_tuple(out, t)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn take_tuples(buf: &[u8], pos: &mut usize) -> Result<Vec<StoredTuple>> {
-    let n = take_u32(buf, pos)? as usize;
-    let mut ts = Vec::new();
-    for _ in 0..n {
-        ts.push(take_tuple(buf, pos)?);
-    }
-    Ok(ts)
-}
-
-pub(crate) fn put_blobs(out: &mut Vec<u8>, bs: &[Bytes]) -> Result<()> {
-    put_u32(out, len_u32("wire blobs", bs.len())?);
-    for b in bs {
-        put_blob(out, "wire blob", b)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn take_blobs(buf: &[u8], pos: &mut usize) -> Result<Vec<Bytes>> {
-    let n = take_u32(buf, pos)? as usize;
-    let mut bs = Vec::new();
-    for _ in 0..n {
-        bs.push(Bytes::from(take_blob(buf, pos)?));
-    }
-    Ok(bs)
-}
-
-fn put_credential(out: &mut Vec<u8>, c: &Credential) -> Result<()> {
-    put_str(out, "wire credential id", &c.querier_id)?;
-    put_str(out, "wire credential role", &c.role.0)?;
-    put_u64(out, c.expires_at_round);
-    out.extend_from_slice(&c.signature());
-    Ok(())
-}
-
-fn take_credential(buf: &[u8], pos: &mut usize) -> Result<Credential> {
-    let querier_id = take_str(buf, pos)?;
-    let role = Role(take_str(buf, pos)?);
-    let expires_at_round = take_u64(buf, pos)?;
-    let end = pos.checked_add(32).ok_or_else(eof)?;
-    let slice = buf.get(*pos..end).ok_or_else(eof)?;
-    let mut signature = [0u8; 32];
-    signature.copy_from_slice(slice);
-    *pos = end;
-    Ok(Credential::from_parts(
-        querier_id,
-        role,
-        expires_at_round,
-        signature,
-    ))
-}
-
-fn put_kind(out: &mut Vec<u8>, k: ProtocolKind) {
-    match k {
-        ProtocolKind::Basic => put_u8(out, 0),
-        ProtocolKind::SAgg => put_u8(out, 1),
-        ProtocolKind::RnfNoise { nf } => {
-            put_u8(out, 2);
-            put_u32(out, nf);
-        }
-        ProtocolKind::CNoise => put_u8(out, 3),
-        ProtocolKind::EdHist { buckets } => {
-            put_u8(out, 4);
-            put_u32(out, buckets);
-        }
-    }
-}
-
-fn take_kind(buf: &[u8], pos: &mut usize) -> Result<ProtocolKind> {
-    Ok(match take_u8(buf, pos)? {
-        0 => ProtocolKind::Basic,
-        1 => ProtocolKind::SAgg,
-        2 => ProtocolKind::RnfNoise {
-            nf: take_u32(buf, pos)?,
-        },
-        3 => ProtocolKind::CNoise,
-        4 => ProtocolKind::EdHist {
-            buckets: take_u32(buf, pos)?,
-        },
-        _ => return Err(bad("protocol kind")),
-    })
-}
-
-pub(crate) fn put_envelope(out: &mut Vec<u8>, e: &QueryEnvelope) -> Result<()> {
-    put_u64(out, e.query_id);
-    put_blob(out, "wire enc_query", &e.enc_query)?;
-    put_credential(out, &e.credential)?;
-    put_opt_u64(out, e.size.max_tuples);
-    put_opt_u64(out, e.size.max_rounds);
-    put_kind(out, e.protocol);
-    match &e.target {
-        QueryTarget::Crowd => put_u8(out, 0),
-        QueryTarget::Tds(ids) => {
-            put_u8(out, 1);
-            put_u32(out, len_u32("wire target ids", ids.len())?);
-            for id in ids {
-                put_u64(out, *id);
-            }
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn take_envelope(buf: &[u8], pos: &mut usize) -> Result<QueryEnvelope> {
-    let query_id = take_u64(buf, pos)?;
-    let enc_query = Bytes::from(take_blob(buf, pos)?);
-    let credential = take_credential(buf, pos)?;
-    let size = SizeClause {
-        max_tuples: take_opt_u64(buf, pos)?,
-        max_rounds: take_opt_u64(buf, pos)?,
-    };
-    let protocol = take_kind(buf, pos)?;
-    let target = match take_u8(buf, pos)? {
-        0 => QueryTarget::Crowd,
-        1 => {
-            let n = take_u32(buf, pos)? as usize;
-            let mut ids = Vec::new();
-            for _ in 0..n {
-                ids.push(take_u64(buf, pos)?);
-            }
-            QueryTarget::Tds(ids)
-        }
-        _ => return Err(bad("query target kind")),
-    };
-    Ok(QueryEnvelope {
-        query_id,
-        enc_query,
-        credential,
-        size,
-        protocol,
-        target,
-    })
+    take_vec(buf, pos, take_values)
 }
 
 pub(crate) fn put_params(out: &mut Vec<u8>, p: &ProtocolParams) -> Result<()> {
@@ -362,10 +68,9 @@ pub(crate) fn put_params(out: &mut Vec<u8>, p: &ProtocolParams) -> Result<()> {
     put_u64(out, p.pad as u64);
     put_u64(out, p.chunk as u64);
     put_u64(out, p.alpha as u64);
-    put_u32(out, len_u32("wire noise domain", p.noise_domain.len())?);
-    for k in p.noise_domain.iter() {
-        put_blob(out, "wire group key", &k.0)?;
-    }
+    put_vec(out, "wire noise domain", &p.noise_domain, |out, k| {
+        put_blob(out, "wire group key", &k.0)
+    })?;
     match &p.histogram {
         None => put_u8(out, 0),
         Some(h) => {
@@ -381,10 +86,7 @@ pub(crate) fn take_params(buf: &[u8], pos: &mut usize) -> Result<ProtocolParams>
     let pad = take_usize(buf, pos)?;
     let chunk = take_usize(buf, pos)?;
     let alpha = take_usize(buf, pos)?;
-    let n = take_u32(buf, pos)? as usize;
-    let noise_domain = (0..n)
-        .map(|_| take_blob(buf, pos).map(GroupKey))
-        .collect::<Result<_>>()?;
+    let noise_domain = take_vec(buf, pos, |buf, pos| take_blob(buf, pos).map(GroupKey))?.into();
     let histogram = match take_u8(buf, pos)? {
         0 => None,
         1 => {
@@ -404,28 +106,6 @@ pub(crate) fn take_params(buf: &[u8], pos: &mut usize) -> Result<ProtocolParams>
         alpha,
         noise_domain,
         histogram,
-    })
-}
-
-fn put_phase(out: &mut Vec<u8>, p: Phase) {
-    put_u8(
-        out,
-        match p {
-            Phase::Discovery => 0,
-            Phase::Collection => 1,
-            Phase::Aggregation => 2,
-            Phase::Filtering => 3,
-        },
-    );
-}
-
-fn take_phase(buf: &[u8], pos: &mut usize) -> Result<Phase> {
-    Ok(match take_u8(buf, pos)? {
-        0 => Phase::Discovery,
-        1 => Phase::Collection,
-        2 => Phase::Aggregation,
-        3 => Phase::Filtering,
-        _ => return Err(bad("phase")),
     })
 }
 
@@ -602,6 +282,16 @@ pub(crate) fn put_error(out: &mut Vec<u8>, e: &ProtocolError) -> Result<()> {
             put_u8(out, 14);
             put_str(out, "wire error detail", s)?;
         }
+        ProtocolError::AdmissionRejected {
+            querier,
+            waiting,
+            cap,
+        } => {
+            put_u8(out, 15);
+            put_str(out, "wire error detail", querier)?;
+            put_u64(out, *waiting as u64);
+            put_u64(out, *cap as u64);
+        }
     }
     Ok(())
 }
@@ -670,6 +360,11 @@ pub(crate) fn take_error(buf: &[u8], pos: &mut usize) -> Result<ProtocolError> {
             what: take_str(buf, pos)?,
         },
         14 => ProtocolError::Transport(take_str(buf, pos)?),
+        15 => ProtocolError::AdmissionRejected {
+            querier: take_str(buf, pos)?,
+            waiting: take_usize(buf, pos)?,
+            cap: take_usize(buf, pos)?,
+        },
         _ => return Err(bad("error kind")),
     })
 }
@@ -942,7 +637,7 @@ impl SsiResponse {
             }
             SsiResponse::Flag(b) => {
                 put_u8(&mut out, 2);
-                put_u8(&mut out, u8::from(*b));
+                put_bool(&mut out, *b);
             }
             SsiResponse::Outcome(o) => {
                 put_u8(&mut out, 3);
@@ -975,11 +670,7 @@ impl SsiResponse {
         let resp = match take_u8(buf, pos)? {
             0 => SsiResponse::Id(take_u64(buf, pos)?),
             1 => SsiResponse::Envelope(take_envelope(buf, pos)?),
-            2 => SsiResponse::Flag(match take_u8(buf, pos)? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("bool")),
-            }),
+            2 => SsiResponse::Flag(take_bool(buf, pos)?),
             3 => SsiResponse::Outcome(take_outcome(buf, pos)?),
             4 => SsiResponse::Count(take_u64(buf, pos)?),
             5 => SsiResponse::Unit,
@@ -1088,10 +779,7 @@ impl PoolRequest {
             PoolRequest::MultiStep { index, parts } => {
                 put_u8(&mut out, 3);
                 put_u32(&mut out, *index);
-                put_u32(&mut out, len_u32("wire multi-step parts", parts.len())?);
-                for part in parts {
-                    put_multi_part(&mut out, part)?;
-                }
+                put_vec(&mut out, "wire multi-step parts", parts, put_multi_part)?;
             }
         }
         Ok(out)
@@ -1112,15 +800,10 @@ impl PoolRequest {
                 rng_seed: take_u64(buf, pos)?,
             },
             2 => PoolRequest::OpenRows(take_blobs(buf, pos)?),
-            3 => {
-                let index = take_u32(buf, pos)?;
-                let n = take_u32(buf, pos)? as usize;
-                let mut parts = Vec::new();
-                for _ in 0..n {
-                    parts.push(take_multi_part(buf, pos)?);
-                }
-                PoolRequest::MultiStep { index, parts }
-            }
+            3 => PoolRequest::MultiStep {
+                index: take_u32(buf, pos)?,
+                parts: take_vec(buf, pos, take_multi_part)?,
+            },
             _ => return Err(bad("pool request kind")),
         };
         expect_consumed(buf, *pos)?;
@@ -1165,10 +848,7 @@ impl PoolResponse {
         match self {
             PoolResponse::Ids(ids) => {
                 put_u8(&mut out, 0);
-                put_u32(&mut out, len_u32("wire pool ids", ids.len())?);
-                for id in ids {
-                    put_u64(&mut out, *id);
-                }
+                put_u64s(&mut out, "wire pool ids", ids)?;
             }
             PoolResponse::Working(ts) => {
                 put_u8(&mut out, 1);
@@ -1188,23 +868,25 @@ impl PoolResponse {
             }
             PoolResponse::Multi(results) => {
                 put_u8(&mut out, 5);
-                put_u32(&mut out, len_u32("wire multi-step results", results.len())?);
-                for r in results {
-                    match r {
+                put_vec(
+                    &mut out,
+                    "wire multi-step results",
+                    results,
+                    |out, r| match r {
                         Ok(StepResult::Working(ts)) => {
-                            put_u8(&mut out, 0);
-                            put_tuples(&mut out, ts)?;
+                            put_u8(out, 0);
+                            put_tuples(out, ts)
                         }
                         Ok(StepResult::Results(bs)) => {
-                            put_u8(&mut out, 1);
-                            put_blobs(&mut out, bs)?;
+                            put_u8(out, 1);
+                            put_blobs(out, bs)
                         }
                         Err(e) => {
-                            put_u8(&mut out, 2);
-                            put_error(&mut out, e)?;
+                            put_u8(out, 2);
+                            put_error(out, e)
                         }
-                    }
-                }
+                    },
+                )?;
             }
         }
         Ok(out)
@@ -1214,31 +896,19 @@ impl PoolResponse {
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let pos = &mut 0;
         let resp = match take_u8(buf, pos)? {
-            0 => {
-                let n = take_u32(buf, pos)? as usize;
-                let mut ids = Vec::new();
-                for _ in 0..n {
-                    ids.push(take_u64(buf, pos)?);
-                }
-                PoolResponse::Ids(ids)
-            }
+            0 => PoolResponse::Ids(take_u64s(buf, pos)?),
             1 => PoolResponse::Working(take_tuples(buf, pos)?),
             2 => PoolResponse::Results(take_blobs(buf, pos)?),
             3 => PoolResponse::Rows(take_rows(buf, pos)?),
             4 => PoolResponse::Err(take_error(buf, pos)?),
-            5 => {
-                let n = take_u32(buf, pos)? as usize;
-                let mut results = Vec::new();
-                for _ in 0..n {
-                    results.push(match take_u8(buf, pos)? {
-                        0 => Ok(StepResult::Working(take_tuples(buf, pos)?)),
-                        1 => Ok(StepResult::Results(take_blobs(buf, pos)?)),
-                        2 => Err(take_error(buf, pos)?),
-                        _ => return Err(bad("multi-step result kind")),
-                    });
-                }
-                PoolResponse::Multi(results)
-            }
+            5 => PoolResponse::Multi(take_vec(buf, pos, |buf, pos| {
+                Ok(match take_u8(buf, pos)? {
+                    0 => Ok(StepResult::Working(take_tuples(buf, pos)?)),
+                    1 => Ok(StepResult::Results(take_blobs(buf, pos)?)),
+                    2 => Err(take_error(buf, pos)?),
+                    _ => return Err(bad("multi-step result kind")),
+                })
+            })?),
             _ => return Err(bad("pool response kind")),
         };
         expect_consumed(buf, *pos)?;
@@ -1246,19 +916,13 @@ impl PoolResponse {
     }
 }
 
-/// Reject trailing bytes after a complete message: a length-prefix
-/// confusion upstream must fail loudly, not silently truncate.
-fn expect_consumed(buf: &[u8], pos: usize) -> Result<()> {
-    if pos != buf.len() {
-        return Err(bad("trailing bytes"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdsql_crypto::credential::CredentialSigner;
+    use tdsql_core::message::{GroupTag, QueryTarget};
+    use tdsql_core::protocol::ProtocolKind;
+    use tdsql_crypto::credential::{Credential, CredentialSigner, Role};
+    use tdsql_sql::ast::SizeClause;
 
     fn sample_envelope() -> QueryEnvelope {
         let signer = CredentialSigner::new(b"authority");
@@ -1293,6 +957,43 @@ mod tests {
             .verify(&signer.verification_key(), 50)
             .is_ok());
         assert_eq!(got.credential, env.credential);
+    }
+
+    /// One format, held by a test instead of by a comment: the journal
+    /// record of a posted query and the frame that posted it carry the
+    /// same envelope bytes, because both call `codec::put_envelope`.
+    #[test]
+    fn journal_record_and_wire_frame_carry_the_same_envelope_bytes() {
+        use tdsql_core::ssi::{Journal, JournalConfig, JournalRecord};
+
+        let env = sample_envelope();
+        let path = std::env::temp_dir().join(format!(
+            "tdsql-net-one-codec-{}.journal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut journal, records) = Journal::open(&JournalConfig::new(&path)).unwrap();
+            assert!(records.is_empty());
+            journal
+                .append(&JournalRecord::QueryPosted {
+                    envelope: env.clone(),
+                })
+                .unwrap();
+        }
+        let file = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        // file := magic[8] len:u32be payload[len] checksum[8]
+        let len = u32::from_be_bytes(file[8..12].try_into().unwrap()) as usize;
+        assert_eq!(file.len(), 8 + 4 + len + 8, "exactly one record");
+        let payload = &file[12..12 + len];
+
+        let frame = SsiRequest::PostQuery(env.clone()).encode().unwrap();
+        let mut envelope = Vec::new();
+        put_envelope(&mut envelope, &env).unwrap();
+        // Each is one kind byte, then the envelope.
+        assert_eq!(&payload[1..], envelope);
+        assert_eq!(&frame[1..], envelope);
     }
 
     #[test]
@@ -1389,6 +1090,11 @@ mod tests {
             ProtocolError::Codec("garbled".into()),
             ProtocolError::Transport("connection reset by peer".into()),
             ProtocolError::AccessDenied,
+            ProtocolError::AdmissionRejected {
+                querier: "energy-co".into(),
+                waiting: 4,
+                cap: 4,
+            },
         ] {
             let mut out = Vec::new();
             put_error(&mut out, &err).unwrap();

@@ -426,7 +426,7 @@ fn admission_backpressure_rejects_with_typed_error() {
     );
     for e in errors {
         assert!(
-            e.to_string().contains("admission queue full"),
+            matches!(e, tdsql_core::ProtocolError::AdmissionRejected { .. }),
             "rejection must carry the typed admission error, got: {e}"
         );
     }

@@ -259,6 +259,10 @@ fn threaded_rows_identical_across_worker_counts() {
                     report.faults, ref_report.faults,
                     "{label}: fault counters must not depend on the worker count"
                 );
+                assert_eq!(
+                    report.partial, ref_report.partial,
+                    "{label}: the partial flag must not depend on the worker count"
+                );
             }
         }
     }

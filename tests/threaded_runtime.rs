@@ -262,3 +262,48 @@ fn empty_population_rejected() {
     )
     .is_err());
 }
+
+#[test]
+fn parallel_partitions_clamps_workers_and_rejects_an_empty_population() {
+    use tdsql_core::message::{GroupTag, StoredTuple};
+    use tdsql_core::runtime::threaded::{parallel_partitions, WorkerOutput};
+    use tdsql_core::ProtocolError;
+
+    let (dbs, _) = smart_meters(&SmartMeterConfig {
+        n_tds: 3,
+        districts: 2,
+        ..Default::default()
+    });
+    let world = SimBuilder::new()
+        .seed(615)
+        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
+    let partitions = || -> Vec<Vec<StoredTuple>> {
+        (0..4u8)
+            .map(|i| {
+                vec![StoredTuple {
+                    tag: GroupTag::None,
+                    blob: vec![i].into(),
+                }]
+            })
+            .collect()
+    };
+    let echo = |_tds: &_, p: &[StoredTuple], _rng: &mut _| Ok(WorkerOutput::Working(p.to_vec()));
+
+    // Zero workers is one worker, not zero work: nothing is dropped, and
+    // the outputs come back in partition order.
+    for n_workers in [0, 1, 64] {
+        let (working, results) =
+            parallel_partitions(&world.tdss, n_workers, 7, partitions(), echo).unwrap();
+        let blobs: Vec<&[u8]> = working.iter().map(|t| t.blob.as_ref()).collect();
+        assert_eq!(blobs, [[0u8], [1], [2], [3]], "{n_workers} workers");
+        assert!(results.is_empty());
+    }
+
+    // No TDS to run on is a typed error, not a remainder by zero.
+    for n_workers in [0, 1, 4] {
+        assert!(matches!(
+            parallel_partitions(&[], n_workers, 7, partitions(), echo),
+            Err(ProtocolError::Protocol(_))
+        ));
+    }
+}
