@@ -84,11 +84,13 @@ pub struct ProtocolParams {
     /// 16 bytes of payload; our encodings carry keys and flags, so the
     /// default is a roomier 64).
     ///
-    /// **Security note**: payloads longer than `pad` are sent unpadded, so
-    /// dummies/fakes become distinguishable by size. Choose `pad` at least
-    /// as large as the biggest encoded tuple of the query (long string
-    /// grouping values are the usual reason to raise it) — the size-
-    /// uniformity tests in `tests/security_properties.rs` check this.
+    /// **Security note**: a payload longer than `pad` would be
+    /// distinguishable by size, so encoding refuses it with
+    /// [`crate::error::ProtocolError::PadTooSmall`] and the query fails.
+    /// Choose `pad` at least as large as the biggest encoded tuple of the
+    /// query (long string grouping values are the usual reason to raise
+    /// it) — the size-uniformity tests in `tests/security_properties.rs`
+    /// check this.
     pub pad: usize,
     /// Tuples per partition in the first aggregation step.
     pub chunk: usize,

@@ -15,13 +15,21 @@
 //! contact is shared, and the drivers already absorb those as retries).
 //!
 //! The leader/follower shape: the first caller for an index becomes the
-//! batch leader, waits up to the window for followers (or until the batch
-//! is full), then issues the upstream call and distributes results.
-//! Followers block on the condvar until their slot is filled. A window of
-//! zero disables parking entirely — calls pass straight through.
+//! batch leader, waits for followers, then issues the upstream call and
+//! distributes results. Followers block on the condvar until their slot is
+//! filled. A window of zero disables parking entirely — calls pass
+//! straight through.
+//!
+//! The wait is work-conserving. Drivers enroll for their whole query with
+//! [`BatchingPool::member`], and a leader flushes as soon as its batch is
+//! full, the window (an upper bound, never a target) expires, or every
+//! other enrolled driver is itself blocked in the pool — nobody is left
+//! who could still join. The rule reads driver counts and the clock only,
+//! never a tuple, tag or size. A pool nobody enrolls in waits out the
+//! window exactly as before.
 
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tdsql_obs::MetricsSet;
@@ -34,7 +42,7 @@ use crate::protocol::ProtocolParams;
 use crate::service::{MultiStepPart, StepResult, TdsPool, TdsStep};
 
 /// Recover a poisoned mutex (batch state is consistent between mutations).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -45,11 +53,33 @@ struct Forming {
 }
 
 /// Shared batching state: forming batches per index, finished result sets
-/// per (index, epoch) awaiting pickup by their callers.
+/// per (index, epoch) awaiting pickup by their callers, and the two driver
+/// counts the leaders' flush rule reads.
 struct Shared {
     forming: BTreeMap<usize, Forming>,
     done: BTreeMap<(usize, u64), Vec<Option<Result<StepResult>>>>,
     next_epoch: u64,
+    /// Drivers holding a live [`Member`].
+    members: usize,
+    /// Callers blocked in the pool: leaders in their pre-flush wait,
+    /// followers awaiting their slot, callers waiting for a full batch to
+    /// clear.
+    waiting: usize,
+}
+
+/// A driver's enrollment in a [`BatchingPool`], from
+/// [`BatchingPool::member`]. Dropping it (on success, error or unwind)
+/// tells waiting leaders one fewer driver can still join their batch.
+#[must_use = "the driver is enrolled only while the guard lives"]
+pub struct Member<'a, 'p> {
+    pool: &'a BatchingPool<'p>,
+}
+
+impl Drop for Member<'_, '_> {
+    fn drop(&mut self) {
+        lock(&self.pool.shared).members -= 1;
+        self.pool.cv.notify_all();
+    }
 }
 
 /// A [`TdsPool`] decorator that merges concurrent same-index steps into
@@ -64,7 +94,7 @@ pub struct BatchingPool<'p> {
 }
 
 impl<'p> BatchingPool<'p> {
-    /// Wrap `inner`, parking same-index steps up to `window` to form
+    /// Wrap `inner`, parking same-index steps at most `window` to form
     /// batches of at most `max_batch` parts. `window == 0` passes calls
     /// through unbatched.
     pub fn new(inner: &'p dyn TdsPool, window: Duration, max_batch: usize) -> Self {
@@ -76,9 +106,53 @@ impl<'p> BatchingPool<'p> {
                 forming: BTreeMap::new(),
                 done: BTreeMap::new(),
                 next_epoch: 0,
+                members: 0,
+                waiting: 0,
             }),
             cv: Condvar::new(),
             metrics: Mutex::new(MetricsSet::new()),
+        }
+    }
+
+    /// Enroll one driver for the lifetime of the returned guard. While any
+    /// driver is enrolled, a leader stops waiting once every other one is
+    /// blocked in the pool. Either every caller enrolls or none does: an
+    /// un-enrolled caller blocked in the pool would count as an enrolled
+    /// one and flush a batch early (never late).
+    pub fn member(&self) -> Member<'_, 'p> {
+        lock(&self.shared).members += 1;
+        Member { pool: self }
+    }
+
+    /// One condvar wait (bounded by `timeout`, if given), counted in
+    /// `waiting`. The caller is counted and the leaders notified on its
+    /// first wait only, so waiters re-checking after a wake-up cannot wake
+    /// each other in a loop; [`Self::unpark`] uncounts it.
+    fn park<'g>(
+        &self,
+        mut sh: MutexGuard<'g, Shared>,
+        parked: &mut bool,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'g, Shared> {
+        if !*parked {
+            *parked = true;
+            sh.waiting += 1;
+            self.cv.notify_all();
+        }
+        match timeout {
+            Some(t) => {
+                self.cv
+                    .wait_timeout(sh, t)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => self.cv.wait(sh).unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
+    fn unpark(sh: &mut Shared, parked: bool) {
+        if parked {
+            sh.waiting -= 1;
         }
     }
 
@@ -104,34 +178,41 @@ impl<'p> BatchingPool<'p> {
         mine
     }
 
-    /// Lead one batch: wait out the window (or fullness), flush upstream,
-    /// distribute, return our own slot-0 result.
+    /// Lead one batch: wait until it is full, the window expires or no
+    /// other enrolled driver can still join, flush upstream, distribute,
+    /// return our own slot-0 result.
     fn lead(&self, index: usize, epoch: u64) -> Result<StepResult> {
         let mut sh = lock(&self.shared);
         let deadline = Instant::now() + self.window;
+        let mut parked = false;
         loop {
             let full = sh
                 .forming
                 .get(&index)
                 .is_some_and(|f| f.epoch == epoch && f.parts.len() >= self.max_batch);
+            // Every other enrolled driver is blocked in the pool (once
+            // parked, `waiting` counts this leader too).
+            let nobody_can_join = sh.members > 0 && sh.waiting + usize::from(!parked) >= sh.members;
             let now = Instant::now();
-            if full || now >= deadline {
+            if full || nobody_can_join || now >= deadline {
                 break;
             }
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(sh, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            sh = guard;
+            sh = self.park(sh, &mut parked, Some(deadline - now));
         }
+        Self::unpark(&mut sh, parked);
         let Some(batch) = sh.forming.remove(&index) else {
             return Err(ProtocolError::Protocol(
                 "batching pool: forming batch vanished under its leader".into(),
             ));
         };
         drop(sh);
-
         let n = batch.parts.len();
+        if n >= self.max_batch {
+            // Callers waiting for this full batch to clear may lead the
+            // next one while ours is upstream.
+            self.cv.notify_all();
+        }
+
         let outcome = self.inner.multi_step(index, &batch.parts);
         {
             let mut m = lock(&self.metrics);
@@ -173,11 +254,13 @@ impl<'p> BatchingPool<'p> {
     /// Follow a batch: block until the leader fills our slot.
     fn follow(&self, index: usize, epoch: u64, slot: usize) -> Result<StepResult> {
         let mut sh = lock(&self.shared);
+        let mut parked = false;
         loop {
             if let Some(r) = Self::take_slot(&mut sh, index, epoch, slot) {
+                Self::unpark(&mut sh, parked);
                 return r;
             }
-            sh = self.cv.wait(sh).unwrap_or_else(PoisonError::into_inner);
+            sh = self.park(sh, &mut parked, None);
         }
     }
 }
@@ -215,12 +298,14 @@ impl TdsPool for BatchingPool<'_> {
             rng_seed,
         };
         let mut sh = lock(&self.shared);
+        let mut parked = false;
         loop {
             match sh.forming.get_mut(&index) {
                 Some(f) if f.parts.len() < self.max_batch => {
                     let epoch = f.epoch;
                     let slot = f.parts.len();
                     f.parts.push(part);
+                    Self::unpark(&mut sh, parked);
                     drop(sh);
                     // Wake the leader so a now-full batch flushes early.
                     self.cv.notify_all();
@@ -229,10 +314,11 @@ impl TdsPool for BatchingPool<'_> {
                 Some(_) => {
                     // A full batch is awaiting its leader's flush; wait
                     // for the slot to clear rather than clobbering it.
-                    sh = self.cv.wait(sh).unwrap_or_else(PoisonError::into_inner);
+                    sh = self.park(sh, &mut parked, None);
                 }
                 None => {
                     // No batch forming: start a new one and lead it.
+                    Self::unpark(&mut sh, parked);
                     let epoch = sh.next_epoch;
                     sh.next_epoch += 1;
                     sh.forming.insert(
@@ -448,5 +534,107 @@ mod tests {
             t0.elapsed() < Duration::from_millis(4_000),
             "flush waited for the window despite a full batch"
         );
+    }
+
+    /// Block until `n` callers are parked in `pool`.
+    fn await_waiting(pool: &BatchingPool<'_>, n: usize) {
+        let t0 = Instant::now();
+        while lock(&pool.shared).waiting < n {
+            assert!(t0.elapsed() < Duration::from_secs(5), "caller never parked");
+            crate::runtime::backoff::sleep_ms(1);
+        }
+    }
+
+    #[test]
+    fn leader_flushes_once_every_other_member_is_blocked_in_the_pool() {
+        let probe = Probe::new();
+        let pool = &BatchingPool::new(&probe, Duration::from_millis(5_000), 8);
+        let (env, params) = (
+            &sample_env(),
+            &ProtocolParams::new(crate::protocol::ProtocolKind::Basic),
+        );
+        let (a, b) = (pool.member(), pool.member());
+        let t0 = Instant::now();
+        thread::scope(|s| {
+            let parked = s.spawn(move || {
+                let r = pool.step(1, env, params, 0, TdsStep::Collect, &[], 1);
+                drop(a);
+                r
+            });
+            await_waiting(pool, 1);
+            // The only other member is parked at index 1: nobody can join
+            // index 0, so this step flushes alone while index 1 waits on.
+            assert!(pool
+                .step(0, env, params, 0, TdsStep::Collect, &[], 2)
+                .is_ok());
+            assert_eq!(*probe.batches.lock().unwrap(), vec![1]);
+            drop(b);
+            assert!(parked.join().unwrap().is_ok());
+        });
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "waited out the window"
+        );
+    }
+
+    #[test]
+    fn leader_waits_for_a_running_member_and_batches_with_it() {
+        let probe = Probe::new();
+        let pool = &BatchingPool::new(&probe, Duration::from_millis(5_000), 8);
+        let (env, params) = (
+            &sample_env(),
+            &ProtocolParams::new(crate::protocol::ProtocolKind::Basic),
+        );
+        let (a, b) = (pool.member(), pool.member());
+        let t0 = Instant::now();
+        thread::scope(|s| {
+            let leader = s.spawn(move || {
+                let r = pool.step(0, env, params, 0, TdsStep::Collect, &[], 1);
+                drop(a);
+                r
+            });
+            await_waiting(pool, 1);
+            // The batch-mate is busy elsewhere and may still join.
+            crate::runtime::backoff::sleep_ms(20);
+            assert!(probe.batches.lock().unwrap().is_empty(), "flushed early");
+            assert!(pool
+                .step(0, env, params, 0, TdsStep::Collect, &[], 2)
+                .is_ok());
+            drop(b);
+            assert!(leader.join().unwrap().is_ok());
+        });
+        assert_eq!(*probe.batches.lock().unwrap(), vec![2]);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "waited out the window"
+        );
+    }
+
+    #[test]
+    fn leader_flushes_when_the_last_other_member_leaves() {
+        let probe = Probe::new();
+        let pool = &BatchingPool::new(&probe, Duration::from_millis(5_000), 8);
+        let (env, params) = (
+            &sample_env(),
+            &ProtocolParams::new(crate::protocol::ProtocolKind::Basic),
+        );
+        let (a, idle) = (pool.member(), pool.member());
+        thread::scope(|s| {
+            let leader = s.spawn(move || {
+                let r = pool.step(0, env, params, 0, TdsStep::Collect, &[], 1);
+                drop(a);
+                r
+            });
+            await_waiting(pool, 1);
+            crate::runtime::backoff::sleep_ms(20);
+            assert!(probe.batches.lock().unwrap().is_empty(), "flushed early");
+            let left = Instant::now();
+            drop(idle);
+            assert!(leader.join().unwrap().is_ok());
+            assert!(
+                left.elapsed() < Duration::from_secs(1),
+                "waited out the window"
+            );
+        });
     }
 }

@@ -9,6 +9,8 @@
 //!   dispatch, typed rejection under backpressure;
 //! * a [`BatchingPool`] over the real pool — concurrent same-index TDS
 //!   steps coalesce into [`crate::service::TdsPool::multi_step`] contacts;
+//!   every admitted driver enrolls, so a leader never waits for a batch
+//!   nobody can still join;
 //! * optionally a [`DiscoveryCache`] — one discovery run feeds every
 //!   query over the same grouping domain until the TTL expires.
 //!
@@ -79,7 +81,9 @@ pub struct MixedReport {
 pub struct MixedOptions {
     /// Admission policy.
     pub sched: SchedConfig,
-    /// Batch collection window (0 disables cross-query batching).
+    /// Upper bound on a leader's wait for batch-mates (0 disables
+    /// cross-query batching). A leader flushes sooner once every other
+    /// admitted driver is blocked in the pool.
     pub batch_window_ms: u64,
     /// Parts per batch cap.
     pub max_batch: usize,
@@ -146,6 +150,9 @@ pub fn run_mixed(
                 // Admission: blocks under quota pressure, rejects with a
                 // typed error once this querier's queue is full.
                 let _permit = sched.admit(&q.querier.id)?;
+                // Enrolled until this worker returns (or unwinds): batch
+                // leaders wait for this driver only while it lives.
+                let _member = batching.member();
                 let config = DriverConfig {
                     seed: q.seed,
                     discovery_cache: cache,

@@ -435,3 +435,38 @@ fn admission_backpressure_rejects_with_typed_error() {
         assert!(!outcome.rows.is_empty(), "admitted query lost its rows");
     }
 }
+
+/// The batch window is an upper bound, not a wait: with every admitted
+/// driver enrolled in the batching pool, a leader flushes as soon as no
+/// other driver can still join its batch. A one-second window would cost
+/// a second per step if leaders waited it out.
+#[test]
+fn batch_window_is_a_cap_not_a_wait() {
+    let dep = deployment();
+    let ssi = Ssi::new();
+    let (pool, _oracle) = dep.provision();
+    let system = dep.system_querier();
+    let obs = Arc::new(Obs::new(b"mixed-work-conserving"));
+    let base = DriverConfig::default();
+    let queries = workload(&dep, 2);
+    let opts = MixedOptions {
+        batch_window_ms: 1_000,
+        ..identity_options()
+    };
+
+    let report = run_mixed(&ssi, &pool, &obs, Some(&system), &base, &opts, &queries);
+
+    for (i, (q, outcome)) in queries.iter().zip(report.outcomes.iter()).enumerate() {
+        let label = format!("query {i} ({})", q.params.kind.name());
+        let mixed = outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{label}: mixed run failed: {e}"));
+        let solo = solo_run(&dep, &base, q).unwrap_or_else(|e| panic!("{label}: solo failed: {e}"));
+        assert_eq!(sorted(mixed.rows.clone()), sorted(solo), "{label}: drift");
+    }
+    assert!(
+        report.wall_ms < 1_000,
+        "leaders waited out the window: {} ms",
+        report.wall_ms
+    );
+}
