@@ -1,5 +1,5 @@
-//! `verify` — run the three-pass static verifier over every protocol and
-//! write (or check) the golden machine-readable reports.
+//! `verify` — run the static verifier (shape check + three passes) over
+//! every protocol and write (or check) the golden machine-readable reports.
 //!
 //! ```text
 //! verify [ROOT]            regenerate ROOT/results/verify/*.json
@@ -7,33 +7,17 @@
 //!                          exit 1 on any mismatch or unproven invariant
 //! ```
 //!
-//! One report per protocol, over the representative queries the golden plan
-//! snapshots use (an SFW query for Basic, a GROUP BY aggregate for the
-//! rest) with default [`ProtocolParams`]. Reports are byte-stable, so
-//! `--check` is a plain string comparison — CI runs it the way it runs
-//! `bench_report --check`.
+//! One report per protocol, over the representative queries of
+//! [`report::CASES`] with default [`ProtocolParams`]. Reports are
+//! byte-stable, so `--check` is a plain string comparison — CI runs it the
+//! way it runs `bench_report --check`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tdsql_analyze::verify::{report, verify};
-use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
+use tdsql_core::protocol::ProtocolParams;
 use tdsql_sql::parser::parse_query;
-
-const AGG_SQL: &str = "SELECT c.district, AVG(p.cons) FROM power p, consumer c \
-                       WHERE c.cid = p.cid GROUP BY c.district";
-const SFW_SQL: &str = "SELECT pid FROM health WHERE age > 80";
-
-/// (file slug, protocol, representative query) per report.
-fn cases() -> Vec<(&'static str, ProtocolKind, &'static str)> {
-    vec![
-        ("basic", ProtocolKind::Basic, SFW_SQL),
-        ("s_agg", ProtocolKind::SAgg, AGG_SQL),
-        ("rnf_noise", ProtocolKind::RnfNoise { nf: 10 }, AGG_SQL),
-        ("c_noise", ProtocolKind::CNoise, AGG_SQL),
-        ("ed_hist", ProtocolKind::EdHist { buckets: 8 }, AGG_SQL),
-    ]
-}
 
 /// First line where the two texts differ, for a readable `--check` failure.
 fn first_diff(want: &str, got: &str) -> String {
@@ -62,7 +46,7 @@ fn main() -> ExitCode {
     let dir = root.join("results").join("verify");
 
     let mut failures = 0usize;
-    for (slug, kind, sql) in cases() {
+    for (slug, kind, sql) in report::CASES {
         let query = match parse_query(sql) {
             Ok(q) => q,
             Err(e) => {

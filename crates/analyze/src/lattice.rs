@@ -33,18 +33,6 @@ pub enum Leakage {
 }
 
 impl Leakage {
-    /// Combine two representations of (parts of) the same value: the
-    /// adversary keeps whichever view leaks more, so the join of the
-    /// information-flow lattice is the *minimum* protection.
-    pub fn join(self, other: Leakage) -> Leakage {
-        self.min(other)
-    }
-
-    /// Does this representation protect at least as strongly as `floor`?
-    pub fn at_least(self, floor: Leakage) -> bool {
-        self >= floor
-    }
-
     /// Display name used in diagnostics.
     pub fn name(self) -> &'static str {
         match self {
@@ -65,24 +53,5 @@ mod tests {
         assert!(Leakage::Plaintext < Leakage::KeyedHash);
         assert!(Leakage::KeyedHash < Leakage::DetEnc);
         assert!(Leakage::DetEnc < Leakage::NDetEnc);
-    }
-
-    #[test]
-    fn join_keeps_the_leakier_view() {
-        assert_eq!(Leakage::NDetEnc.join(Leakage::DetEnc), Leakage::DetEnc);
-        assert_eq!(
-            Leakage::Plaintext.join(Leakage::NDetEnc),
-            Leakage::Plaintext
-        );
-        assert_eq!(
-            Leakage::KeyedHash.join(Leakage::KeyedHash),
-            Leakage::KeyedHash
-        );
-    }
-
-    #[test]
-    fn floors() {
-        assert!(Leakage::NDetEnc.at_least(Leakage::DetEnc));
-        assert!(!Leakage::KeyedHash.at_least(Leakage::DetEnc));
     }
 }

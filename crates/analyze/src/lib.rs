@@ -4,25 +4,23 @@
 //! the untrusted SSI. This crate makes that refusal checkable before a
 //! single ciphertext moves:
 //!
-//! * [`ir`] lowers a parsed query + protocol choice into a dataflow plan
-//!   whose every SSI-crossing edge carries a [`lattice::Leakage`] label;
-//! * [`checker`] verifies the plan against the paper's invariants (grouping
-//!   attributes cross only as Det/bucket tags, everything else stays nDet,
-//!   the only cleartexts are the four authorized envelope fields) and
-//!   reports violations as structured [`checker::Diagnostic`]s;
+//! * [`verify`] judges the compiled [`tdsql_core::plan::PhasePlan`] — the
+//!   same IR every runtime interprets — and is the only thing that does: the
+//!   plan's shape is executable, every padded emission is constant-size,
+//!   every reachable tag form is declared, and the settle ledger accepts
+//!   each work item exactly once;
 //! * [`profile`] diffs a runtime SSI observation log against the same
-//!   declaration — the golden leakage-profile tests drive it for all five
-//!   protocols;
+//!   declaration and reports each undeclared tag form as the
+//!   [`verify::exposure::ExposureTrace`] the static pass would have given;
 //! * [`lint`] is the source-level companion (`srclint` binary): panic
 //!   freedom in protocol hot paths, constant-time MAC comparison, no Debug
 //!   on raw keys, no RNG in deterministic primitives.
 //!
-//! The same contract is enforced at runtime by debug assertions in
-//! `tdsql_core::ssi` via [`tdsql_core::leakage::ExposureDeclaration`] — one
-//! declaration, three enforcement points.
+//! The contract is stated once, in
+//! [`tdsql_core::leakage::ExposureDeclaration`]: one declaration, one proof
+//! over the plan, and the runtime log checked against the same declaration
+//! (here by [`profile`], inside the SSI by its debug assertions).
 
-pub mod checker;
-pub mod ir;
 pub mod lattice;
 pub mod lint;
 pub mod profile;
@@ -31,27 +29,18 @@ pub mod verify;
 use tdsql_core::protocol::ProtocolParams;
 use tdsql_sql::ast::Query;
 
-/// [`tdsql_core::explain::explain`] plus the leakage check and the static
-/// verifier's verdict: renders the execution plan, appends the analyzer's
-/// diagnostics, then the three-pass [`verify`] summary. The checks never
-/// block — the caller decides what to do with an unclean plan — but the
-/// rendered text makes violations impossible to miss.
+/// [`tdsql_core::explain::explain`] plus the static verifier's verdict:
+/// renders the execution plan, then one line per [`verify`] pass and the
+/// overall verdict. The check never blocks — the caller decides what to do
+/// with a refuted plan — but the rendered text makes it impossible to miss.
 pub fn explain_checked(query: &Query, params: &ProtocolParams) -> String {
     let mut out = tdsql_core::explain::explain(query, params);
-    let diags = checker::check_query(query, params);
-    out.push_str("leakage check:\n");
-    if diags.is_empty() {
-        out.push_str("  ok — plan satisfies the declared exposure profile\n");
-    } else {
-        for d in &diags {
-            out.push_str(&format!("  {d}\n"));
-        }
-        if !checker::has_errors(&diags) {
-            out.push_str("  ok — no invariant violations (advisories above)\n");
-        }
-    }
     let v = verify::verify(query, params);
     out.push_str("static verification:\n");
+    out.push_str(&format!(
+        "  shape:      {}\n",
+        v.shape.as_deref().unwrap_or("executable")
+    ));
     out.push_str(&format!(
         "  sizes:      {}\n",
         if v.sizes.proven() {
@@ -89,32 +78,31 @@ mod tests {
     use tdsql_core::protocol::ProtocolKind;
     use tdsql_sql::parser::parse_query;
 
+    fn agg_query() -> Query {
+        parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district SIZE 100")
+            .unwrap()
+    }
+
     #[test]
     fn explain_checked_reports_clean_plans() {
-        let q =
-            parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district SIZE 100")
-                .unwrap();
-        let text = explain_checked(&q, &ProtocolParams::new(ProtocolKind::SAgg));
-        assert!(text.contains("leakage check:"));
-        assert!(text.contains("ok — plan satisfies"));
+        let text = explain_checked(&agg_query(), &ProtocolParams::new(ProtocolKind::SAgg));
+        assert!(text.contains("shape:      executable"), "{text}");
+        assert!(text.contains("verdict:    verified"), "{text}");
     }
 
     #[test]
     fn explain_checked_reports_violations() {
-        let q =
-            parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district SIZE 100")
-                .unwrap();
-        let text = explain_checked(&q, &ProtocolParams::new(ProtocolKind::Basic));
-        assert!(text.contains("error [basic-aggregate]"), "{text}");
+        let text = explain_checked(&agg_query(), &ProtocolParams::new(ProtocolKind::Basic));
+        assert!(text.contains("shape:      basic-aggregate"), "{text}");
+        assert!(text.contains("verdict:    REFUTED"), "{text}");
     }
 
     #[test]
     fn explain_checked_keeps_advisories_non_fatal() {
-        let q =
-            parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district SIZE 100")
-                .unwrap();
-        let text = explain_checked(&q, &ProtocolParams::new(ProtocolKind::CNoise));
-        assert!(text.contains("info [discovery-first]"), "{text}");
-        assert!(text.contains("ok — no invariant violations"), "{text}");
+        // The discovery sub-query is announced by the rendered plan; it is
+        // part of the protocol, not a finding.
+        let text = explain_checked(&agg_query(), &ProtocolParams::new(ProtocolKind::CNoise));
+        assert!(text.contains("via k2-sealed S_Agg sub-query"), "{text}");
+        assert!(text.contains("verdict:    verified"), "{text}");
     }
 }

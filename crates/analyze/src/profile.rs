@@ -4,7 +4,8 @@
 //! runtime side is the SSI's observation log. This module reduces a log to
 //! the per-phase set of tag forms actually seen for one query and diffs it
 //! against the declaration — the golden leakage-profile tests run exactly
-//! this for all five protocols.
+//! this for all five protocols. A runtime finding is the same
+//! [`ExposureTrace`] the static exposure pass produces for a plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,7 +14,7 @@ use tdsql_core::message::Observation;
 use tdsql_core::protocol::ProtocolKind;
 use tdsql_core::stats::Phase;
 
-use crate::checker::{Diagnostic, Severity};
+use crate::verify::exposure::{form_label, ExposureTrace};
 
 /// The tag forms a query's observations actually contained, per phase.
 pub fn observed_profile(
@@ -33,28 +34,24 @@ pub fn observed_profile(
 }
 
 /// Diff a query's observed profile against the protocol's declaration.
-/// Returns one error per undeclared (phase, form) pair; an empty vector
+/// Returns one trace per undeclared (phase, form) pair; an empty vector
 /// means the runtime exposed exactly what the declaration allows (or less).
 pub fn verify_observations(
     kind: ProtocolKind,
     observations: &[Observation],
     query_id: u64,
-) -> Vec<Diagnostic> {
+) -> Vec<ExposureTrace> {
     let decl = ExposureDeclaration::for_protocol(kind);
     let mut out = Vec::new();
     for (phase, forms) in observed_profile(observations, query_id) {
         for form in forms {
             if !decl.allows(phase, form) {
-                out.push(Diagnostic {
-                    severity: Severity::Error,
-                    rule: "undeclared-exposure",
-                    stage: None,
-                    message: format!(
-                        "runtime observation: query {query_id} showed the SSI \
-                         a {form:?} tag during {phase:?}, but {} declares {:?}",
-                        kind.name(),
-                        decl.allowed(phase),
-                    ),
+                out.push(ExposureTrace {
+                    phase,
+                    form,
+                    label: form_label(form),
+                    origin: "SSI observation log",
+                    declared: decl.allowed(phase).to_vec(),
                 });
             }
         }
@@ -90,8 +87,8 @@ mod tests {
             ),
             obs(7, Phase::Filtering, GroupTag::None),
         ];
-        let diags = verify_observations(ProtocolKind::EdHist { buckets: 4 }, &log, 7);
-        assert!(diags.is_empty(), "{diags:?}");
+        let traces = verify_observations(ProtocolKind::EdHist { buckets: 4 }, &log, 7);
+        assert!(traces.is_empty(), "{traces:?}");
     }
 
     #[test]
@@ -101,9 +98,16 @@ mod tests {
             Phase::Collection,
             GroupTag::Det(tdsql_core::bytes::Bytes::from(vec![9])),
         )];
-        let diags = verify_observations(ProtocolKind::SAgg, &log, 3);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, "undeclared-exposure");
+        let traces = verify_observations(ProtocolKind::SAgg, &log, 3);
+        assert_eq!(traces.len(), 1);
+        assert_eq!(
+            (traces[0].phase, traces[0].form),
+            (Phase::Collection, TagForm::Det)
+        );
+        assert_eq!(traces[0].declared, vec![TagForm::None]);
+        assert!(traces[0]
+            .render()
+            .starts_with("undeclared-exposure [collection]: SSI observation log"));
     }
 
     #[test]

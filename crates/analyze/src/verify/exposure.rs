@@ -83,8 +83,9 @@ impl ExposureReport {
     }
 }
 
-/// The lattice label a tag form hands the SSI.
-fn form_label(form: TagForm) -> Leakage {
+/// The lattice label a tag form hands the SSI. Every form is at least a
+/// keyed hash: no tag carries a grouping value in cleartext.
+pub fn form_label(form: TagForm) -> Leakage {
     match form {
         TagForm::None => Leakage::NDetEnc,
         TagForm::Det => Leakage::DetEnc,
@@ -229,5 +230,28 @@ mod tests {
             "{}",
             t.render()
         );
+    }
+
+    #[test]
+    fn no_tag_form_crosses_below_a_keyed_hash() {
+        // A grouping attribute reaches the SSI only through a tag, and every
+        // form a tag can take protects at least as well as a bucket hash.
+        for form in [TagForm::None, TagForm::Det, TagForm::Bucket] {
+            assert!(form_label(form) >= Leakage::KeyedHash, "{form:?}");
+        }
+    }
+
+    #[test]
+    fn the_envelope_has_exactly_the_reviewed_cleartext_fields() {
+        // Exhaustive on purpose, with no `..`: a new envelope field fails to
+        // compile here until someone decides what it shows the SSI.
+        let tdsql_core::message::QueryEnvelope {
+            query_id: _,   // SSI-assigned routing id
+            enc_query: _,  // nDet_Enc_k1(SQL), opaque to the SSI
+            credential: _, // authority-signed, checked by each TDS
+            size: _,       // the SIZE bound, evaluated by the SSI
+            protocol: _,   // the public execution recipe
+            target: _,     // querybox routing
+        };
     }
 }

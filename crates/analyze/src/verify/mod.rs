@@ -3,7 +3,8 @@
 //! The paper's security argument rests on three invariants. The runtime
 //! enforces each with guards and the chaos suite samples each with seeded
 //! sweeps; this module *proves* them over the compiled [`PhasePlan`] IR,
-//! before any ciphertext moves:
+//! before any ciphertext moves, once [`shape`] has established that the
+//! plan can run at all:
 //!
 //! * [`sizes`] — **size abstraction**: an abstract interpretation over every
 //!   emission of the plan, computing per-phase plaintext-size intervals from
@@ -23,7 +24,7 @@
 //!   interleaving within the bound — the static counterpart of the chaos
 //!   suite.
 //!
-//! [`report`] renders the three verdicts as a stable, machine-readable
+//! [`report`] renders the verdicts as a stable, machine-readable
 //! report per protocol (`results/verify/*.json`, regenerated and checked by
 //! the `verify` bin and CI).
 //!
@@ -65,11 +66,14 @@ pub(crate) fn phase_name(phase: tdsql_core::stats::Phase) -> &'static str {
     }
 }
 
-/// The three pass results for one protocol, plus the overall verdict.
+/// The shape check and the three pass results for one protocol, plus the
+/// overall verdict.
 #[derive(Debug, Clone)]
 pub struct Verification {
     /// The compiled plan the passes ran over.
     pub plan: PhasePlan,
+    /// Why the plan cannot execute (see [`shape`]); `None` when it can.
+    pub shape: Option<String>,
     /// Pass 1: per-phase size intervals and the constant-size verdict.
     pub sizes: sizes::SizeReport,
     /// Pass 2: reachable tag forms vs. the declaration.
@@ -79,29 +83,74 @@ pub struct Verification {
 }
 
 impl Verification {
-    /// Did all three passes prove their invariant?
+    /// Is the plan executable, and did all three passes prove their
+    /// invariant?
     pub fn verified(&self) -> bool {
-        self.sizes.proven() && self.exposure.proven() && self.settle.proven()
+        self.shape.is_none()
+            && self.sizes.proven()
+            && self.exposure.proven()
+            && self.settle.proven()
     }
 }
 
-/// Run all three passes over one query + protocol configuration.
+/// Refute a plan no runtime can execute: an aggregate query compiled
+/// without a reduce step. Only Basic compiles that way, and its TDSs refuse
+/// to collect for an aggregate query, so the run would fail at the first
+/// contact; this names the failure before any ciphertext moves.
+pub fn shape(plan: &PhasePlan) -> Option<String> {
+    (plan.aggregate && plan.reduce.is_none()).then(|| {
+        format!(
+            "basic-aggregate: {} has no reduce step, so it cannot execute an \
+             aggregate query; pick S_Agg, a noise protocol or ED_Hist",
+            plan.kind.name()
+        )
+    })
+}
+
+/// Run the shape check and all three passes over one query + protocol
+/// configuration.
 ///
 /// The settle pass is plan-independent (it checks the ledger tables the
 /// runtime itself executes) but is run per verification so every report
 /// carries the full verdict.
 pub fn verify(query: &Query, params: &ProtocolParams) -> Verification {
-    let plan = PhasePlan::compile(query, params);
-    verify_plan(&plan, query, params)
+    verify_plan(&PhasePlan::compile(query, params), query)
 }
 
-/// Run all three passes over an already-compiled plan (the entry point the
-/// negative tests use with hand-mutated plans).
-pub fn verify_plan(plan: &PhasePlan, query: &Query, params: &ProtocolParams) -> Verification {
+/// Verify an already-compiled plan (the entry point the negative tests use
+/// with hand-mutated plans).
+pub fn verify_plan(plan: &PhasePlan, query: &Query) -> Verification {
     Verification {
         plan: plan.clone(),
-        sizes: sizes::check_plan(plan, query, params, &sizes::WidthModel::default()),
+        shape: shape(plan),
+        sizes: sizes::check_plan(plan, query, &sizes::WidthModel::default()),
         exposure: exposure::check_plan(plan, query),
         settle: settle::check_ledger(&settle::ModelConfig::default()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tdsql_core::protocol::ProtocolKind;
+    use tdsql_sql::parser::parse_query;
+
+    fn agg_query() -> Query {
+        parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district").unwrap()
+    }
+
+    #[test]
+    fn shape_refutes_basic_aggregates() {
+        let basic = ProtocolParams::new(ProtocolKind::Basic);
+        let v = verify(&agg_query(), &basic);
+        let finding = v.shape.as_deref().expect("Basic cannot aggregate");
+        assert!(finding.starts_with("basic-aggregate:"), "{finding}");
+        assert!(!v.verified());
+        // The other passes still run and still hold: only the shape fails.
+        assert!(v.sizes.proven() && v.exposure.proven() && v.settle.proven());
+
+        // The same protocol runs a Select-From-Where query.
+        let sfw = parse_query("SELECT pid FROM health WHERE age > 80").unwrap();
+        assert_eq!(shape(&PhasePlan::compile(&sfw, &basic)), None);
     }
 }

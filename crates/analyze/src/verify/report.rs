@@ -13,18 +13,40 @@
 //!   "protocol": "S_Agg",
 //!   "query": "SELECT ...",
 //!   "plan": ["collect: ...", ...],
+//!   "shape": "executable",
 //!   "sizes": { "verdict": "constant-size", "phases": [...] },
 //!   "exposure": { "verdict": "subset-of-declaration", "checked": [...] },
 //!   "settlement": { "verdict": "exactly-once", ... },
 //!   "verdict": "verified"
 //! }
 //! ```
+//!
+//! `shape` is `"executable"`, or the [`super::shape`] finding that refutes
+//! the plan.
 
 use tdsql_core::leakage::TagForm;
 use tdsql_core::plan::EmissionCodec;
+use tdsql_core::protocol::ProtocolKind;
 
 use super::sizes::{Bound, WireVerdict};
 use super::{phase_name, Verification};
+
+const AGG_SQL: &str = "SELECT c.district, AVG(p.cons) FROM power p, consumer c \
+                       WHERE c.cid = p.cid GROUP BY c.district";
+const SFW_SQL: &str = "SELECT pid FROM health WHERE age > 80";
+
+/// The golden reports, as `(file slug, protocol, query)`: the
+/// representative queries the plan snapshots use (an SFW query for Basic,
+/// a GROUP BY aggregate for the rest), each run with default
+/// `ProtocolParams`. The `verify` bin writes `results/verify/<slug>.json`
+/// from this table and the golden tests compare against it.
+pub const CASES: [(&str, ProtocolKind, &str); 5] = [
+    ("basic", ProtocolKind::Basic, SFW_SQL),
+    ("s_agg", ProtocolKind::SAgg, AGG_SQL),
+    ("rnf_noise", ProtocolKind::RnfNoise { nf: 10 }, AGG_SQL),
+    ("c_noise", ProtocolKind::CNoise, AGG_SQL),
+    ("ed_hist", ProtocolKind::EdHist { buckets: 8 }, AGG_SQL),
+];
 
 /// Minimal JSON string escaping (the report emits only ASCII content).
 fn esc(s: &str) -> String {
@@ -77,6 +99,10 @@ pub fn render(verification: &Verification, query_text: &str) -> String {
         out.push_str(&format!("    \"{}\"{comma}\n", esc(line)));
     }
     out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"shape\": \"{}\",\n",
+        esc(v.shape.as_deref().unwrap_or("executable"))
+    ));
 
     // Pass 1 — sizes.
     out.push_str("  \"sizes\": {\n");

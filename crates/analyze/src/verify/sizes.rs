@@ -15,7 +15,6 @@
 //! learns from partitioning, never of any tuple's content.
 
 use tdsql_core::plan::{EmissionCodec, EmissionSpec, PhasePlan};
-use tdsql_core::protocol::ProtocolParams;
 use tdsql_core::stats::Phase;
 use tdsql_core::tuple_codec::framing;
 use tdsql_sql::ast::{Expr, Query, SelectItem};
@@ -191,14 +190,8 @@ fn agg_slots(query: &Query) -> usize {
     n.max(1)
 }
 
-/// Interval of one emission under the model. `chunk` bounds partial-batch
-/// entry counts (a partition never holds more groups than tuples).
-fn interval(
-    spec: &EmissionSpec,
-    query: &Query,
-    model: &WidthModel,
-    chunk: usize,
-) -> (SizeInterval, String) {
+/// Interval of one emission under the model.
+fn interval(spec: &EmissionSpec, query: &Query, model: &WidthModel) -> (SizeInterval, String) {
     let vw = model.max_value_width();
     let key_width = query.group_by.len() * vw;
     match spec.codec {
@@ -235,7 +228,6 @@ fn interval(
             // distinct-set accumulator states grow with the data — the
             // plaintext is unbounded in the model, and deliberately so:
             // batch size is a function of group count, not tuple content.
-            let _ = chunk;
             (
                 SizeInterval {
                     lo: framing::BATCH_HEADER,
@@ -258,17 +250,13 @@ fn interval(
     }
 }
 
-/// Run the pass over one compiled plan.
-pub fn check_plan(
-    plan: &PhasePlan,
-    query: &Query,
-    params: &ProtocolParams,
-    model: &WidthModel,
-) -> SizeReport {
+/// Run the pass over one compiled plan. Each emission's pad comes from the
+/// plan itself ([`EmissionSpec::pad`]).
+pub fn check_plan(plan: &PhasePlan, query: &Query, model: &WidthModel) -> SizeReport {
     let mut phases = Vec::new();
     let mut findings = Vec::new();
     for spec in plan.emissions() {
-        let (plaintext, field) = interval(&spec, query, model, params.chunk.max(1));
+        let (plaintext, field) = interval(&spec, query, model);
         let wire = match spec.pad {
             Some(pad) => {
                 if plaintext.hi.fits(pad) {
@@ -311,7 +299,7 @@ pub fn check_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdsql_core::protocol::ProtocolKind;
+    use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
     use tdsql_sql::parser::parse_query;
 
     fn agg_query() -> Query {
@@ -334,7 +322,7 @@ mod tests {
             };
             let params = ProtocolParams::new(kind);
             let plan = PhasePlan::compile(&query, &params);
-            let report = check_plan(&plan, &query, &params, &WidthModel::default());
+            let report = check_plan(&plan, &query, &WidthModel::default());
             assert!(report.proven(), "{}: {:?}", kind.name(), report.findings);
             for ps in &report.phases {
                 if ps.pad.is_some() {
@@ -356,7 +344,7 @@ mod tests {
         let mut params = ProtocolParams::new(ProtocolKind::SAgg);
         params.pad = 16;
         let plan = PhasePlan::compile(&query, &params);
-        let report = check_plan(&plan, &query, &params, &WidthModel::default());
+        let report = check_plan(&plan, &query, &WidthModel::default());
         assert!(!report.proven());
         let f = &report.findings[0];
         assert_eq!(f.phase, Phase::Collection);
@@ -378,7 +366,7 @@ mod tests {
         let wide = WidthModel {
             max_str_content: 200,
         };
-        let report = check_plan(&plan, &query, &params, &wide);
+        let report = check_plan(&plan, &query, &wide);
         assert!(!report.proven());
         assert!(report
             .findings
@@ -391,7 +379,7 @@ mod tests {
         let query = agg_query();
         let params = ProtocolParams::new(ProtocolKind::SAgg);
         let plan = PhasePlan::compile(&query, &params);
-        let report = check_plan(&plan, &query, &params, &WidthModel::default());
+        let report = check_plan(&plan, &query, &WidthModel::default());
         for ps in report.phases {
             match ps.pad {
                 Some(_) => assert!(matches!(ps.wire, WireVerdict::Constant(_))),

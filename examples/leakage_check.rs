@@ -1,6 +1,7 @@
-//! Leakage check: run the static analyzer over the same aggregate query
+//! Leakage check: run the static verifier over the same aggregate query
 //! under every protocol and print what each one would show the untrusted
-//! SSI — before a single ciphertext moves.
+//! SSI — before a single ciphertext moves. Basic cannot run an aggregate
+//! query, so its verdict is `REFUTED`; the other four verify.
 //!
 //! ```sh
 //! cargo run --example leakage_check

@@ -1,19 +1,20 @@
 //! Golden leakage profiles: for every protocol, the tag forms the SSI
-//! *actually observes* at runtime must equal what the static analyzer and
+//! *actually observes* at runtime must equal what the static verifier and
 //! the [`ExposureDeclaration`] say it may observe — no more (a leak), and
 //! for the golden assertions no less (a test that stopped exercising a
-//! phase would otherwise rot silently).
+//! phase would otherwise rot silently). Both sides report an undeclared
+//! form as the same `ExposureTrace`.
 //!
 //! [`ExposureDeclaration`]: tdsql_core::leakage::ExposureDeclaration
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tdsql_analyze::checker::{self, Severity};
-use tdsql_analyze::ir::{lower, FieldKind, Flow, Sink, StageKind};
 use tdsql_analyze::lattice::Leakage;
 use tdsql_analyze::profile::{observed_profile, verify_observations};
+use tdsql_analyze::verify::{verify, verify_plan};
 use tdsql_core::access::AccessPolicy;
 use tdsql_core::leakage::TagForm;
+use tdsql_core::plan::{PhasePlan, TagPolicy};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
 use tdsql_core::runtime::{SimBuilder, SimWorld};
 use tdsql_core::stats::Phase;
@@ -68,10 +69,10 @@ fn assert_whole_log_declared(world: &SimWorld) {
         .collect();
     for qid in qids {
         let kind = world.ssi.envelope(qid).unwrap().protocol;
-        let diags = verify_observations(kind, &world.ssi.observations(), qid);
+        let traces = verify_observations(kind, &world.ssi.observations(), qid);
         assert!(
-            diags.is_empty(),
-            "query {qid} under {}: {diags:?}",
+            traces.is_empty(),
+            "query {qid} under {}: {traces:?}",
             kind.name()
         );
     }
@@ -87,14 +88,10 @@ fn golden(world: &SimWorld, expect: &[(Phase, TagForm)]) {
     assert_eq!(got, want, "observed profile differs from golden profile");
 }
 
-fn assert_statically_clean(kind: ProtocolKind, sql: &str) {
+fn assert_verified(kind: ProtocolKind, sql: &str) {
     let query = parse_query(sql).unwrap();
-    let diags = checker::check_query(&query, &ProtocolParams::new(kind));
-    assert!(
-        !checker::has_errors(&diags),
-        "{} plan must check clean: {diags:?}",
-        kind.name()
-    );
+    let v = verify(&query, &ProtocolParams::new(kind));
+    assert!(v.verified(), "{} plan must verify: {v:?}", kind.name());
 }
 
 #[test]
@@ -108,7 +105,7 @@ fn basic_profile() {
         ],
     );
     assert_whole_log_declared(&world);
-    assert_statically_clean(ProtocolKind::Basic, SFW_SQL);
+    assert_verified(ProtocolKind::Basic, SFW_SQL);
 }
 
 #[test]
@@ -123,7 +120,7 @@ fn s_agg_profile() {
         ],
     );
     assert_whole_log_declared(&world);
-    assert_statically_clean(ProtocolKind::SAgg, AGG_SQL);
+    assert_verified(ProtocolKind::SAgg, AGG_SQL);
 }
 
 #[test]
@@ -139,7 +136,7 @@ fn rnf_noise_profile() {
         ],
     );
     assert_whole_log_declared(&world);
-    assert_statically_clean(kind, AGG_SQL);
+    assert_verified(kind, AGG_SQL);
 }
 
 #[test]
@@ -154,7 +151,7 @@ fn c_noise_profile() {
         ],
     );
     assert_whole_log_declared(&world);
-    assert_statically_clean(ProtocolKind::CNoise, AGG_SQL);
+    assert_verified(ProtocolKind::CNoise, AGG_SQL);
 }
 
 #[test]
@@ -170,34 +167,28 @@ fn ed_hist_profile() {
         ],
     );
     assert_whole_log_declared(&world);
-    assert_statically_clean(kind, AGG_SQL);
+    assert_verified(kind, AGG_SQL);
 }
 
 /// A mislabeled plan — an S_Agg driver that tags collection tuples with
-/// `Det_Enc(A_G)` — must be rejected by the static checker, and the same
+/// `Det_Enc(A_G)` — must be refuted by the static verifier, and the same
 /// leak planted in an observation log must be rejected by the runtime diff.
 #[test]
 fn mislabeled_plan_and_log_are_rejected() {
     let query = parse_query(AGG_SQL).unwrap();
     let params = ProtocolParams::new(ProtocolKind::SAgg);
 
-    // Static side: mutate the lowered plan.
-    let mut plan = lower(&query, &params);
-    let collection = plan
-        .stages
-        .iter_mut()
-        .find(|s| s.kind == StageKind::Collection)
-        .unwrap();
-    collection.tag = Some(TagForm::Det);
-    collection.flows.push(Flow {
-        field: FieldKind::Grouping("district".into()),
-        label: Leakage::DetEnc,
-        sink: Sink::SsiVisible,
-    });
-    let diags = checker::check(&plan, &params);
-    assert!(checker::has_errors(&diags));
-    assert!(diags.iter().any(|d| d.rule == "undeclared-exposure"));
-    assert!(diags.iter().any(|d| d.rule == "untagged-only"));
+    // Static side: mutate the compiled plan.
+    let mut plan = PhasePlan::compile(&query, &params);
+    plan.collect.tag_policy = TagPolicy::DetPerGroup;
+    let v = verify_plan(&plan, &query);
+    assert!(!v.verified());
+    let t = &v.exposure.violations[0];
+    assert_eq!(
+        (t.phase, t.form, t.label),
+        (Phase::Collection, TagForm::Det, Leakage::DetEnc)
+    );
+    assert_eq!(t.declared, vec![TagForm::None]);
 
     // Runtime side: plant the same leak in a real S_Agg log.
     let world = run(ProtocolKind::SAgg, AGG_SQL, 16);
@@ -209,14 +200,17 @@ fn mislabeled_plan_and_log_are_rejected() {
     leaked.tag =
         tdsql_core::message::GroupTag::Det(tdsql_core::bytes::Bytes::from(vec![0xde, 0xad]));
     log.push(leaked);
-    let diags = verify_observations(ProtocolKind::SAgg, &log, qid);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].severity, Severity::Error);
-    assert_eq!(diags[0].rule, "undeclared-exposure");
+    let traces = verify_observations(ProtocolKind::SAgg, &log, qid);
+    assert_eq!(traces.len(), 1, "{traces:?}");
+    assert_eq!(
+        (traces[0].phase, traces[0].form, traces[0].label),
+        (Phase::Collection, TagForm::Det, Leakage::DetEnc)
+    );
+    assert_eq!(traces[0].origin, "SSI observation log");
 }
 
-/// `explain_checked` renders the verdict for every protocol without errors
-/// on well-formed aggregate plans.
+/// `explain_checked` renders a verified verdict for every protocol that can
+/// run the aggregate query.
 #[test]
 fn explain_checked_clean_for_all_protocols() {
     let query = parse_query(AGG_SQL).unwrap();
@@ -227,7 +221,11 @@ fn explain_checked_clean_for_all_protocols() {
         ProtocolKind::EdHist { buckets: 4 },
     ] {
         let text = tdsql_analyze::explain_checked(&query, &ProtocolParams::new(kind));
-        assert!(text.contains("leakage check:"), "{text}");
-        assert!(!text.contains("error ["), "{}: {text}", kind.name());
+        assert!(text.contains("static verification:"), "{text}");
+        assert!(
+            text.contains("verdict:    verified"),
+            "{}: {text}",
+            kind.name()
+        );
     }
 }

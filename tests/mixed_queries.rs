@@ -26,17 +26,22 @@
 mod common;
 
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use common::{assert_rows_eq, sorted};
+use tdsql_core::bytes::Bytes;
 use tdsql_core::connectivity::{Connectivity, FaultPlan};
+use tdsql_core::message::{QueryEnvelope, StoredTuple};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
+use tdsql_core::runtime::backoff::sleep_ms;
 use tdsql_core::ssi::Ssi;
 use tdsql_core::workload::SmartMeterConfig;
 use tdsql_core::{
     run_mixed, DiscoveryCache, DriverConfig, MixedOptions, MixedQuery, SchedConfig, ServiceDriver,
+    StepResult, TdsPool, TdsStep,
 };
 use tdsql_net::deploy::Deployment;
 use tdsql_net::{serve_pool, serve_ssi, RemoteSsi, RemoteTdsPool};
@@ -380,11 +385,56 @@ fn shared_discovery_cache_serves_hits_without_changing_results() {
     );
 }
 
+/// Forwards to `inner`, except that the first `step` parks for 250 ms
+/// before it does.
+struct FirstStepParks<P> {
+    inner: P,
+    parked: AtomicBool,
+}
+
+impl<P: TdsPool> TdsPool for FirstStepParks<P> {
+    fn len(&self) -> tdsql_core::Result<usize> {
+        self.inner.len()
+    }
+
+    fn tds_ids(&self) -> tdsql_core::Result<Vec<u64>> {
+        self.inner.tds_ids()
+    }
+
+    fn step(
+        &self,
+        index: usize,
+        env: &QueryEnvelope,
+        params: &ProtocolParams,
+        now_round: u64,
+        step: TdsStep,
+        partition: &[StoredTuple],
+        rng_seed: u64,
+    ) -> tdsql_core::Result<StepResult> {
+        if !self.parked.swap(true, Ordering::SeqCst) {
+            sleep_ms(250);
+        }
+        self.inner
+            .step(index, env, params, now_round, step, partition, rng_seed)
+    }
+
+    fn open_rows(&self, blobs: &[Bytes]) -> tdsql_core::Result<Vec<Vec<Value>>> {
+        self.inner.open_rows(blobs)
+    }
+}
+
 #[test]
 fn admission_backpressure_rejects_with_typed_error() {
     let dep = deployment();
     let ssi = Ssi::new();
-    let (pool, _oracle) = dep.provision();
+    let (inner, _oracle) = dep.provision();
+    // A Basic query over 20 TDSs finishes in about a millisecond, which can
+    // be before its rivals even reach admission. Parking the first step
+    // keeps the admitted query's permit held while they arrive.
+    let pool = FirstStepParks {
+        inner,
+        parked: AtomicBool::new(false),
+    };
     let system = dep.system_querier();
     let obs = Arc::new(Obs::new(b"mixed-backpressure"));
     let base = DriverConfig::default();

@@ -70,7 +70,7 @@ fn undeclared_tag_form_yields_a_lattice_typed_trace() {
     let mut plan = PhasePlan::compile(&query, &params);
     // S_Agg's whole point is nDet-only collection; leak Det grouping tags.
     plan.collect.tag_policy = TagPolicy::DetPerGroup;
-    let v = verify_plan(&plan, &query, &params);
+    let v = verify_plan(&plan, &query);
 
     assert!(!v.exposure.proven());
     assert!(!v.verified());

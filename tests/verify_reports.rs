@@ -4,29 +4,14 @@
 //!
 //! This is the same contract `cargo run -p tdsql-analyze --bin verify --
 //! --check` enforces in CI, embedded in the test suite so a drifted report
-//! fails `cargo test` too. The case list mirrors the binary's: an SFW
-//! query for Basic, a GROUP BY aggregate for the rest, default
-//! [`ProtocolParams`].
+//! fails `cargo test` too, over the binary's own case table,
+//! [`report::CASES`].
 
 use std::path::PathBuf;
 
 use tdsql_analyze::verify::{report, verify};
-use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
+use tdsql_core::protocol::ProtocolParams;
 use tdsql_sql::parser::parse_query;
-
-const AGG_SQL: &str = "SELECT c.district, AVG(p.cons) FROM power p, consumer c \
-                       WHERE c.cid = p.cid GROUP BY c.district";
-const SFW_SQL: &str = "SELECT pid FROM health WHERE age > 80";
-
-fn cases() -> Vec<(&'static str, ProtocolKind, &'static str)> {
-    vec![
-        ("basic", ProtocolKind::Basic, SFW_SQL),
-        ("s_agg", ProtocolKind::SAgg, AGG_SQL),
-        ("rnf_noise", ProtocolKind::RnfNoise { nf: 10 }, AGG_SQL),
-        ("c_noise", ProtocolKind::CNoise, AGG_SQL),
-        ("ed_hist", ProtocolKind::EdHist { buckets: 8 }, AGG_SQL),
-    ]
-}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,7 +22,7 @@ fn golden_dir() -> PathBuf {
 
 #[test]
 fn all_five_protocols_verify() {
-    for (slug, kind, sql) in cases() {
+    for (slug, kind, sql) in report::CASES {
         let query = parse_query(sql).expect(sql);
         let v = verify(&query, &ProtocolParams::new(kind));
         assert!(v.sizes.proven(), "{slug}: size pass refuted");
@@ -49,7 +34,7 @@ fn all_five_protocols_verify() {
 
 #[test]
 fn reports_match_committed_goldens() {
-    for (slug, kind, sql) in cases() {
+    for (slug, kind, sql) in report::CASES {
         let query = parse_query(sql).expect(sql);
         let rendered = report::render(&verify(&query, &ProtocolParams::new(kind)), sql);
         let path = golden_dir().join(format!("{slug}.json"));
@@ -67,11 +52,12 @@ fn reports_match_committed_goldens() {
 fn reports_carry_the_proof_obligations() {
     // Spot-check the report contents the paper's invariants hinge on, so a
     // regeneration cannot silently weaken what the goldens attest.
-    for (slug, kind, sql) in cases() {
+    for (slug, kind, sql) in report::CASES {
         let query = parse_query(sql).expect(sql);
         let r = report::render(&verify(&query, &ProtocolParams::new(kind)), sql);
         assert!(r.contains("\"schema\": \"tdsql-verify/v1\""), "{slug}");
         assert!(r.contains("\"verdict\": \"verified\""), "{slug}");
+        assert!(r.contains("\"shape\": \"executable\""), "{slug}");
         // Default pad 64 + nDet envelope overhead 32: every padded phase
         // proves a constant 96-byte wire size.
         assert!(r.contains("\"wire\": \"constant(96)\""), "{slug}:\n{r}");
@@ -83,7 +69,7 @@ fn reports_carry_the_proof_obligations() {
 
 #[test]
 fn explain_embeds_the_verifier_verdict() {
-    for (_, kind, sql) in cases() {
+    for (_, kind, sql) in report::CASES {
         let query = parse_query(sql).unwrap();
         let text = tdsql_analyze::explain_checked(&query, &ProtocolParams::new(kind));
         assert!(text.contains("static verification:"), "{text}");
