@@ -79,11 +79,10 @@
 //!
 //! Concurrent multi-query rows: N ∈ {1, 4, 16} queries with seeded
 //! open-loop arrivals run through [`tdsql_core::run_mixed`] over one
-//! shared in-process deployment — the admission scheduler, the
-//! cross-query batching pool and the shared discovery cache all engaged.
-//! Each row reports p50/p99 arrival-to-result latency, aggregate result
-//! tuples per second, and the shared-layer counters
-//! (`ssi.sched.admitted/queued/rejected`, `pool.batch.flushes`). Every
+//! shared in-process deployment — the admission scheduler and the shared
+//! discovery cache both engaged. Each row reports p50/p99
+//! arrival-to-result latency, aggregate result tuples per second, and the
+//! admission counters (`ssi.sched.admitted/queued/rejected`). Every
 //! query's rows are oracle-checked before the row is emitted.
 //! `--check-mixed BENCH_8.json` validates the committed artifact.
 
@@ -426,7 +425,7 @@ fn run_net() {
 
 /// Schema identifier of the mixed-workload report; bump on row-layout
 /// changes.
-const MIXED_SCHEMA: &str = "tdsql-bench-mixed/v1";
+const MIXED_SCHEMA: &str = "tdsql-bench-mixed/v2";
 /// Seed for the mixed sweep (per-query seeds and arrival offsets derive
 /// from it).
 const MIXED_SEED: u64 = 8;
@@ -441,7 +440,7 @@ const MIXED_ARRIVAL_SPREAD_MS: u64 = 20;
 /// per-querier admission quota is actually exercised at N = 16.
 const MIXED_QUERIERS: usize = 4;
 /// Keys every mixed row must carry, in emission order.
-const MIXED_ROW_KEYS: [&str; 10] = [
+const MIXED_ROW_KEYS: [&str; 9] = [
     "n_queries",
     "wall_ms",
     "p50_ms",
@@ -451,7 +450,6 @@ const MIXED_ROW_KEYS: [&str; 10] = [
     "admitted",
     "queued",
     "rejected",
-    "batch_flushes",
 ];
 
 struct MixedRow {
@@ -464,7 +462,6 @@ struct MixedRow {
     admitted: u64,
     queued: u64,
     rejected: u64,
-    batch_flushes: u64,
 }
 
 /// splitmix64: seeds per-query RNG streams and arrival offsets from
@@ -594,7 +591,6 @@ fn mixed_one(n_queries: usize) -> MixedRow {
         admitted: report.sched.counter("ssi.sched.admitted"),
         queued: report.sched.counter("ssi.sched.queued"),
         rejected: report.sched.counter("ssi.sched.rejected"),
-        batch_flushes: report.batch.counter("pool.batch.flushes"),
     }
 }
 
@@ -610,7 +606,7 @@ fn render_mixed(rows: &[MixedRow]) -> String {
         }
         let _ = write!(
             out,
-            "\n  {{\"n_queries\":{},\"wall_ms\":{},\"p50_ms\":{},\"p99_ms\":{},\"tuples\":{},\"tuples_per_sec\":{:.3},\"admitted\":{},\"queued\":{},\"rejected\":{},\"batch_flushes\":{}}}",
+            "\n  {{\"n_queries\":{},\"wall_ms\":{},\"p50_ms\":{},\"p99_ms\":{},\"tuples\":{},\"tuples_per_sec\":{:.3},\"admitted\":{},\"queued\":{},\"rejected\":{}}}",
             r.n_queries,
             r.wall_ms,
             r.p50_ms,
@@ -619,8 +615,7 @@ fn render_mixed(rows: &[MixedRow]) -> String {
             r.tuples_per_sec,
             r.admitted,
             r.queued,
-            r.rejected,
-            r.batch_flushes
+            r.rejected
         );
     }
     out.push_str("\n]}\n");
@@ -665,7 +660,7 @@ fn check_mixed(content: &str) -> std::result::Result<(), String> {
 fn run_mixed_report() {
     let mut rows = Vec::new();
     println!(
-        "{:<9} {:>8} {:>7} {:>7} {:>7} {:>13} {:>9} {:>7} {:>9} {:>13}",
+        "{:<9} {:>8} {:>7} {:>7} {:>7} {:>13} {:>9} {:>7} {:>9}",
         "n_queries",
         "wall_ms",
         "p50_ms",
@@ -674,13 +669,12 @@ fn run_mixed_report() {
         "tuples_per_sec",
         "admitted",
         "queued",
-        "rejected",
-        "batch_flushes"
+        "rejected"
     );
     for n in MIXED_SWEEP {
         let row = mixed_one(n);
         println!(
-            "{:<9} {:>8} {:>7} {:>7} {:>7} {:>13.1} {:>9} {:>7} {:>9} {:>13}",
+            "{:<9} {:>8} {:>7} {:>7} {:>7} {:>13.1} {:>9} {:>7} {:>9}",
             row.n_queries,
             row.wall_ms,
             row.p50_ms,
@@ -689,8 +683,7 @@ fn run_mixed_report() {
             row.tuples_per_sec,
             row.admitted,
             row.queued,
-            row.rejected,
-            row.batch_flushes
+            row.rejected
         );
         rows.push(row);
     }

@@ -72,7 +72,6 @@ pub use connectivity::{Connectivity, FaultPlan};
 pub use error::{ProtocolError, Result};
 pub use message::{AssignmentId, DeliveryOutcome};
 pub use protocol::{ProtocolKind, ProtocolParams};
-pub use runtime::batch::BatchingPool;
 pub use runtime::mixed::{run_mixed, MixedOptions, MixedOutcome, MixedQuery, MixedReport};
 pub use runtime::service::{DriverConfig, ServiceDriver};
 pub use runtime::{SimBuilder, SimWorld};

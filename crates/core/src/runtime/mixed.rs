@@ -7,10 +7,8 @@
 //!
 //! * the admission [`Scheduler`] — per-querier quotas, fair round-robin
 //!   dispatch, typed rejection under backpressure;
-//! * a [`BatchingPool`] over the real pool — concurrent same-index TDS
-//!   steps coalesce into [`crate::service::TdsPool::multi_step`] contacts;
-//!   every admitted driver enrolls, so a leader never waits for a batch
-//!   nobody can still join;
+//! * the caller's TDS pool, contacted one step at a time, exactly as a
+//!   solo run contacts it;
 //! * optionally a [`DiscoveryCache`] — one discovery run feeds every
 //!   query over the same grouping domain until the TTL expires.
 //!
@@ -30,7 +28,6 @@ use crate::error::{ProtocolError, Result};
 use crate::protocol::ProtocolParams;
 use crate::querier::Querier;
 use crate::runtime::backoff;
-use crate::runtime::batch::BatchingPool;
 use crate::runtime::service::{DriverConfig, ServiceDriver};
 use crate::service::{SsiService, TdsPool};
 use crate::ssi::sched::{DiscoveryCache, SchedConfig, Scheduler};
@@ -72,7 +69,9 @@ pub struct MixedReport {
     pub wall_ms: u64,
     /// Admission counters (`ssi.sched.*`).
     pub sched: MetricsSet,
-    /// Cross-query batching counters (`pool.batch.*`).
+    /// Always empty: no shared layer of `run_mixed` keeps counters here.
+    /// The field stays only because the benchmark workspace reads it, and
+    /// goes when the benchmark is re-based.
     pub batch: MetricsSet,
 }
 
@@ -81,12 +80,6 @@ pub struct MixedReport {
 pub struct MixedOptions {
     /// Admission policy.
     pub sched: SchedConfig,
-    /// Upper bound on a leader's wait for batch-mates (0 disables
-    /// cross-query batching). A leader flushes sooner once every other
-    /// admitted driver is blocked in the pool.
-    pub batch_window_ms: u64,
-    /// Parts per batch cap.
-    pub max_batch: usize,
     /// Discovery-cache TTL (0 disables the shared cache).
     pub discovery_ttl_ms: u64,
 }
@@ -95,8 +88,6 @@ impl Default for MixedOptions {
     fn default() -> Self {
         Self {
             sched: SchedConfig::default(),
-            batch_window_ms: 2,
-            max_batch: 16,
             discovery_ttl_ms: 60_000,
         }
     }
@@ -127,11 +118,6 @@ pub fn run_mixed(
     } else {
         None
     };
-    let batching = BatchingPool::new(
-        pool,
-        Duration::from_millis(opts.batch_window_ms),
-        opts.max_batch,
-    );
     let start = Instant::now();
     let mut outcomes: Vec<Result<MixedOutcome>> = Vec::with_capacity(queries.len());
 
@@ -140,7 +126,6 @@ pub fn run_mixed(
         for q in queries {
             let sched = &sched;
             let cache = cache.clone();
-            let batching = &batching;
             let obs = Arc::clone(obs);
             handles.push(s.spawn(move || -> Result<MixedOutcome> {
                 if q.arrival_ms > 0 {
@@ -150,15 +135,12 @@ pub fn run_mixed(
                 // Admission: blocks under quota pressure, rejects with a
                 // typed error once this querier's queue is full.
                 let _permit = sched.admit(&q.querier.id)?;
-                // Enrolled until this worker returns (or unwinds): batch
-                // leaders wait for this driver only while it lives.
-                let _member = batching.member();
                 let config = DriverConfig {
                     seed: q.seed,
                     discovery_cache: cache,
                     ..base.clone()
                 };
-                let mut driver = ServiceDriver::new(ssi, batching, obs, config)?;
+                let mut driver = ServiceDriver::new(ssi, pool, obs, config)?;
                 let rows = driver.run_query(&q.querier, system, &q.query, q.params.clone())?;
                 Ok(MixedOutcome {
                     latency_ms: elapsed_ms(arrived),
@@ -181,7 +163,7 @@ pub fn run_mixed(
         outcomes,
         wall_ms,
         sched: sched.metrics(),
-        batch: batching.metrics(),
+        batch: MetricsSet::new(),
     };
     obs.event(
         "mixed.run.done",
@@ -192,7 +174,6 @@ pub fn run_mixed(
             Field::u64("admitted", report.sched.counter("ssi.sched.admitted")),
             Field::u64("queued", report.sched.counter("ssi.sched.queued")),
             Field::u64("rejected", report.sched.counter("ssi.sched.rejected")),
-            Field::u64("batch_flushes", report.batch.counter("pool.batch.flushes")),
         ],
     );
     report

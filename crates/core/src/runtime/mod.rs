@@ -10,16 +10,12 @@
 //! * [`threaded`] — a concurrent runtime where every TDS is a worker thread
 //!   and the SSI is shared state, demonstrating that the protocol logic is
 //!   runtime-agnostic;
-//! * [`batch`] — cross-query batching of TDS contact: concurrent
-//!   same-index steps from different drivers coalesce into one
-//!   `multi_step` pool call (one wire frame over `tdsql-net`);
 //! * [`mixed`] — the multi-query runner: N concurrent queryboxes over a
 //!   shared deployment, behind the [`crate::ssi::sched`] admission layer;
 //! * [`backoff`] — the workspace's only sanctioned delay primitive:
 //!   seeded-jitter exponential backoff (srclint bans bare `thread::sleep`).
 
 pub mod backoff;
-pub mod batch;
 pub mod mixed;
 pub mod round;
 pub mod service;

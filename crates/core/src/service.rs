@@ -76,12 +76,12 @@ pub enum StepResult {
     Results(Vec<Bytes>),
 }
 
-/// One query's share of a cross-query batched TDS contact: the full
-/// argument set of [`TdsPool::step`] minus the pool index, owned so a
-/// batch can be parked and shipped as one wire frame. Parts from
-/// different queries carry different envelopes — the TDS opens each one
-/// independently inside its trust domain, so batching changes transport
-/// shape only, never what any single query computes.
+/// The full argument set of [`TdsPool::step`] minus the pool index: one
+/// part of a [`TdsPool::multi_step`] call.
+///
+/// No runtime builds these. The type stays only because the benchmark
+/// workspace's `TracedPool` overrides [`TdsPool::multi_step`], and goes
+/// with that method when the benchmark is re-based.
 #[derive(Debug, Clone)]
 pub struct MultiStepPart {
     /// The posted envelope of the part's query.
@@ -272,13 +272,12 @@ pub trait TdsPool: Send + Sync {
     /// the parsed distribution applied to its protocol params).
     fn open_rows(&self, blobs: &[Bytes]) -> Result<Vec<Vec<Value>>>;
 
-    /// Execute several queries' steps on TDS `index` in one contact. The
-    /// outer [`Result`] is transport-level (the whole batch failed to
-    /// reach the pool); the inner per-part results isolate one query's
-    /// protocol failure from its batch-mates. The default implementation
-    /// loops over [`TdsPool::step`], so every existing pool gets batching
-    /// semantics for free; remote pools override it to ship the batch as
-    /// a single wire frame.
+    /// Execute several steps on TDS `index`, one [`TdsPool::step`] per
+    /// part, each with its own result.
+    ///
+    /// No runtime calls this. It stays only because the benchmark
+    /// workspace's `TracedPool` overrides it, and goes when the benchmark
+    /// is re-based.
     fn multi_step(&self, index: usize, parts: &[MultiStepPart]) -> Result<Vec<Result<StepResult>>> {
         Ok(parts
             .iter()

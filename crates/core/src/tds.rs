@@ -68,10 +68,10 @@ pub struct QueryContext {
 /// cache untouched and fails again on the next call.
 ///
 /// The cache is a fixed-capacity LRU ([`Self::CAPACITY`] entries, most
-/// recently used first) because one pool serves every live query: a
-/// cross-query batch frame carries up to `MixedOptions::max_batch` (16)
-/// envelopes, and C_Noise / ED_Hist queries add a discovery envelope each,
-/// so a single slot would be evicted by every neighbour.
+/// recently used first) because one pool serves every live query: the
+/// admission scheduler lets `SchedConfig::max_live` (8 by default) queries
+/// run at once, and C_Noise / ED_Hist queries add a discovery envelope
+/// each, so a single slot would be evicted by every neighbour.
 ///
 /// The internals are private and only [`Tds`] methods populate them, so a
 /// runtime holding a cache cannot forge a parse result into the trust
@@ -99,9 +99,9 @@ impl CachedOpen {
 }
 
 impl QueryOpenCache {
-    /// Entries kept: twice the default cross-query batch cap, so a full
-    /// batch of queries that each run a discovery sub-query still fits.
-    /// A constant, not a knob — an evicted entry costs one re-parse.
+    /// Entries kept: every default-admitted live query with its discovery
+    /// sub-query (2 × 8 envelopes), with 2× headroom on top. A constant,
+    /// not a knob — an evicted entry costs one re-parse.
     pub const CAPACITY: usize = 32;
 
     /// Fresh, empty cache. A pool keeps one for its lifetime
@@ -999,9 +999,9 @@ mod tests {
     }
 
     #[test]
-    fn open_cache_holds_two_full_batches() {
-        let max_batch = crate::runtime::mixed::MixedOptions::default().max_batch;
-        assert!(QueryOpenCache::CAPACITY >= 2 * max_batch);
+    fn open_cache_holds_every_live_query_and_its_discovery() {
+        let max_live = crate::ssi::sched::SchedConfig::default().max_live;
+        assert!(QueryOpenCache::CAPACITY >= 2 * max_live);
     }
 
     #[test]

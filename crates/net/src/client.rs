@@ -28,7 +28,7 @@ use tdsql_core::message::{AssignmentId, DeliveryOutcome, QueryEnvelope, StoredTu
 use tdsql_core::protocol::ProtocolParams;
 use tdsql_core::runtime::backoff::BackoffPolicy;
 use tdsql_core::service::{
-    is_transport_error, transport_error, MultiStepPart, SsiService, StepResult, TdsPool, TdsStep,
+    is_transport_error, transport_error, SsiService, StepResult, TdsPool, TdsStep,
 };
 use tdsql_core::stats::Phase;
 use tdsql_obs::{Field, Obs};
@@ -497,29 +497,6 @@ impl TdsPool for RemoteTdsPool {
         match self.call(&PoolRequest::OpenRows(blobs.to_vec()))? {
             PoolResponse::Rows(rows) => Ok(rows),
             _ => Err(unexpected("open_rows")),
-        }
-    }
-
-    fn multi_step(&self, index: usize, parts: &[MultiStepPart]) -> Result<Vec<Result<StepResult>>> {
-        // The whole batch crosses the wire as one frame — that is the
-        // point of cross-query batching; the default per-part loop would
-        // pay one round-trip per query.
-        let index = u32::try_from(index).map_err(|_| ProtocolError::LengthOverflow {
-            what: "wire pool index",
-            len: index,
-            max: u32::MAX as usize,
-        })?;
-        match self.call(&PoolRequest::MultiStep {
-            index,
-            parts: parts.to_vec(),
-        })? {
-            PoolResponse::Multi(results) => {
-                if results.len() != parts.len() {
-                    return Err(unexpected("multi_step arity"));
-                }
-                Ok(results)
-            }
-            _ => Err(unexpected("multi_step")),
         }
     }
 }

@@ -197,14 +197,6 @@ fn dispatch_pool(req: PoolRequest, pool: &LocalTdsPool) -> PoolResponse {
             Ok(rows) => PoolResponse::Rows(rows),
             Err(e) => PoolResponse::Err(e),
         },
-        PoolRequest::MultiStep { index, parts } => {
-            // Per-part outcomes travel in their slots; the top-level Err
-            // arm is for failures of the batch as a whole.
-            match pool.multi_step(index as usize, &parts) {
-                Ok(results) => PoolResponse::Multi(results),
-                Err(e) => PoolResponse::Err(e),
-            }
-        }
     }
 }
 

@@ -29,7 +29,7 @@ use tdsql_core::error::{ProtocolError, Result};
 use tdsql_core::histogram::Histogram;
 use tdsql_core::message::{AssignmentId, DeliveryOutcome, QueryEnvelope, StoredTuple};
 use tdsql_core::protocol::ProtocolParams;
-use tdsql_core::service::{MultiStepPart, StepResult, TdsStep};
+use tdsql_core::service::TdsStep;
 use tdsql_core::stats::Phase;
 use tdsql_core::tds::{ResultDest, RetagMode};
 use tdsql_crypto::CryptoError;
@@ -714,38 +714,6 @@ pub enum PoolRequest {
     },
     /// Open `k2`-sealed rows inside the trust domain (discovery).
     OpenRows(Vec<Bytes>),
-    /// Execute several queries' steps on one TDS in a single contact
-    /// (cross-query batching; one frame instead of one per query).
-    MultiStep {
-        /// Pool index of the TDS.
-        index: u32,
-        /// One entry per batched query, each with its own envelope,
-        /// params and step randomness.
-        parts: Vec<MultiStepPart>,
-    },
-}
-
-/// Encode one [`MultiStepPart`] — the [`PoolRequest::Step`] body minus
-/// the shared pool index.
-fn put_multi_part(out: &mut Vec<u8>, part: &MultiStepPart) -> Result<()> {
-    put_envelope(out, &part.env)?;
-    put_params(out, &part.params)?;
-    put_u64(out, part.now_round);
-    put_step(out, part.step);
-    put_tuples(out, &part.partition)?;
-    put_u64(out, part.rng_seed);
-    Ok(())
-}
-
-fn take_multi_part(buf: &[u8], pos: &mut usize) -> Result<MultiStepPart> {
-    Ok(MultiStepPart {
-        env: take_envelope(buf, pos)?,
-        params: take_params(buf, pos)?,
-        now_round: take_u64(buf, pos)?,
-        step: take_step(buf, pos)?,
-        partition: take_tuples(buf, pos)?,
-        rng_seed: take_u64(buf, pos)?,
-    })
 }
 
 impl PoolRequest {
@@ -776,11 +744,6 @@ impl PoolRequest {
                 put_u8(&mut out, 2);
                 put_blobs(&mut out, blobs)?;
             }
-            PoolRequest::MultiStep { index, parts } => {
-                put_u8(&mut out, 3);
-                put_u32(&mut out, *index);
-                put_vec(&mut out, "wire multi-step parts", parts, put_multi_part)?;
-            }
         }
         Ok(out)
     }
@@ -800,10 +763,6 @@ impl PoolRequest {
                 rng_seed: take_u64(buf, pos)?,
             },
             2 => PoolRequest::OpenRows(take_blobs(buf, pos)?),
-            3 => PoolRequest::MultiStep {
-                index: take_u32(buf, pos)?,
-                parts: take_vec(buf, pos, take_multi_part)?,
-            },
             _ => return Err(bad("pool request kind")),
         };
         expect_consumed(buf, *pos)?;
@@ -816,7 +775,6 @@ impl PoolRequest {
             PoolRequest::TdsIds => "tds_ids",
             PoolRequest::Step { .. } => "step",
             PoolRequest::OpenRows(_) => "open_rows",
-            PoolRequest::MultiStep { .. } => "multi_step",
         }
     }
 }
@@ -835,10 +793,6 @@ pub enum PoolResponse {
     Rows(Vec<Vec<Value>>),
     /// The operation failed with a protocol error.
     Err(ProtocolError),
-    /// Per-part outcomes of a [`PoolRequest::MultiStep`]: one entry per
-    /// part, in order — a part-level failure travels inside its slot so
-    /// it never contaminates batch-mates.
-    Multi(Vec<std::result::Result<StepResult, ProtocolError>>),
 }
 
 impl PoolResponse {
@@ -866,28 +820,6 @@ impl PoolResponse {
                 put_u8(&mut out, 4);
                 put_error(&mut out, e)?;
             }
-            PoolResponse::Multi(results) => {
-                put_u8(&mut out, 5);
-                put_vec(
-                    &mut out,
-                    "wire multi-step results",
-                    results,
-                    |out, r| match r {
-                        Ok(StepResult::Working(ts)) => {
-                            put_u8(out, 0);
-                            put_tuples(out, ts)
-                        }
-                        Ok(StepResult::Results(bs)) => {
-                            put_u8(out, 1);
-                            put_blobs(out, bs)
-                        }
-                        Err(e) => {
-                            put_u8(out, 2);
-                            put_error(out, e)
-                        }
-                    },
-                )?;
-            }
         }
         Ok(out)
     }
@@ -901,14 +833,6 @@ impl PoolResponse {
             2 => PoolResponse::Results(take_blobs(buf, pos)?),
             3 => PoolResponse::Rows(take_rows(buf, pos)?),
             4 => PoolResponse::Err(take_error(buf, pos)?),
-            5 => PoolResponse::Multi(take_vec(buf, pos, |buf, pos| {
-                Ok(match take_u8(buf, pos)? {
-                    0 => Ok(StepResult::Working(take_tuples(buf, pos)?)),
-                    1 => Ok(StepResult::Results(take_blobs(buf, pos)?)),
-                    2 => Err(take_error(buf, pos)?),
-                    _ => return Err(bad("multi-step result kind")),
-                })
-            })?),
             _ => return Err(bad("pool response kind")),
         };
         expect_consumed(buf, *pos)?;
@@ -1165,60 +1089,22 @@ mod tests {
         assert_eq!(got.encode().unwrap(), wire);
     }
 
+    /// Request tag 3 and response tag 5 carried cross-query batches and are
+    /// retired: the smallest frames they ever encoded to (an empty batch on
+    /// pool index 0) must fail typed, never decode as another variant.
     #[test]
-    fn pool_multi_step_round_trips() {
-        let part = |seed: u64| MultiStepPart {
-            env: sample_envelope(),
-            params: ProtocolParams::new(ProtocolKind::Basic),
-            now_round: 5,
-            step: TdsStep::Collect,
-            partition: Vec::new(),
-            rng_seed: seed,
-        };
-        let req = PoolRequest::MultiStep {
-            index: 2,
-            parts: vec![part(11), part(22), part(33)],
-        };
-        let wire = req.encode().unwrap();
-        let got = PoolRequest::decode(&wire).unwrap();
-        assert_eq!(got.name(), "multi_step");
-        assert_eq!(got.encode().unwrap(), wire);
-        match got {
-            PoolRequest::MultiStep { index, parts } => {
-                assert_eq!(index, 2);
-                assert_eq!(parts.len(), 3);
-                assert_eq!(parts[1].rng_seed, 22);
-            }
-            other => panic!("wrong request: {}", other.name()),
-        }
-
-        // Per-part results mix all three shapes; errors stay in-slot.
-        let resp = PoolResponse::Multi(vec![
-            Ok(StepResult::Working(vec![StoredTuple {
-                tag: GroupTag::None,
-                blob: Bytes::from(vec![3; 48]),
-            }])),
-            Err(ProtocolError::AccessDenied),
-            Ok(StepResult::Results(vec![Bytes::from(vec![9; 16])])),
-        ]);
-        let wire = resp.encode().unwrap();
-        let got = PoolResponse::decode(&wire).unwrap();
-        assert_eq!(got.encode().unwrap(), wire);
-        match got {
-            PoolResponse::Multi(results) => {
-                assert_eq!(results.len(), 3);
-                assert!(matches!(results[0], Ok(StepResult::Working(_))));
-                assert!(matches!(results[1], Err(ProtocolError::AccessDenied)));
-                assert!(matches!(results[2], Ok(StepResult::Results(_))));
-            }
-            other => panic!("wrong response: {other:?}"),
-        }
-
-        // Truncation of the multi-step frames fails typed, never panics.
-        let wire = req.encode().unwrap();
-        for cut in 0..wire.len() {
-            assert!(PoolRequest::decode(&wire[..cut]).is_err());
-        }
+    fn retired_batch_tags_are_rejected() {
+        let mut request = vec![3];
+        request.extend_from_slice(&0u32.to_be_bytes()); // pool index
+        request.extend_from_slice(&0u32.to_be_bytes()); // part count
+        assert!(matches!(
+            PoolRequest::decode(&request),
+            Err(ProtocolError::Codec(_))
+        ));
+        assert!(matches!(
+            PoolResponse::decode(&[5, 0, 0, 0, 0]),
+            Err(ProtocolError::Codec(_))
+        ));
     }
 
     #[test]
@@ -1226,12 +1112,7 @@ mod tests {
         let mut wire = SsiRequest::Envelope(3).encode().unwrap();
         wire.push(0);
         assert!(SsiRequest::decode(&wire).is_err());
-        let mut wire = PoolRequest::MultiStep {
-            index: 0,
-            parts: Vec::new(),
-        }
-        .encode()
-        .unwrap();
+        let mut wire = PoolRequest::OpenRows(Vec::new()).encode().unwrap();
         wire.push(0);
         assert!(PoolRequest::decode(&wire).is_err());
     }

@@ -1,12 +1,11 @@
-//! Concurrent multi-query execution: the admission scheduler, the
-//! cross-query batching pool and the shared discovery cache must never
-//! change what a query computes.
+//! Concurrent multi-query execution: the admission scheduler and the
+//! shared discovery cache must never change what a query computes.
 //!
 //! The contract is byte-identity: a query run inside a mixed workload
 //! (same driver seed, same fault plan) must decrypt to exactly the rows
 //! its solo run produces, bit for bit with zero tolerance — in-process,
 //! under chaos fault plans, and over the loopback `tdsql-net` backend
-//! where cross-query batches travel as `multi_step` frames.
+//! where every driver shares one client connection per server.
 //!
 //! Two artifacts of sharing one SSI are canonicalized away, and only
 //! these two:
@@ -102,8 +101,8 @@ fn workload(dep: &Deployment, n: usize) -> Vec<MixedQuery> {
 }
 
 /// Solo baseline for one workload entry: a fresh SSI, a fresh provision
-/// of the same deployment, the direct (unbatched) pool, and the same
-/// per-query driver config the mixed run used.
+/// of the same deployment, and the same per-query driver config the mixed
+/// run used.
 fn solo_run(
     dep: &Deployment,
     base: &DriverConfig,
@@ -121,12 +120,11 @@ fn solo_run(
     driver.run_query(&q.querier, Some(&system), &q.query, q.params.clone())
 }
 
-/// Mixed options for the identity tests: scheduler and batching fully
-/// engaged, the shared discovery cache off. A cache hit skips the
-/// discovery sub-query, which legitimately advances the driver RNG
-/// differently from a solo run — identity is asserted with the cache
-/// held in the solo-equivalent state (empty); cache correctness has its
-/// own test below.
+/// Mixed options for the identity tests: scheduler fully engaged, the
+/// shared discovery cache off. A cache hit skips the discovery sub-query,
+/// which legitimately advances the driver RNG differently from a solo
+/// run — identity is asserted with the cache held in the solo-equivalent
+/// state (empty); cache correctness has its own test below.
 fn identity_options() -> MixedOptions {
     MixedOptions {
         discovery_ttl_ms: 0,
@@ -317,9 +315,8 @@ fn mixed_over_loopback_net_is_byte_identical_to_solo() {
     let base = DriverConfig::default();
     let queries = workload(&dep, 6);
 
-    // Cross-query batches formed by the BatchingPool travel the wire as
-    // single multi_step frames here — the tag-3/tag-5 codec path under
-    // real concurrency.
+    // Six drivers share one RemoteTdsPool and one RemoteSsi, so their
+    // single-step frames interleave on the same connections.
     let report = run_mixed(
         &ssi,
         &pool,
@@ -484,39 +481,4 @@ fn admission_backpressure_rejects_with_typed_error() {
     for outcome in report.outcomes.iter().filter_map(|o| o.as_ref().ok()) {
         assert!(!outcome.rows.is_empty(), "admitted query lost its rows");
     }
-}
-
-/// The batch window is an upper bound, not a wait: with every admitted
-/// driver enrolled in the batching pool, a leader flushes as soon as no
-/// other driver can still join its batch. A one-second window would cost
-/// a second per step if leaders waited it out.
-#[test]
-fn batch_window_is_a_cap_not_a_wait() {
-    let dep = deployment();
-    let ssi = Ssi::new();
-    let (pool, _oracle) = dep.provision();
-    let system = dep.system_querier();
-    let obs = Arc::new(Obs::new(b"mixed-work-conserving"));
-    let base = DriverConfig::default();
-    let queries = workload(&dep, 2);
-    let opts = MixedOptions {
-        batch_window_ms: 1_000,
-        ..identity_options()
-    };
-
-    let report = run_mixed(&ssi, &pool, &obs, Some(&system), &base, &opts, &queries);
-
-    for (i, (q, outcome)) in queries.iter().zip(report.outcomes.iter()).enumerate() {
-        let label = format!("query {i} ({})", q.params.kind.name());
-        let mixed = outcome
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{label}: mixed run failed: {e}"));
-        let solo = solo_run(&dep, &base, q).unwrap_or_else(|e| panic!("{label}: solo failed: {e}"));
-        assert_eq!(sorted(mixed.rows.clone()), sorted(solo), "{label}: drift");
-    }
-    assert!(
-        report.wall_ms < 1_000,
-        "leaders waited out the window: {} ms",
-        report.wall_ms
-    );
 }
