@@ -28,9 +28,8 @@
 //!   Sensitive plaintext unrepresentable. The bench *binaries* print their
 //!   reports to stdout by design and are suppressed via `srclint.allow`;
 //! * `no-global-mutex-vec` — no `Mutex<Vec<…>>` inside
-//!   `core/src/runtime/`: a single mutex-guarded output vector is exactly
-//!   the global funnel that serialized the threaded runtime at 100k-TDS
-//!   populations;
+//!   `core/src/runtime/`: a single mutex-guarded output vector funnels
+//!   every concurrent driver or worker through one lock;
 //! * `no-narrowing-cast` — no `as u8`/`as u16`/`as u32` on length-like
 //!   expressions: a wrapped counter produces a decodable-but-wrong wire
 //!   payload (`ProtocolError::CounterOverflow` is the typed alternative);
@@ -281,7 +280,7 @@ mod tests {
     #[test]
     fn debug_macro_flagged_but_comments_spared() {
         let src = "fn f() {\n    dbg!(&working);\n}\n";
-        let f = lint_file("crates/core/src/runtime/threaded.rs", src);
+        let f = lint_file("crates/core/src/runtime/mixed.rs", src);
         assert!(f.iter().any(|x| x.rule == "no-raw-print"));
         let doc = "/// Use println! for nothing here.\nfn f() {}\n";
         assert!(lint_file("crates/core/src/plan.rs", doc).is_empty());
@@ -290,14 +289,14 @@ mod tests {
     #[test]
     fn mutex_vec_flagged_only_in_runtime() {
         let src = "struct S {\n    collected: Mutex<Vec<StoredTuple>>,\n}\n";
-        let f = lint_file("crates/core/src/runtime/threaded.rs", src);
+        let f = lint_file("crates/core/src/runtime/mixed.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-global-mutex-vec");
         // Out of scope: the SSI's striped per-query state is allowed.
         assert!(lint_file("crates/core/src/ssi.rs", src).is_empty());
         // Sharded work queues are the sanctioned alternative.
-        let queue = "struct Q {\n    shards: Vec<Mutex<VecDeque<FWorkItem>>>,\n}\n";
-        assert!(lint_file("crates/core/src/runtime/threaded.rs", queue).is_empty());
+        let queue = "struct Q {\n    shards: Vec<Mutex<VecDeque<WorkItem>>>,\n}\n";
+        assert!(lint_file("crates/core/src/runtime/mixed.rs", queue).is_empty());
     }
 
     #[test]

@@ -114,8 +114,8 @@ fn is_print_scope(path: &str) -> bool {
 }
 
 /// Paths where a shared `Mutex<Vec<…>>` accumulator is forbidden: the
-/// runtime interpreters, whose scalability depends on worker-local output
-/// buffers and sharded queues.
+/// driver and the multi-query runner, whose scalability depends on local
+/// output buffers and sharded structures.
 fn is_runtime_scope(path: &str) -> bool {
     path.contains("core/src/runtime/")
 }
@@ -370,9 +370,9 @@ impl LintRule for NoRawPrint {
 // ---------------------------------------------------------------------------
 
 /// No `Mutex<Vec<…>>` inside `core/src/runtime/`: a single mutex-guarded
-/// output vector is exactly the global funnel that serialized the threaded
-/// runtime at 100k-TDS populations. Keep outputs worker-local (merged at
-/// phase end) or behind sharded structures; per-shard `Mutex<VecDeque<…>>`
+/// output vector funnels every concurrent driver or worker through one lock,
+/// and its contention grows with the population. Keep outputs local (merged
+/// once) or behind sharded structures; per-shard `Mutex<VecDeque<…>>`
 /// queues are fine and deliberately not matched (the pattern requires the
 /// `<` right after `Vec`).
 struct NoGlobalMutexVec;

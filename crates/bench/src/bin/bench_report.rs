@@ -1,79 +1,65 @@
-//! Wall-clock benchmark report for the five protocols on the threaded
-//! runtime.
+//! Wall-clock benchmark report for the five protocols, every row run
+//! through [`ServiceDriver`], the one plan interpreter.
 //!
 //! ```sh
 //! cargo run --release -p tdsql-bench --bin bench_report            # write BENCH_4.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check BENCH_4.json
+//! cargo run --release -p tdsql-bench --bin bench_report -- --net     # write BENCH_6.json
+//! cargo run --release -p tdsql-bench --bin bench_report -- --check-net BENCH_6.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --throughput   # write BENCH_7.json
-//! cargo run --release -p tdsql-bench --bin bench_report -- --throughput --determinism full
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check-throughput BENCH_7.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check-throughput BENCH_7.json --floor
 //! cargo run --release -p tdsql-bench --bin bench_report -- --throughput-smoke
-//! cargo run --release -p tdsql-bench --bin bench_report -- --net     # write BENCH_6.json
-//! cargo run --release -p tdsql-bench --bin bench_report -- --check-net BENCH_6.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --mixed   # write BENCH_8.json
 //! cargo run --release -p tdsql-bench --bin bench_report -- --check-mixed BENCH_8.json
 //! ```
 //!
-//! Sweeps the TDS population for every protocol and writes `BENCH_4.json`
-//! at the repo root with one row per (protocol, n_tds):
+//! ## Sweep mode (default → `BENCH_4.json`, `--net` → `BENCH_6.json`)
+//!
+//! Sweeps the TDS population for every protocol and writes one row per
+//! (protocol, n_tds):
 //!
 //! ```json
-//! {"schema":"tdsql-bench-report/v1","seed":4,"workers":8,"rows":[
+//! {"schema":"tdsql-bench-report/v2","seed":4,"rows":[
 //!   {"protocol":"s_agg","n_tds":80,"wall_ms":12.3,"load_bytes":51234,
 //!    "tuples":160,"faults_absorbed":7}, ...]}
 //! ```
 //!
-//! Every run injects a light, seeded fault plan so `faults_absorbed`
-//! demonstrates the at-least-once machinery under load; the result rows are
-//! still checked against the cleartext oracle before a row is emitted.
-//! `--check <file>` validates an existing report against the schema (used
-//! by CI after regenerating the artifact).
+//! Both artifacts come from one row function ([`bench_one`]) over the same
+//! seed and the same light fault plan; they differ only in the
+//! `SsiService`/`TdsPool` pair the driver runs over. `BENCH_4` uses the
+//! in-process `Ssi` and `LocalTdsPool`; `BENCH_6` uses fresh
+//! `serve_ssi`/`serve_pool` loops on ephemeral loopback ports, reached
+//! through `RemoteSsi`/`RemoteTdsPool`. `wall_ms` covers the whole query,
+//! discovery included. `load_bytes` is the run's Load_Q in `BENCH_4` and
+//! the frame bytes on the wire (headers included, both connections) in
+//! `BENCH_6`. Every row's result is checked against the cleartext oracle
+//! before it is emitted. `--check <file>` and `--check-net <file>`
+//! validate an existing report against the schema.
 //!
 //! ## Throughput mode (`--throughput` → `BENCH_7.json`)
 //!
-//! Scales the population to {1k, 10k, 100k, 1M} TDSs on the *healthy* path
-//! (no fault plan — this measures the sharded hot path, not the retry
-//! machinery). All five protocols run at 1k and 10k; at 100k and 1M the
-//! sweep keeps the two aggregation workhorses, S_Agg and ED_Hist. Each
-//! row reports the *minimum* wall-clock over `runs` measured repetitions
-//! (the first run of a freshly built world is dominated by first-touch
-//! page faults, not steady-state crypto/arena cost), the per-phase
-//! `threaded.<phase>.wall_us` histogram (count/sum/max), the hot-path
-//! counters `aes_blocks_batched` / `arena_bytes` proving the batched
-//! keystream and arena collection paths actually carried the run, and two
-//! regression tripwires:
-//!
-//! * `key_schedules_delta` — AES key schedules expanded *during the run*
-//!   must be O(key rings), never O(tuples): the per-ring `CipherContext`
-//!   cache is what makes million-TDS collections affordable;
-//! * `determinism` — how byte-determinism was verified for this row:
-//!   `full` (8-worker sealed result blobs byte-identical to a 1-worker
-//!   reference over the whole population; default at ≤10k), `sampled`
-//!   (same comparison over a seeded contiguous 10k-TDS window of the
-//!   population; default above 10k), or `off` (skipped; such rows are
-//!   rejected by `--check-throughput`). Override the default with
-//!   `--determinism full|sampled|off`.
+//! Scales the in-process population to {1k, 10k, 100k, 1M} TDSs on the
+//! *healthy* path (no fault plan). All five protocols run at 1k and 10k;
+//! at 100k and 1M the sweep keeps the two aggregation workhorses, S_Agg
+//! and ED_Hist. Discovery runs once per row, outside the timed runs. Each
+//! row reports the *minimum* wall-clock over `runs` measured repetitions,
+//! each on a fresh `Ssi` (the first run of a freshly built world is
+//! dominated by first-touch page faults, not steady-state cost), and the
+//! hot-path counters `aes_blocks_batched` / `arena_bytes` proving the
+//! batched keystream and arena collection paths carried the run. One
+//! tripwire is armed on every run: `key_schedules_delta`, the AES key
+//! schedules expanded *during the run*, must be O(key rings), never
+//! O(tuples). The per-ring `CipherContext` cache is what makes
+//! million-TDS collections affordable.
 //!
 //! Queries are single-table on purpose: the nested-loop join would add an
-//! O(N²) term that swamps the runtime costs this report tracks.
+//! O(N²) term that swamps the costs this report tracks.
 //! `--throughput-smoke` runs one small row (S_Agg @ 1k) with every check
-//! enabled and writes nothing — the CI-sized canary.
+//! enabled and writes nothing: the CI-sized canary.
 //! `--check-throughput BENCH_7.json` validates the committed artifact's
 //! schema; adding `--floor` also reruns S_Agg @ 10k live and fails if it
 //! regresses more than 30% below the committed row's tuples/second.
-//!
-//! ## Loopback network mode (`--net` → `BENCH_6.json`)
-//!
-//! Same row schema as `BENCH_4`, but every (protocol, n_tds) point runs
-//! through the `tdsql-net` framed TCP backend: fresh `serve_ssi` /
-//! `serve_pool` loops on ephemeral loopback ports, `RemoteSsi` /
-//! `RemoteTdsPool` clients, and the same light fault plan absorbed by the
-//! retry machinery over the real transport. `load_bytes` counts frame
-//! bytes on the wire (headers included, both connections) instead of
-//! simulated upload volume, so the column doubles as a wire-overhead
-//! measurement. Rows are oracle-checked before emission, exactly like the
-//! in-process report.
 //!
 //! ## Mixed mode (`--mixed` → `BENCH_8.json`)
 //!
@@ -87,26 +73,26 @@
 //! `--check-mixed BENCH_8.json` validates the committed artifact.
 
 use std::fmt::Write as _;
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::Instant;
 
-use tdsql_core::access::AccessPolicy;
-use tdsql_core::connectivity::FaultPlan;
-use tdsql_core::plan::PhasePlan;
-use tdsql_core::protocol::ProtocolKind;
-use tdsql_core::runtime::threaded::{
-    prepare_params_threaded, prepare_params_threaded_faulty, run_plan_threaded,
-    run_threaded_faulty, FaultConfig,
-};
-use tdsql_core::runtime::SimBuilder;
-use tdsql_core::tds::SYSTEM_ROLE;
-use tdsql_core::workload::{smart_meters, SmartMeterConfig};
-use tdsql_crypto::credential::Role;
+use tdsql_core::connectivity::{Connectivity, FaultPlan};
+use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
+use tdsql_core::ssi::Ssi;
+use tdsql_core::stats::{Phase, RunStats};
+use tdsql_core::workload::SmartMeterConfig;
+use tdsql_core::{DriverConfig, ServiceDriver, SsiService, TdsPool};
+use tdsql_net::deploy::Deployment;
+use tdsql_net::{serve_pool, serve_ssi, RemoteSsi, RemoteTdsPool};
+use tdsql_obs::Obs;
 use tdsql_sql::engine::execute;
 use tdsql_sql::parser::parse_query;
 use tdsql_sql::value::Value;
 
-/// Schema identifier; bump on any change to the row layout.
-const SCHEMA: &str = "tdsql-bench-report/v1";
+/// Schema identifier of the sweep reports; bump on any change to the row
+/// layout.
+const SCHEMA: &str = "tdsql-bench-report/v2";
 /// Keys every row must carry, in emission order.
 const ROW_KEYS: [&str; 6] = [
     "protocol",
@@ -116,17 +102,20 @@ const ROW_KEYS: [&str; 6] = [
     "tuples",
     "faults_absorbed",
 ];
+/// Seed of both sweeps: the driver's RNG, the fault plan and the trace key.
 const SEED: u64 = 4;
-const WORKERS: usize = 8;
 const N_SWEEP: [usize; 3] = [40, 80, 120];
 
-struct Row {
-    protocol: &'static str,
-    n_tds: usize,
-    wall_ms: f64,
-    load_bytes: u64,
-    tuples: u64,
-    faults_absorbed: u64,
+/// Sweep-mode query per protocol. Basic has no aggregation phase: it
+/// benches the select-and-filter dataflow the paper uses it for.
+fn report_sql(kind: ProtocolKind) -> &'static str {
+    match kind {
+        ProtocolKind::Basic => "SELECT c.cid FROM consumer c WHERE c.accomodation = 'flat'",
+        _ => {
+            "SELECT c.district, COUNT(*), AVG(p.cons) FROM power p, consumer c \
+             WHERE c.cid = p.cid GROUP BY c.district"
+        }
+    }
 }
 
 fn protocols() -> Vec<(&'static str, ProtocolKind)> {
@@ -139,104 +128,160 @@ fn protocols() -> Vec<(&'static str, ProtocolKind)> {
     ]
 }
 
-fn fault_config() -> FaultConfig {
-    FaultConfig {
-        faults: FaultPlan::seeded(SEED)
-            .with_loss(0.05)
-            .with_duplication(0.05)
-            .with_late(0.03)
-            .with_corruption(0.03),
-        retry_budget: 64,
-        degrade: false,
-    }
-}
-
-fn bench_one(name: &'static str, kind: ProtocolKind, n_tds: usize) -> Row {
-    let (dbs, oracle) = smart_meters(&SmartMeterConfig {
-        n_tds,
-        districts: 4,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    let world = SimBuilder::new()
-        .seed(SEED)
-        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
-    let querier = world.make_querier("energy-co", "supplier");
-    let system = world.make_querier("system", SYSTEM_ROLE);
-    let sql = match kind {
-        // Basic has no aggregation phase: it benches the select-and-filter
-        // dataflow the paper uses it for.
-        ProtocolKind::Basic => "SELECT c.cid FROM consumer c WHERE c.accomodation = 'flat'",
-        _ => {
-            "SELECT c.district, COUNT(*), AVG(p.cons) FROM power p, consumer c \
-             WHERE c.cid = p.cid GROUP BY c.district"
-        }
-    };
-    let query = parse_query(sql).expect("bench query parses");
-    let expected = execute(&oracle, &query).expect("oracle").rows;
-    let cfg = fault_config();
-
-    // Discovery (where the protocol needs it) runs under the same fault
-    // plan; its absorbed faults count toward the row.
-    let (params, dreport) =
-        prepare_params_threaded_faulty(&world.tdss, &system, &query, kind, WORKERS, &cfg)
-            .expect("discovery");
-
-    let start = Instant::now();
-    let (mut rows, report) =
-        run_threaded_faulty(&world.tdss, &querier, &query, &params, WORKERS, &cfg)
-            .expect("protocol run");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // The report is only worth publishing if the faulty run still computed
-    // the right answer. Floats compare with tolerance: the parallel reduce
-    // merges partial aggregates in worker order, which perturbs the last
-    // ulp of AVG relative to the sequential oracle.
-    let mut want = expected.clone();
+/// A report is only worth publishing if the run computed the right answer.
+/// Floats compare with tolerance: the reduce merges partial aggregates in
+/// partition order, which perturbs the last ulp of AVG relative to the
+/// sequential oracle.
+fn assert_matches_oracle(mut rows: Vec<Vec<Value>>, mut want: Vec<Vec<Value>>, label: &str) {
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    assert_eq!(rows.len(), want.len(), "{name}/{n_tds}: row count");
+    assert_eq!(rows.len(), want.len(), "{label}: row count");
     for (got, exp) in rows.iter().zip(want.iter()) {
-        assert_eq!(got.len(), exp.len(), "{name}/{n_tds}: arity");
+        assert_eq!(got.len(), exp.len(), "{label}: arity");
         for (g, e) in got.iter().zip(exp.iter()) {
             match (g, e) {
                 (Value::Float(x), Value::Float(y)) => {
                     let scale = y.abs().max(1.0);
-                    assert!((x - y).abs() / scale < 1e-9, "{name}/{n_tds}: {x} vs {y}");
+                    assert!((x - y).abs() / scale < 1e-9, "{label}: {x} vs {y}");
                 }
-                _ => assert_eq!(g, e, "{name}/{n_tds}: faulty run diverged from oracle"),
+                _ => assert_eq!(g, e, "{label}: run diverged from oracle"),
             }
         }
     }
+}
 
-    if std::env::var("TDSQL_METRICS").is_ok_and(|v| !v.is_empty()) {
-        eprintln!("--- {name}/{n_tds} metrics ---");
-        eprintln!("{}", report.metrics.render());
+/// A smart-meter deployment of `n_tds` TDSs over `districts` districts.
+fn deployment(n_tds: usize, districts: usize) -> Deployment {
+    Deployment {
+        meters: SmartMeterConfig {
+            n_tds,
+            districts,
+            readings_per_tds: 1,
+            ..Default::default()
+        },
+        ..Deployment::default()
     }
+}
 
-    let load_bytes = report
-        .metrics
-        .counters()
-        .filter(|(k, _)| k.ends_with(".bytes"))
-        .map(|(_, v)| v)
-        .sum();
-    let tuples = report.metrics.counter("threaded.collection.tuples");
+/// The root-level artifact path, resolved from the crate's manifest
+/// directory so it lands in the same place regardless of the invocation cwd.
+fn artifact(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name)
+}
+
+/// Read `path`, validate it with `check`, and exit non-zero on a violation.
+fn check_file(path: &str, check: fn(&str) -> Result<(), String>) -> String {
+    let content =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    match check(&content) {
+        Ok(()) => println!("{path}: schema ok"),
+        Err(why) => {
+            eprintln!("{path}: schema violation: {why}");
+            std::process::exit(1);
+        }
+    }
+    content
+}
+
+// --- sweep mode (BENCH_4.json, BENCH_6.json) ------------------------------
+
+/// Which `SsiService`/`TdsPool` pair a sweep row runs over.
+#[derive(Clone, Copy)]
+enum Backend {
+    /// `Ssi` + `LocalTdsPool` in this process.
+    InProcess,
+    /// `serve_ssi`/`serve_pool` on loopback ports, through the TCP clients.
+    Loopback,
+}
+
+impl Backend {
+    fn artifact(self) -> &'static str {
+        match self {
+            Self::InProcess => "BENCH_4.json",
+            Self::Loopback => "BENCH_6.json",
+        }
+    }
+}
+
+struct Row {
+    protocol: &'static str,
+    n_tds: usize,
+    wall_ms: f64,
+    load_bytes: u64,
+    tuples: u64,
+    faults_absorbed: u64,
+}
+
+/// One sweep row: the query through a fresh driver over `backend`, under a
+/// light seeded fault plan that the at-least-once machinery must absorb.
+fn bench_one(backend: Backend, name: &'static str, kind: ProtocolKind, n_tds: usize) -> Row {
+    let dep = deployment(n_tds, 4);
+    let (local_pool, oracle) = dep.provision();
+    let query = parse_query(report_sql(kind)).expect("bench query parses");
+    let expected = execute(&oracle, &query).expect("oracle").rows;
+    let querier = dep.make_querier("energy-co", "supplier");
+    let system = dep.system_querier();
+    let obs = Arc::new(Obs::new(&SEED.to_be_bytes()));
+    let faults = FaultPlan::seeded(SEED)
+        .with_loss(0.05)
+        .with_duplication(0.05)
+        .with_late(0.03)
+        .with_corruption(0.03);
+    let config = DriverConfig {
+        connectivity: Connectivity::always_on().with_faults(faults),
+        seed: SEED,
+        retry_budget: 64,
+        ..DriverConfig::default()
+    };
+    let run = |ssi: &dyn SsiService, pool: &dyn TdsPool| {
+        let mut driver =
+            ServiceDriver::new(ssi, pool, Arc::clone(&obs), config.clone()).expect("driver");
+        let start = Instant::now();
+        let rows = driver
+            .run_query(&querier, Some(&system), &query, ProtocolParams::new(kind))
+            .expect("protocol run");
+        (start.elapsed().as_secs_f64() * 1e3, rows, driver.stats)
+    };
+
+    let (wall_ms, rows, stats, load_bytes) = match backend {
+        Backend::InProcess => {
+            let (wall_ms, rows, stats) = run(&Ssi::new(), &local_pool);
+            let load_bytes = stats.load_bytes();
+            (wall_ms, rows, stats, load_bytes)
+        }
+        Backend::Loopback => {
+            let ssi_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let ssi_addr = ssi_listener.local_addr().expect("ssi addr");
+            let server_obs = Arc::clone(&obs);
+            std::thread::spawn(move || serve_ssi(ssi_listener, Arc::new(Ssi::new()), server_obs));
+            let pool_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let pool_addr = pool_listener.local_addr().expect("pool addr");
+            let server_obs = Arc::clone(&obs);
+            std::thread::spawn(move || serve_pool(pool_listener, Arc::new(local_pool), server_obs));
+            let ssi = RemoteSsi::connect(ssi_addr.to_string(), Arc::clone(&obs));
+            let pool = RemoteTdsPool::connect(pool_addr.to_string(), Arc::clone(&obs))
+                .expect("pool roster");
+            let (wall_ms, rows, stats) = run(&ssi, &pool);
+            let wire = ssi.stats().bytes_total() + pool.stats().bytes_total();
+            (wall_ms, rows, stats, wire)
+        }
+    };
+    assert_matches_oracle(rows, expected, &format!("{name}/{n_tds}"));
     Row {
         protocol: name,
         n_tds,
         wall_ms,
         load_bytes,
-        tuples,
-        faults_absorbed: report.faults.total() + dreport.faults.total(),
+        tuples: stats.phase(Phase::Collection).ssi_tuples_stored,
+        faults_absorbed: stats.faults.total(),
     }
 }
 
-fn render_report(rows: &[Row], seed: u64) -> String {
+fn render_report(rows: &[Row]) -> String {
     let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{SCHEMA}\",\"seed\":{seed},\"workers\":{WORKERS},\"rows\":["
-    );
+    let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",\"seed\":{SEED},\"rows\":[");
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -254,7 +299,7 @@ fn render_report(rows: &[Row], seed: u64) -> String {
 /// Structural schema validation without a JSON parser: the header must
 /// match, every row object must carry every key, and the row count must be
 /// exactly protocols × sweep points.
-fn check(content: &str) -> std::result::Result<(), String> {
+fn check(content: &str) -> Result<(), String> {
     let header = format!("{{\"schema\":\"{SCHEMA}\"");
     if !content.starts_with(&header) {
         return Err(format!("missing or wrong schema header (want {SCHEMA})"));
@@ -283,123 +328,15 @@ fn check(content: &str) -> std::result::Result<(), String> {
     Ok(())
 }
 
-// --- loopback network mode (BENCH_6.json) --------------------------------
-
-/// Seed for the network sweep (also the obs trace key material).
-const NET_SEED: u64 = 6;
-/// Population sweep for the loopback rows: small enough that the
-/// per-request round trips dominate, which is what this report measures.
-const NET_SWEEP: [usize; 3] = [40, 80, 120];
-
-/// One loopback row: spawn fresh `serve_ssi`/`serve_pool` loops on
-/// ephemeral loopback ports, drive the query through the remote service
-/// driver, and report wall clock plus frame-level byte accounting from the
-/// client connections. Same row schema as [`check`] (BENCH_4), so the same
-/// validator covers both artifacts; `load_bytes` here means bytes on the
-/// wire rather than simulated upload volume.
-fn net_one(name: &'static str, kind: ProtocolKind, n_tds: usize) -> Row {
-    use std::net::TcpListener;
-    use std::sync::Arc;
-    use std::thread;
-    use tdsql_core::connectivity::Connectivity;
-    use tdsql_core::protocol::ProtocolParams;
-    use tdsql_core::ssi::Ssi;
-    use tdsql_core::stats::Phase;
-    use tdsql_core::{DriverConfig, ServiceDriver};
-    use tdsql_net::deploy::Deployment;
-    use tdsql_net::{serve_pool, serve_ssi, RemoteSsi, RemoteTdsPool};
-    use tdsql_obs::Obs;
-
-    let dep = Deployment {
-        meters: SmartMeterConfig {
-            n_tds,
-            districts: 4,
-            readings_per_tds: 1,
-            ..Default::default()
-        },
-        ..Deployment::default()
-    };
-    let (server_pool, oracle) = dep.provision();
-
-    let ssi_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let ssi_addr = ssi_listener.local_addr().expect("ssi addr");
-    let server_obs = Arc::new(Obs::new(&NET_SEED.to_be_bytes()));
-    thread::spawn(move || serve_ssi(ssi_listener, Arc::new(Ssi::new()), server_obs));
-    let pool_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let pool_addr = pool_listener.local_addr().expect("pool addr");
-    let server_obs = Arc::new(Obs::new(&NET_SEED.to_be_bytes()));
-    thread::spawn(move || serve_pool(pool_listener, Arc::new(server_pool), server_obs));
-
-    let obs = Arc::new(Obs::new(&NET_SEED.to_be_bytes()));
-    let ssi = RemoteSsi::connect(ssi_addr.to_string(), Arc::clone(&obs));
-    let pool =
-        RemoteTdsPool::connect(pool_addr.to_string(), Arc::clone(&obs)).expect("pool roster");
-
-    // Same light fault plan as the BENCH_4 rows: the at-least-once
-    // machinery must absorb faults over the real transport too.
-    let config = DriverConfig {
-        connectivity: Connectivity::always_on().with_faults(fault_config().faults),
-        seed: NET_SEED,
-        retry_budget: 64,
-        ..DriverConfig::default()
-    };
-    let mut driver = ServiceDriver::new(&ssi, &pool, obs, config).expect("driver");
-
-    let querier = dep.make_querier("energy-co", "supplier");
-    let system = dep.system_querier();
-    let sql = match kind {
-        ProtocolKind::Basic => "SELECT c.cid FROM consumer c WHERE c.accomodation = 'flat'",
-        _ => {
-            "SELECT c.district, COUNT(*), AVG(p.cons) FROM power p, consumer c \
-             WHERE c.cid = p.cid GROUP BY c.district"
-        }
-    };
-    let query = parse_query(sql).expect("bench query parses");
-    let expected = execute(&oracle, &query).expect("oracle").rows;
-
-    let start = Instant::now();
-    let mut rows = driver
-        .run_query(&querier, Some(&system), &query, ProtocolParams::new(kind))
-        .expect("loopback run");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Oracle check before the row is emitted (float tolerance as in
-    // bench_one: merge order perturbs the last ulp of AVG).
-    let mut want = expected;
-    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    assert_eq!(rows.len(), want.len(), "{name}/{n_tds}: row count");
-    for (got, exp) in rows.iter().zip(want.iter()) {
-        for (g, e) in got.iter().zip(exp.iter()) {
-            match (g, e) {
-                (Value::Float(x), Value::Float(y)) => {
-                    let scale = y.abs().max(1.0);
-                    assert!((x - y).abs() / scale < 1e-9, "{name}/{n_tds}: {x} vs {y}");
-                }
-                _ => assert_eq!(g, e, "{name}/{n_tds}: loopback run diverged from oracle"),
-            }
-        }
-    }
-
-    Row {
-        protocol: name,
-        n_tds,
-        wall_ms,
-        load_bytes: ssi.stats().bytes_total() + pool.stats().bytes_total(),
-        tuples: driver.stats.phase(Phase::Collection).total_tuples(),
-        faults_absorbed: driver.stats.faults.total(),
-    }
-}
-
-fn run_net() {
+fn run_sweep(backend: Backend) {
     let mut rows = Vec::new();
     println!(
         "{:<10} {:>6} {:>10} {:>11} {:>7} {:>16}",
         "protocol", "n_tds", "wall_ms", "load_bytes", "tuples", "faults_absorbed"
     );
-    for n_tds in NET_SWEEP {
+    for n_tds in N_SWEEP {
         for (name, kind) in protocols() {
-            let row = net_one(name, kind, n_tds);
+            let row = bench_one(backend, name, kind, n_tds);
             println!(
                 "{:<10} {:>6} {:>10.3} {:>11} {:>7} {:>16}",
                 row.protocol,
@@ -412,12 +349,10 @@ fn run_net() {
             rows.push(row);
         }
     }
-    let report = render_report(&rows, NET_SEED);
+    let report = render_report(&rows);
     check(&report).expect("freshly rendered report must satisfy its own schema");
-    let dest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_6.json");
-    std::fs::write(&dest, &report).expect("write BENCH_6.json");
+    let dest = artifact(backend.artifact());
+    std::fs::write(&dest, &report).unwrap_or_else(|e| panic!("write {}: {e}", dest.display()));
     println!("\nwrote {}", dest.display());
 }
 
@@ -487,22 +422,9 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// `run_mixed` over a fresh shared deployment. Every query's rows are
 /// checked against the cleartext oracle before the row is emitted.
 fn mixed_one(n_queries: usize) -> MixedRow {
-    use std::sync::Arc;
-    use tdsql_core::protocol::ProtocolParams;
-    use tdsql_core::ssi::Ssi;
-    use tdsql_core::{run_mixed, DriverConfig, MixedOptions, MixedQuery};
-    use tdsql_net::deploy::Deployment;
-    use tdsql_obs::Obs;
+    use tdsql_core::{run_mixed, MixedOptions, MixedQuery};
 
-    let dep = Deployment {
-        meters: SmartMeterConfig {
-            n_tds: 60,
-            districts: 4,
-            readings_per_tds: 1,
-            ..Default::default()
-        },
-        ..Deployment::default()
-    };
+    let dep = deployment(60, 4);
     let (pool, oracle) = dep.provision();
     let ssi = Ssi::new();
     let obs = Arc::new(Obs::new(&MIXED_SEED.to_be_bytes()));
@@ -516,14 +438,7 @@ fn mixed_one(n_queries: usize) -> MixedRow {
         // aggregation row (Basic's selective filter can legitimately
         // return zero tuples at this population).
         let (_, kind) = kinds[(i + 1) % kinds.len()];
-        let sql = match kind {
-            ProtocolKind::Basic => "SELECT c.cid FROM consumer c WHERE c.accomodation = 'flat'",
-            _ => {
-                "SELECT c.district, COUNT(*), AVG(p.cons) FROM power p, consumer c \
-                 WHERE c.cid = p.cid GROUP BY c.district"
-            }
-        };
-        let query = parse_query(sql).expect("bench query parses");
+        let query = parse_query(report_sql(kind)).expect("bench query parses");
         expected.push(execute(&oracle, &query).expect("oracle").rows);
         queries.push(MixedQuery {
             querier: dep.make_querier(&format!("energy-co-{}", i % MIXED_QUERIERS), "supplier"),
@@ -548,33 +463,12 @@ fn mixed_one(n_queries: usize) -> MixedRow {
 
     let mut latencies = Vec::with_capacity(n_queries);
     let mut tuples = 0u64;
-    for (i, outcome) in report.outcomes.iter().enumerate() {
+    for (i, (outcome, want)) in report.outcomes.iter().zip(expected).enumerate() {
+        let label = format!("mixed/{n_queries} query {i}");
         let outcome = outcome
             .as_ref()
-            .unwrap_or_else(|e| panic!("mixed/{n_queries} query {i} failed: {e}"));
-        let mut rows = outcome.rows.clone();
-        let mut want = expected[i].clone();
-        rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        assert_eq!(
-            rows.len(),
-            want.len(),
-            "mixed/{n_queries} query {i}: row count"
-        );
-        for (got, exp) in rows.iter().zip(want.iter()) {
-            for (g, e) in got.iter().zip(exp.iter()) {
-                match (g, e) {
-                    (Value::Float(x), Value::Float(y)) => {
-                        let scale = y.abs().max(1.0);
-                        assert!(
-                            (x - y).abs() / scale < 1e-9,
-                            "mixed/{n_queries} query {i}: {x} vs {y}"
-                        );
-                    }
-                    _ => assert_eq!(g, e, "mixed/{n_queries} query {i}: diverged from oracle"),
-                }
-            }
-        }
+            .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+        assert_matches_oracle(outcome.rows.clone(), want, &label);
         latencies.push(outcome.latency_ms);
         tuples += outcome.tuples;
     }
@@ -624,7 +518,7 @@ fn render_mixed(rows: &[MixedRow]) -> String {
 
 /// Structural validation of a mixed report, same no-parser idiom as
 /// [`check`]: header, one row per sweep point, every key on every row.
-fn check_mixed(content: &str) -> std::result::Result<(), String> {
+fn check_mixed(content: &str) -> Result<(), String> {
     let header = format!("{{\"schema\":\"{MIXED_SCHEMA}\"");
     if !content.starts_with(&header) {
         return Err(format!(
@@ -689,9 +583,7 @@ fn run_mixed_report() {
     }
     let report = render_mixed(&rows);
     check_mixed(&report).expect("freshly rendered report must satisfy its own schema");
-    let dest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_8.json");
+    let dest = artifact("BENCH_8.json");
     std::fs::write(&dest, &report).expect("write BENCH_8.json");
     println!("\nwrote {}", dest.display());
 }
@@ -700,14 +592,12 @@ fn run_mixed_report() {
 
 /// Schema identifier of the current throughput report; bump on row-layout
 /// changes.
-const THROUGHPUT_SCHEMA: &str = "tdsql-bench-throughput/v2";
+const THROUGHPUT_SCHEMA: &str = "tdsql-bench-throughput/v3";
 const THROUGHPUT_SEED: u64 = 5;
-const THROUGHPUT_WORKERS: usize = 8;
 const THROUGHPUT_SWEEP: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
-/// Above this population the default determinism mode drops from `full`
-/// (1-worker reference over the whole population) to `sampled`, and the
-/// protocol sweep trims to the aggregation workhorses.
-const DETERMINISM_CAP: usize = 10_000;
+/// Above this population the protocol sweep trims to the aggregation
+/// workhorses.
+const FULL_SWEEP_CAP: usize = 10_000;
 /// Wall-clock is the minimum over this many measured runs per row. The
 /// first run at large populations is dominated by first-touch page faults
 /// on freshly built worlds; the minimum reports steady-state throughput.
@@ -719,7 +609,7 @@ const MAX_RUN_KEY_SCHEDULES: u64 = 64;
 /// this much slower than the committed row before the check fails.
 const FLOOR_REGRESSION: f64 = 0.30;
 /// Keys every throughput row must carry, in emission order.
-const THROUGHPUT_ROW_KEYS: [&str; 11] = [
+const THROUGHPUT_ROW_KEYS: [&str; 10] = [
     "protocol",
     "n_tds",
     "wall_ms",
@@ -727,61 +617,10 @@ const THROUGHPUT_ROW_KEYS: [&str; 11] = [
     "tuples",
     "tuples_per_sec",
     "results",
-    "determinism",
     "key_schedules_delta",
     "aes_blocks_batched",
     "arena_bytes",
 ];
-/// How a throughput row's byte-determinism was verified.
-///
-/// `full` reruns the whole population with 1 worker and asserts the result
-/// blobs equal the sharded run's, byte for byte. `sampled` does the same
-/// 8-worker-vs-1-worker byte comparison over a seeded contiguous window of
-/// [`DETERMINISM_CAP`] TDSs — full fidelity on a sub-population, ~1% of the
-/// cost at 1M (whole-population identity at small N plus per-item RNG
-/// seeding make scheduler-dependence at large N a window-visible bug).
-/// `off` skips the check; [`check_throughput`] rejects rows recorded `off`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum DeterminismMode {
-    Full,
-    Sampled,
-    Off,
-}
-
-impl DeterminismMode {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "full" => Some(Self::Full),
-            "sampled" => Some(Self::Sampled),
-            "off" => Some(Self::Off),
-            _ => None,
-        }
-    }
-
-    fn default_for(n_tds: usize) -> Self {
-        if n_tds <= DETERMINISM_CAP {
-            Self::Full
-        } else {
-            Self::Sampled
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Sampled => "sampled",
-            Self::Off => "off",
-        }
-    }
-}
-
-/// Per-phase wall-clock digest lifted from `threaded.<phase>.wall_us`.
-struct PhaseWall {
-    phase: &'static str,
-    count: u64,
-    sum_us: u64,
-    max_us: u64,
-}
 
 struct ThroughputRow {
     protocol: &'static str,
@@ -791,18 +630,16 @@ struct ThroughputRow {
     tuples: u64,
     tuples_per_sec: f64,
     results: u64,
-    determinism: DeterminismMode,
     key_schedules_delta: u64,
     aes_blocks_batched: u64,
     arena_bytes: u64,
-    phases: Vec<PhaseWall>,
 }
 
 /// Above 10k only the aggregation workhorses run: a full five-protocol
 /// sweep at that scale buys no extra signal for several more minutes of CI
 /// time.
 fn throughput_protocols(n_tds: usize) -> Vec<(&'static str, ProtocolKind)> {
-    if n_tds > DETERMINISM_CAP {
+    if n_tds > FULL_SWEEP_CAP {
         vec![
             ("s_agg", ProtocolKind::SAgg),
             ("ed_hist", ProtocolKind::EdHist { buckets: 4 }),
@@ -812,23 +649,11 @@ fn throughput_protocols(n_tds: usize) -> Vec<(&'static str, ProtocolKind)> {
     }
 }
 
-fn throughput_one(
-    name: &'static str,
-    kind: ProtocolKind,
-    n_tds: usize,
-    determinism: DeterminismMode,
-) -> ThroughputRow {
-    let (dbs, oracle) = smart_meters(&SmartMeterConfig {
-        n_tds,
-        districts: 8,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    let world = SimBuilder::new()
-        .seed(THROUGHPUT_SEED)
-        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
-    let querier = world.make_querier("energy-co", "supplier");
-    let system = world.make_querier("system", SYSTEM_ROLE);
+fn throughput_one(name: &'static str, kind: ProtocolKind, n_tds: usize) -> ThroughputRow {
+    let dep = deployment(n_tds, 8);
+    let (pool, oracle) = dep.provision();
+    let querier = dep.make_querier("energy-co", "supplier");
+    let system = dep.system_querier();
     // Single-table queries: the join's O(N²) nested loop is not what this
     // report measures.
     let sql = match kind {
@@ -837,76 +662,44 @@ fn throughput_one(
     };
     let query = parse_query(sql).expect("throughput query parses");
     let expected = execute(&oracle, &query).expect("oracle").rows;
-
-    let params = prepare_params_threaded(&world.tdss, &system, &query, kind, THROUGHPUT_WORKERS)
-        .expect("discovery");
-
-    // Determinism tripwire: the sharded sealed blobs must be byte-identical
-    // to a 1-worker reference of the same seed. `full` compares over the
-    // whole population; `sampled` over a seeded contiguous window of
-    // DETERMINISM_CAP TDSs (the per-item RNG makes any scheduler-dependence
-    // a window-visible bug, and small-N rows in the same sweep already pin
-    // whole-population identity).
-    let det_slice: Option<&[_]> = match determinism {
-        DeterminismMode::Full => Some(&world.tdss[..]),
-        DeterminismMode::Sampled => {
-            let len = DETERMINISM_CAP.min(n_tds);
-            // Seeded window offset: splitmix64 of (seed, n_tds) — fixed per
-            // sweep point, independent of wall clock.
-            let mut x = THROUGHPUT_SEED
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(n_tds as u64);
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^= x >> 31;
-            let off = (x % (n_tds - len + 1) as u64) as usize;
-            Some(&world.tdss[off..off + len])
-        }
-        DeterminismMode::Off => None,
+    let obs = Arc::new(Obs::new(&THROUGHPUT_SEED.to_be_bytes()));
+    let config = DriverConfig {
+        seed: THROUGHPUT_SEED,
+        ..DriverConfig::default()
     };
-    if let Some(tdss) = det_slice {
-        let plan = PhasePlan::compile(&query, &params);
-        let sharded = run_plan_threaded(tdss, &querier, &query, &params, &plan, THROUGHPUT_WORKERS)
-            .expect("sharded run");
-        let reference =
-            run_plan_threaded(tdss, &querier, &query, &params, &plan, 1).expect("reference run");
-        assert_eq!(
-            sharded,
-            reference,
-            "{name}/{n_tds}: sharded blobs differ from the 1-worker reference \
-             ({} determinism over {} TDSs)",
-            determinism.as_str(),
-            tdss.len(),
-        );
-    }
 
-    // Best-of-N measured runs, each with the key-schedule tripwire armed
-    // and its result rows oracle-checked. Hot-path counters come from the
-    // first repetition; the runs are deterministic, so every repetition
-    // batches the same blocks and seals the same bytes.
-    let mut best = None;
+    // Discovery once, on an SSI of its own, outside the timed runs.
+    let discovery_ssi = Ssi::new();
+    let params = ServiceDriver::new(&discovery_ssi, &pool, Arc::clone(&obs), config.clone())
+        .and_then(|mut d| d.prepare_params(Some(&system), &query, kind))
+        .expect("discovery");
+    drop(discovery_ssi);
+
+    // Best-of-N measured runs, each on a fresh SSI with the key-schedule
+    // tripwire armed and its result rows oracle-checked. Hot-path counters
+    // come from the first repetition; the runs are deterministic, so every
+    // repetition batches the same blocks and seals the same bytes.
+    let label = format!("{name}/{n_tds}");
+    let mut best: Option<(std::time::Duration, RunStats)> = None;
     let mut aes_blocks_batched = 0;
     let mut arena_bytes = 0;
     let mut key_schedules = 0;
     for rep in 0..THROUGHPUT_RUNS {
+        let ssi = Ssi::new();
+        let mut driver =
+            ServiceDriver::new(&ssi, &pool, Arc::clone(&obs), config.clone()).expect("driver");
         let blocks_before = tdsql_crypto::aes::aes_blocks_batched();
         let arena_before = tdsql_core::arena::arena_bytes_sealed();
         let schedules_before = tdsql_crypto::key_schedules_built();
         let start = Instant::now();
-        let (mut rows, report) = run_threaded_faulty(
-            &world.tdss,
-            &querier,
-            &query,
-            &params,
-            THROUGHPUT_WORKERS,
-            &FaultConfig::default(),
-        )
-        .expect("throughput run");
+        let rows = driver
+            .run_query(&querier, None, &query, params.clone())
+            .expect("throughput run");
         let wall = start.elapsed();
         let key_schedules_delta = tdsql_crypto::key_schedules_built() - schedules_before;
         assert!(
             key_schedules_delta <= MAX_RUN_KEY_SCHEDULES,
-            "{name}/{n_tds}: {key_schedules_delta} AES key schedules expanded during \
+            "{label}: {key_schedules_delta} AES key schedules expanded during \
              one run — the per-ring CipherContext cache has regressed to per-call"
         );
         if rep == 0 {
@@ -914,44 +707,13 @@ fn throughput_one(
             arena_bytes = tdsql_core::arena::arena_bytes_sealed() - arena_before;
             key_schedules = key_schedules_delta;
         }
-
-        // Oracle check (same float tolerance rationale as bench_one).
-        let mut want = expected.clone();
-        rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        want.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        assert_eq!(rows.len(), want.len(), "{name}/{n_tds}: row count");
-        for (got, exp) in rows.iter().zip(want.iter()) {
-            for (g, e) in got.iter().zip(exp.iter()) {
-                match (g, e) {
-                    (Value::Float(x), Value::Float(y)) => {
-                        let scale = y.abs().max(1.0);
-                        assert!((x - y).abs() / scale < 1e-9, "{name}/{n_tds}: {x} vs {y}");
-                    }
-                    _ => assert_eq!(g, e, "{name}/{n_tds}: run diverged from oracle"),
-                }
-            }
-        }
+        assert_matches_oracle(rows, expected.clone(), &label);
         if best.as_ref().map_or(true, |(w, _)| wall < *w) {
-            best = Some((wall, report));
+            best = Some((wall, driver.stats));
         }
     }
-    let (wall, report) = best.expect("at least one measured run");
-
-    let tuples = report.metrics.counter("threaded.collection.tuples");
-    let phases = ["collection", "aggregation", "filtering"]
-        .iter()
-        .filter_map(|phase| {
-            report
-                .metrics
-                .histogram(&format!("threaded.{phase}.wall_us"))
-                .map(|h| PhaseWall {
-                    phase,
-                    count: h.count,
-                    sum_us: h.sum,
-                    max_us: h.max,
-                })
-        })
-        .collect();
+    let (wall, stats) = best.expect("at least one measured run");
+    let tuples = stats.phase(Phase::Collection).ssi_tuples_stored;
     ThroughputRow {
         protocol: name,
         n_tds,
@@ -959,12 +721,10 @@ fn throughput_one(
         runs: THROUGHPUT_RUNS,
         tuples,
         tuples_per_sec: tuples as f64 / wall.as_secs_f64().max(1e-9),
-        results: report.metrics.counter("threaded.filtering.results"),
-        determinism,
+        results: stats.phase(Phase::Filtering).ssi_tuples_stored,
         key_schedules_delta: key_schedules,
         aes_blocks_batched,
         arena_bytes,
-        phases,
     }
 }
 
@@ -972,8 +732,7 @@ fn render_throughput(rows: &[ThroughputRow]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema\":\"{THROUGHPUT_SCHEMA}\",\"seed\":{THROUGHPUT_SEED},\
-         \"workers\":{THROUGHPUT_WORKERS},\"rows\":["
+        "{{\"schema\":\"{THROUGHPUT_SCHEMA}\",\"seed\":{THROUGHPUT_SEED},\"rows\":["
     );
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -982,8 +741,8 @@ fn render_throughput(rows: &[ThroughputRow]) -> String {
         let _ = write!(
             out,
             "\n  {{\"protocol\":\"{}\",\"n_tds\":{},\"wall_ms\":{:.3},\"runs\":{},\"tuples\":{},\
-             \"tuples_per_sec\":{:.1},\"results\":{},\"determinism\":\"{}\",\
-             \"key_schedules_delta\":{},\"aes_blocks_batched\":{},\"arena_bytes\":{},\"phases\":[",
+             \"tuples_per_sec\":{:.1},\"results\":{},\"key_schedules_delta\":{},\
+             \"aes_blocks_batched\":{},\"arena_bytes\":{}}}",
             r.protocol,
             r.n_tds,
             r.wall_ms,
@@ -991,31 +750,18 @@ fn render_throughput(rows: &[ThroughputRow]) -> String {
             r.tuples,
             r.tuples_per_sec,
             r.results,
-            r.determinism.as_str(),
             r.key_schedules_delta,
             r.aes_blocks_batched,
             r.arena_bytes,
         );
-        for (j, p) in r.phases.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"wall_us_count\":{},\"wall_us_sum\":{},\"wall_us_max\":{}}}",
-                p.phase, p.count, p.sum_us, p.max_us
-            );
-        }
-        out.push_str("]}");
     }
     out.push_str("\n]}\n");
     out
 }
 
 /// Structural schema validation for the throughput report, mirroring
-/// [`check`]: header, row count, per-row keys, the full sweep present, and
-/// no row with determinism verification switched off.
-fn check_throughput(content: &str) -> std::result::Result<(), String> {
+/// [`check`]: header, row count, per-row keys, the full sweep present.
+fn check_throughput(content: &str) -> Result<(), String> {
     let header = format!("{{\"schema\":\"{THROUGHPUT_SCHEMA}\"");
     if !content.starts_with(&header) {
         return Err(format!(
@@ -1051,19 +797,6 @@ fn check_throughput(content: &str) -> std::result::Result<(), String> {
             return Err(format!("sweep point n_tds={n} missing from report"));
         }
     }
-    if content.contains("\"determinism\":\"off\"") {
-        return Err("rows with determinism verification off are not publishable".into());
-    }
-    let verified = content.matches("\"determinism\":\"full\"").count()
-        + content.matches("\"determinism\":\"sampled\"").count();
-    if verified != row_count {
-        return Err(format!(
-            "{verified} of {row_count} rows carry a verified determinism mode"
-        ));
-    }
-    if !content.contains("\"phase\":\"collection\"") {
-        return Err("no per-phase wall-us digests present".into());
-    }
     Ok(())
 }
 
@@ -1083,7 +816,7 @@ fn committed_tuples_per_sec(content: &str, protocol: &str, n_tds: usize) -> Opti
 
 fn print_throughput_row(r: &ThroughputRow) {
     println!(
-        "{:<10} {:>8} {:>11.3} {:>4} {:>8} {:>14.1} {:>8} {:>8} {:>9} {:>12} {:>11}",
+        "{:<10} {:>8} {:>11.3} {:>4} {:>8} {:>14.1} {:>8} {:>9} {:>12} {:>11}",
         r.protocol,
         r.n_tds,
         r.wall_ms,
@@ -1091,7 +824,6 @@ fn print_throughput_row(r: &ThroughputRow) {
         r.tuples,
         r.tuples_per_sec,
         r.results,
-        r.determinism.as_str(),
         r.key_schedules_delta,
         r.aes_blocks_batched,
         r.arena_bytes,
@@ -1100,7 +832,7 @@ fn print_throughput_row(r: &ThroughputRow) {
 
 fn print_throughput_header() {
     println!(
-        "{:<10} {:>8} {:>11} {:>4} {:>8} {:>14} {:>8} {:>8} {:>9} {:>12} {:>11}",
+        "{:<10} {:>8} {:>11} {:>4} {:>8} {:>14} {:>8} {:>9} {:>12} {:>11}",
         "protocol",
         "n_tds",
         "wall_ms",
@@ -1108,41 +840,31 @@ fn print_throughput_header() {
         "tuples",
         "tuples_per_sec",
         "results",
-        "det",
         "key_sched",
         "aes_blocks",
         "arena_bytes"
     );
 }
 
-fn run_throughput(smoke: bool, mode_override: Option<DeterminismMode>) {
+fn run_throughput(smoke: bool) {
     print_throughput_header();
     if smoke {
         // One small row with every tripwire armed; writes nothing.
-        let mode = mode_override.unwrap_or_else(|| DeterminismMode::default_for(1_000));
-        let row = throughput_one("s_agg", ProtocolKind::SAgg, 1_000, mode);
-        print_throughput_row(&row);
+        print_throughput_row(&throughput_one("s_agg", ProtocolKind::SAgg, 1_000));
         println!("\nthroughput smoke ok");
         return;
     }
     let mut rows = Vec::new();
     for n_tds in THROUGHPUT_SWEEP {
-        let mode = mode_override.unwrap_or_else(|| DeterminismMode::default_for(n_tds));
         for (name, kind) in throughput_protocols(n_tds) {
-            let row = throughput_one(name, kind, n_tds, mode);
+            let row = throughput_one(name, kind, n_tds);
             print_throughput_row(&row);
             rows.push(row);
         }
     }
     let report = render_throughput(&rows);
-    if mode_override != Some(DeterminismMode::Off) {
-        check_throughput(&report).expect("freshly rendered report must satisfy its own schema");
-    } else {
-        eprintln!("warning: determinism off — this report will not pass --check-throughput");
-    }
-    let dest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_7.json");
+    check_throughput(&report).expect("freshly rendered report must satisfy its own schema");
+    let dest = artifact("BENCH_7.json");
     std::fs::write(&dest, &report).expect("write BENCH_7.json");
     println!("\nwrote {}", dest.display());
 }
@@ -1155,12 +877,7 @@ fn run_throughput(smoke: bool, mode_override: Option<DeterminismMode>) {
 fn run_floor_check(content: &str) {
     let committed = committed_tuples_per_sec(content, "s_agg", 10_000)
         .expect("committed report has no s_agg/10k row to check the floor against");
-    let row = throughput_one(
-        "s_agg",
-        ProtocolKind::SAgg,
-        10_000,
-        DeterminismMode::default_for(10_000),
-    );
+    let row = throughput_one("s_agg", ProtocolKind::SAgg, 10_000);
     let floor = committed * (1.0 - FLOOR_REGRESSION);
     println!(
         "floor: live s_agg/10k {:.0} tuples/s vs committed {:.0} (floor {:.0})",
@@ -1181,122 +898,37 @@ fn run_floor_check(content: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let path_or = |default: &'static str| {
+        args.iter()
+            .skip(1)
+            .find(|a| !a.starts_with("--"))
+            .map_or(default, String::as_str)
+            .to_string()
+    };
     match args.first().map(String::as_str) {
-        Some("--net") => return run_net(),
+        None => run_sweep(Backend::InProcess),
+        Some("--net") => run_sweep(Backend::Loopback),
+        Some("--check") => {
+            check_file(&path_or("BENCH_4.json"), check);
+        }
         Some("--check-net") => {
-            // BENCH_6 rows share BENCH_4's schema; only the artifact (and
-            // the meaning of load_bytes: wire bytes, not upload volume)
-            // differs, so the same validator applies.
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_6.json");
-            let content =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            match check(&content) {
-                Ok(()) => {
-                    println!("{path}: schema ok");
-                    return;
-                }
-                Err(why) => {
-                    eprintln!("{path}: schema violation: {why}");
-                    std::process::exit(1);
-                }
-            }
+            check_file(&path_or("BENCH_6.json"), check);
         }
-        Some("--mixed") => return run_mixed_report(),
+        Some("--mixed") => run_mixed_report(),
         Some("--check-mixed") => {
-            let path = args.get(1).map(String::as_str).unwrap_or("BENCH_8.json");
-            let content =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            match check_mixed(&content) {
-                Ok(()) => {
-                    println!("{path}: schema ok");
-                    return;
-                }
-                Err(why) => {
-                    eprintln!("{path}: schema violation: {why}");
-                    std::process::exit(1);
-                }
-            }
+            check_file(&path_or("BENCH_8.json"), check_mixed);
         }
-        Some(cmd @ ("--throughput" | "--throughput-smoke")) => {
-            let mode = match args.iter().position(|a| a == "--determinism") {
-                Some(i) => {
-                    let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-                    Some(DeterminismMode::parse(value).unwrap_or_else(|| {
-                        eprintln!("--determinism wants full|sampled|off, got {value:?}");
-                        std::process::exit(2);
-                    }))
-                }
-                None => None,
-            };
-            return run_throughput(cmd == "--throughput-smoke", mode);
-        }
+        Some("--throughput") => run_throughput(false),
+        Some("--throughput-smoke") => run_throughput(true),
         Some("--check-throughput") => {
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| !a.starts_with("--"))
-                .map(String::as_str)
-                .unwrap_or("BENCH_7.json");
-            let content =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            match check_throughput(&content) {
-                Ok(()) => println!("{path}: schema ok"),
-                Err(why) => {
-                    eprintln!("{path}: schema violation: {why}");
-                    std::process::exit(1);
-                }
-            }
+            let content = check_file(&path_or("BENCH_7.json"), check_throughput);
             if args.iter().any(|a| a == "--floor") {
                 run_floor_check(&content);
             }
-            return;
         }
-        _ => {}
-    }
-    if args.first().map(String::as_str) == Some("--check") {
-        let path = args.get(1).map(String::as_str).unwrap_or("BENCH_4.json");
-        let content =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        match check(&content) {
-            Ok(()) => {
-                println!("{path}: schema ok");
-                return;
-            }
-            Err(why) => {
-                eprintln!("{path}: schema violation: {why}");
-                std::process::exit(1);
-            }
+        Some(other) => {
+            eprintln!("unknown argument {other:?}; see the module docs for usage");
+            std::process::exit(2);
         }
     }
-
-    let mut rows = Vec::new();
-    println!(
-        "{:<10} {:>6} {:>10} {:>11} {:>7} {:>16}",
-        "protocol", "n_tds", "wall_ms", "load_bytes", "tuples", "faults_absorbed"
-    );
-    for n_tds in N_SWEEP {
-        for (name, kind) in protocols() {
-            let row = bench_one(name, kind, n_tds);
-            println!(
-                "{:<10} {:>6} {:>10.3} {:>11} {:>7} {:>16}",
-                row.protocol,
-                row.n_tds,
-                row.wall_ms,
-                row.load_bytes,
-                row.tuples,
-                row.faults_absorbed
-            );
-            rows.push(row);
-        }
-    }
-
-    let report = render_report(&rows, SEED);
-    check(&report).expect("freshly rendered report must satisfy its own schema");
-    // The repo root, resolved from the crate's manifest directory so the
-    // artifact lands in the same place regardless of the invocation cwd.
-    let dest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_4.json");
-    std::fs::write(&dest, &report).expect("write BENCH_4.json");
-    println!("\nwrote {}", dest.display());
 }

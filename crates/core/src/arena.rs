@@ -41,8 +41,6 @@ pub fn arena_bytes_sealed() -> u64 {
 /// tuple encode its plaintext into [`scratch`](Self::scratch) and call
 /// [`seal`](Self::seal); finally [`drain`](Self::drain) converts everything
 /// sealed so far into per-item `Vec<StoredTuple>`s sharing one allocation.
-/// [`abort_item`](Self::abort_item) rolls back a partially-sealed item so a
-/// failed work item leaves no trace in the buffer.
 #[derive(Default)]
 pub struct TupleArena {
     /// Plaintext staging for the tuple currently being encoded.
@@ -61,26 +59,9 @@ impl TupleArena {
         Self::default()
     }
 
-    /// Fresh arena with `bytes` of ciphertext capacity pre-reserved.
-    pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bytes),
-            ..Self::default()
-        }
-    }
-
     /// Mark the start of a new work item; subsequent seals belong to it.
     pub fn begin_item(&mut self) {
         self.items.push((self.pending.len(), self.buf.len()));
-    }
-
-    /// Roll back every seal since the last [`begin_item`](Self::begin_item),
-    /// dropping that item entirely. No-op if no item is open.
-    pub fn abort_item(&mut self) {
-        if let Some((pending_start, buf_start)) = self.items.pop() {
-            self.pending.truncate(pending_start);
-            self.buf.truncate(buf_start);
-        }
     }
 
     /// Clear and return the plaintext scratch buffer: encode one tuple into
@@ -100,21 +81,6 @@ impl TupleArena {
         let start = self.buf.len();
         cipher.encrypt_into(rng, &self.scratch, &mut self.buf);
         self.pending.push((tag, start..self.buf.len()));
-    }
-
-    /// Ciphertext bytes currently buffered (callers flush past a threshold).
-    pub fn sealed_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Number of tuples sealed since the last drain.
-    pub fn pending_tuples(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of items begun since the last drain.
-    pub fn pending_items(&self) -> usize {
-        self.items.len()
     }
 
     /// Flush: one shared allocation for everything sealed so far, returned
@@ -144,26 +110,6 @@ impl TupleArena {
         drop(pending);
         self.items.clear();
         out
-    }
-
-    /// Flush like [`drain`](Self::drain), but discard item boundaries: every
-    /// tuple sealed so far comes back in one flat list, in seal order. The
-    /// threaded runtime's healthy collection path uses this — its flushed
-    /// item ranges are contiguous and ordered, so one `(first item id,
-    /// batch)` pair reproduces the per-item merge order without a `Vec`
-    /// allocation per item.
-    pub fn drain_flat(&mut self) -> Vec<StoredTuple> {
-        ARENA_BYTES_SEALED.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
-        let shared = Bytes::copy_from_slice(&self.buf);
-        self.buf.clear();
-        self.items.clear();
-        self.pending
-            .drain(..)
-            .map(|(tag, range)| StoredTuple {
-                tag,
-                blob: shared.slice(range),
-            })
-            .collect()
     }
 }
 
@@ -222,29 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_item_rolls_back_partial_seals() {
-        let c = cipher();
-        let mut arena = TupleArena::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        arena.begin_item();
-        arena.scratch().extend_from_slice(b"kept");
-        arena.seal(&c, GroupTag::None, &mut rng);
-        let bytes_after_first = arena.sealed_bytes();
-
-        arena.begin_item();
-        arena.scratch().extend_from_slice(b"doomed");
-        arena.seal(&c, GroupTag::None, &mut rng);
-        arena.abort_item();
-        assert_eq!(arena.sealed_bytes(), bytes_after_first);
-        assert_eq!(arena.pending_items(), 1);
-
-        let items = arena.drain();
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].len(), 1);
-        assert_eq!(c.decrypt(&items[0][0].blob).unwrap(), b"kept");
-    }
-
-    #[test]
     fn drain_resets_and_arena_is_reusable() {
         let c = cipher();
         let mut arena = TupleArena::new();
@@ -256,8 +179,7 @@ mod tests {
             let items = arena.drain();
             assert_eq!(items.len(), 1);
             assert_eq!(c.decrypt(&items[0][0].blob).unwrap(), vec![round; 10]);
-            assert_eq!(arena.sealed_bytes(), 0);
-            assert_eq!(arena.pending_items(), 0);
+            assert!(arena.drain().is_empty(), "a drain leaves nothing behind");
         }
     }
 
@@ -272,30 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_flat_matches_drain_flattened() {
-        let c = cipher();
-        let mut a = TupleArena::new();
-        let mut b = TupleArena::new();
-        let mut rng_a = StdRng::seed_from_u64(4);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        for item in 0..3u8 {
-            a.begin_item();
-            b.begin_item();
-            for t in 0..=item {
-                a.scratch().extend_from_slice(&[t; 24]);
-                a.seal(&c, GroupTag::None, &mut rng_a);
-                b.scratch().extend_from_slice(&[t; 24]);
-                b.seal(&c, GroupTag::None, &mut rng_b);
-            }
-        }
-        let nested: Vec<_> = a.drain().into_iter().flatten().collect();
-        let flat = b.drain_flat();
-        assert_eq!(nested, flat);
-        assert_eq!(b.pending_items(), 0);
-        assert_eq!(b.sealed_bytes(), 0);
-    }
-
-    #[test]
     fn sealed_bytes_counter_advances() {
         let c = cipher();
         let before = arena_bytes_sealed();
@@ -304,8 +202,7 @@ mod tests {
         arena.begin_item();
         arena.scratch().extend_from_slice(&[0u8; 64]);
         arena.seal(&c, GroupTag::None, &mut rng);
-        let sealed = arena.sealed_bytes() as u64;
-        let _ = arena.drain();
+        let sealed: u64 = arena.drain()[0].iter().map(|t| t.blob.len() as u64).sum();
         assert!(arena_bytes_sealed() >= before + sealed);
     }
 }

@@ -6,8 +6,8 @@
 //! `Arc<[u8]>` wrapper exposing the small API subset the workspace uses.
 //! Clones are reference-count bumps, never byte copies, and [`Bytes::slice`]
 //! is a zero-copy view into the shared storage — which is what lets the
-//! arena collection path seal a whole worker shard into one allocation and
-//! hand out per-tuple windows of it.
+//! arena collection path seal a TDS's whole contribution into one
+//! allocation and hand out per-tuple windows of it.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -32,8 +32,7 @@ impl Bytes {
         Self::from_arc(Arc::from(data))
     }
 
-    /// Wrap an already-shared buffer without copying. The arena collection
-    /// path seals a worker shard's tuples into one `Arc` and carves it into
+    /// Wrap an already-shared buffer without copying, to carve it into
     /// per-tuple views with [`Self::slice`].
     pub fn from_arc(data: Arc<[u8]>) -> Self {
         let len = data.len();

@@ -15,8 +15,7 @@
 //! wire (caught by the authenticated encryption, never by luck). Every
 //! decision is a pure function of the plan's seed and the message's identity
 //! (phase, work item, delivery attempt), so a fault schedule replays
-//! identically even when the threaded runtime interleaves workers in a
-//! different order.
+//! identically on every backend, in process or over the wire.
 
 use tdsql_crypto::rng::Rng;
 
@@ -120,15 +119,6 @@ impl FaultPlan {
     pub fn with_corruption(mut self, p: f64) -> Self {
         self.corruption = p;
         self
-    }
-
-    /// Is any fault kind active? Lets hot paths skip the machinery entirely.
-    pub fn is_active(&self) -> bool {
-        self.loss > 0.0
-            || self.duplication > 0.0
-            || self.late > 0.0
-            || self.reorder > 0.0
-            || self.corruption > 0.0
     }
 
     /// One deterministic uniform draw in `[0, 1)` for a message coordinate.
@@ -367,7 +357,6 @@ mod tests {
     #[test]
     fn fault_plan_none_is_inert() {
         let plan = FaultPlan::none();
-        assert!(!plan.is_active());
         for item in 0..100 {
             assert!(!plan.lose_upload(Phase::Collection, item, 0));
             assert!(!plan.duplicate_upload(Phase::Aggregation, item, 1));

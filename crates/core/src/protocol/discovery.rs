@@ -11,9 +11,8 @@
 //! [`crate::plan::PhasePlan`]; the sub-protocol itself is an S_Agg plan with
 //! the finalize destination redirected to the TDSs. This module holds the
 //! runtime-independent pieces (the discovery query, parsing and applying a
-//! distribution); running the sub-protocol is the interpreters' job
-//! ([`crate::runtime::service::ServiceDriver::discover_distribution`], and
-//! the threaded runtime's own).
+//! distribution); running the sub-protocol is the driver's job
+//! ([`crate::runtime::service::ServiceDriver::discover_distribution`]).
 
 use std::sync::Arc;
 
@@ -57,7 +56,7 @@ pub fn discovery_query(target: &Query) -> Query {
 }
 
 /// Parse the opened discovery result rows into a sorted (key → count)
-/// distribution. Shared by the driver and threaded discovery paths.
+/// distribution.
 pub(crate) fn distribution_from_rows(
     rows: Vec<Vec<Value>>,
     n_group: usize,

@@ -2,8 +2,8 @@
 //!
 //! A protocol is named by a [`ProtocolKind`] and tuned by [`ProtocolParams`];
 //! its dataflow is described by a compiled [`crate::plan::PhasePlan`], which
-//! the runtimes ([`crate::runtime::round`], [`crate::runtime::threaded`]) and
-//! the DES cost model interpret. The paper's protocols map onto plans as:
+//! the driver ([`crate::runtime::service`], behind [`crate::runtime::round`])
+//! and the DES cost model interpret. The paper's protocols map onto plans as:
 //!
 //! * **Basic** — Select-From-Where (Section 3.2): collect untagged, no
 //!   reduction, filter rows in random partitions;

@@ -285,26 +285,6 @@ impl SimWorld {
         self.drive(|driver, system| driver.prepare_params(Some(system), query, kind))
     }
 
-    /// Like [`SimWorld::prepare_params`], but discovery itself runs on the
-    /// threaded runtime with `n_workers` concurrent workers — no round-based
-    /// machinery is involved, so the returned params feed
-    /// [`crate::runtime::threaded::run_threaded`] from a fully threaded
-    /// pipeline.
-    pub fn prepare_params_threaded(
-        &self,
-        query: &Query,
-        kind: ProtocolKind,
-        n_workers: usize,
-    ) -> Result<ProtocolParams> {
-        crate::runtime::threaded::prepare_params_threaded(
-            &self.tdss,
-            &self.system_querier,
-            query,
-            kind,
-            n_workers,
-        )
-    }
-
     /// Run a query end to end with the given protocol and return the decrypted
     /// result rows. Discovery (for noise/histogram protocols) runs
     /// automatically when `params` lacks the needed domain knowledge.

@@ -156,7 +156,9 @@ pub struct ServiceDriver<'a> {
 
 impl<'a> ServiceDriver<'a> {
     /// Connect a driver to an SSI and a TDS pool. Fetches the population
-    /// ids once (two round-trips on a remote pool).
+    /// ids once (two round-trips on a remote pool). A pool with no TDS is
+    /// refused: no query over it has anyone to collect from or to run a
+    /// reduction, so every answer would be vacuous or fail later.
     pub fn new(
         ssi: &'a dyn SsiService,
         pool: &'a dyn TdsPool,
@@ -164,6 +166,9 @@ impl<'a> ServiceDriver<'a> {
         config: DriverConfig,
     ) -> Result<Self> {
         let tds_ids = pool.tds_ids()?;
+        if tds_ids.is_empty() {
+            return Err(ProtocolError::Protocol("empty TDS population".into()));
+        }
         Ok(Self {
             ssi,
             pool,

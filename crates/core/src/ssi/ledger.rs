@@ -5,9 +5,8 @@
 //! This module holds that contract twice over — as data (the transition
 //! tables the static model checker in `tdsql-analyze::verify::settle`
 //! explores) and as the concurrent structure that implements it
-//! ([`SettleLedger`]). Every runtime settles through this one ledger: each
-//! query on the [`super::Ssi`] embeds one, journal replay re-drives it, and
-//! the threaded runtime creates one per run.
+//! ([`SettleLedger`]). Everything settles through this one ledger: each
+//! query on the [`super::Ssi`] embeds one, and journal replay re-drives it.
 //!
 //! Concurrency: the ledger is **lock-striped** twice — assignment slots by
 //! assignment id, completed items by work-item id — so concurrent
@@ -38,9 +37,9 @@ const LEDGER_STRIPES: usize = 16;
 // check). The tables below state every transition as data so that
 //
 // * [`SettleLedger::settle`] — the one ledger, embedded in every SSI query
-//   and created once per threaded run — is asserted against them by an
-//   exhaustive table-driven test in `ssi/mod.rs`, and [`window_guard`] is
-//   what the SSI's live delivery path consults,
+//   — is asserted against them by an exhaustive table-driven test in
+//   `ssi/mod.rs`, and [`window_guard`] is what the SSI's live delivery path
+//   consults,
 // * the static model checker (`tdsql-analyze::verify::settle`) explores all
 //   interleavings of the same tables and proves exactly-one-`Accepted` per
 //   item and no double-merge via `LateAfterReassign`,
@@ -323,12 +322,9 @@ impl SettleLedger {
         }
     }
 
-    /// Sequential ids stripe by their low bits; folding the high half in
-    /// spreads composite ids (the threaded runtime's `item << 32 | attempt`)
-    /// just as well and changes nothing for ids below 2^32.
+    /// Assignment ids are sequential, so their low bits spread evenly.
     fn assignment_stripe(&self, assignment: AssignmentId) -> &Mutex<BTreeMap<u64, AssignmentSlot>> {
-        let folded = assignment.0 ^ (assignment.0 >> 32);
-        &self.assignments[(folded as usize) % LEDGER_STRIPES]
+        &self.assignments[(assignment.0 as usize) % LEDGER_STRIPES]
     }
 
     fn item_stripe(&self, item: u64) -> &Mutex<BTreeSet<u64>> {

@@ -105,7 +105,7 @@ impl QueryOpenCache {
     pub const CAPACITY: usize = 32;
 
     /// Fresh, empty cache. A pool keeps one for its lifetime
-    /// ([`crate::service::LocalTdsPool`]); the threaded runtime one per run.
+    /// ([`crate::service::LocalTdsPool`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -379,12 +379,8 @@ impl Tds {
         Ok(arena.drain().pop().unwrap_or_default())
     }
 
-    /// Arena variant of [`Self::collect`]: seals this TDS's tuples into the
-    /// open item of `arena` instead of allocating per tuple. Blobs are
-    /// byte-identical to the [`Self::collect`] path under the same RNG
-    /// state. On error the caller owns rolling the item back
-    /// ([`TupleArena::abort_item`]).
-    pub fn collect_into(
+    /// Seal this TDS's collection tuples into the open item of `arena`.
+    fn collect_into(
         &self,
         ctx: &QueryContext,
         rng: &mut StdRng,

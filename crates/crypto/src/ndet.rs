@@ -64,8 +64,8 @@ impl NDetCipher {
     /// Encrypt with a nonce drawn from `rng`, appending `nonce || ct || tag`
     /// to `out` instead of allocating a fresh `Vec`.
     ///
-    /// This is the arena entry point for the collection hot path: workers
-    /// seal thousands of tuples into one contiguous buffer and slice it up
+    /// This is the arena entry point for the collection hot path: a TDS
+    /// seals its tuples into one contiguous buffer and slices it up
     /// afterwards, instead of paying an allocation per tuple. Byte-identical
     /// to [`Self::encrypt`] given the same RNG state.
     pub fn encrypt_into<R: RngCore>(&self, rng: &mut R, plaintext: &[u8], out: &mut Vec<u8>) {

@@ -3,9 +3,9 @@
 //! The histogram layout is fixed (32 power-of-two buckets) so merged sets
 //! from different runs always line up, and recording is allocation-free
 //! once a name has been seen (the first record under a name stores it).
-//! Units are the caller's choice: the threaded runtime records wall-clock
-//! microseconds, the round and DES backends record virtual time (rounds,
-//! simulated milliseconds) and byte volumes.
+//! Units are the caller's choice: the scheduler records queue depths, the
+//! DES bench records virtual time (simulated microseconds) and partition
+//! counts.
 
 use std::collections::BTreeMap;
 

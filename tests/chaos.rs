@@ -1,5 +1,6 @@
 //! Chaos sweep: randomized (but fully seeded) fault plans thrown at every
-//! protocol on both runtimes. The contract under chaos is binary — either
+//! protocol through the one driver, in process (the `SimWorld` facade) and
+//! over loopback TCP. The contract under chaos is binary — either
 //! the run completes and the result is *exactly* the oracle's, or it fails
 //! with a clean typed error ([`ProtocolError::QueryAborted`]). Silent
 //! corruption, hangs and panics are the bugs this sweep exists to catch.
@@ -14,7 +15,6 @@ use common::assert_rows_eq;
 use tdsql_core::access::AccessPolicy;
 use tdsql_core::connectivity::{Connectivity, FaultPlan};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
-use tdsql_core::runtime::threaded::{run_threaded_faulty, FaultConfig};
 use tdsql_core::runtime::SimBuilder;
 use tdsql_core::workload::{smart_meters, SmartMeterConfig};
 use tdsql_core::ProtocolError;
@@ -111,42 +111,6 @@ fn chaos_round_runtime_result_or_clean_error() {
 }
 
 #[test]
-fn chaos_threaded_runtime_result_or_clean_error() {
-    let (dbs, oracle) = smart_meters(&SmartMeterConfig {
-        n_tds: 20,
-        districts: 3,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    let base = chaos_base();
-    for i in 0..10u64 {
-        let case = base.wrapping_mul(1000) + 500 + i;
-        let (kind, sql) = protocols()[(i as usize) % protocols().len()];
-        let query = parse_query(sql).unwrap();
-        let expected = execute(&oracle, &query).unwrap().rows;
-        let mut world = SimBuilder::new()
-            .seed(0x7c4a05 ^ case)
-            .build(dbs.clone(), AccessPolicy::allow_all(Role::new("supplier")));
-        let querier = world.make_querier("energy-co", "supplier");
-        let params = world.prepare_params(&query, kind).unwrap();
-        let cfg = FaultConfig {
-            faults: random_plan(case),
-            retry_budget: 24,
-            degrade: false,
-        };
-        let n_workers = 1 + (case % 6) as usize;
-        let label = format!("threaded chaos case {case} ({})", kind.name());
-        match run_threaded_faulty(&world.tdss, &querier, &query, &params, n_workers, &cfg) {
-            Ok((rows, report)) => {
-                assert!(!report.partial, "{label}: unbounded run is complete");
-                assert_rows_eq(rows, expected, &label);
-            }
-            Err(err) => assert_clean_error(&err, &label),
-        }
-    }
-}
-
-#[test]
 fn chaos_size_bounded_runs_never_abort() {
     // With a SIZE bound the degrade path replaces the abort path: every
     // case must come back Ok — complete or partial, never QueryAborted.
@@ -175,73 +139,6 @@ fn chaos_size_bounded_runs_never_abort() {
         for row in &rows {
             if let tdsql_sql::value::Value::Int(n) = row[1] {
                 assert!((1..=12).contains(&n), "case {case}: count {n} out of range");
-            }
-        }
-    }
-}
-
-/// Scheduling must not change a run's bytes: for every protocol, the same
-/// chaos seed must produce byte-identical sealed result blobs (and identical
-/// fault counters) whatever the worker count — every work item draws its
-/// randomness from (phase seed, item, attempt), never from a per-worker
-/// stream. A chaos case that aborts must abort for every worker count too.
-#[test]
-fn chaos_sharded_blobs_byte_identical_across_worker_counts() {
-    use tdsql_core::plan::PhasePlan;
-    use tdsql_core::runtime::threaded::run_plan_threaded_with;
-
-    let (dbs, _) = smart_meters(&SmartMeterConfig {
-        n_tds: 24,
-        districts: 3,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    let base = chaos_base();
-    for (i, (kind, sql)) in protocols().into_iter().enumerate() {
-        let case = base.wrapping_mul(1000) + 700 + i as u64;
-        let query = parse_query(sql).unwrap();
-        let mut world = SimBuilder::new()
-            .seed(0xdead ^ case)
-            .build(dbs.clone(), AccessPolicy::allow_all(Role::new("supplier")));
-        let querier = world.make_querier("energy-co", "supplier");
-        let params = world.prepare_params(&query, kind).unwrap();
-        let plan = PhasePlan::compile(&query, &params);
-        let cfg = FaultConfig {
-            faults: random_plan(case),
-            retry_budget: 24,
-            degrade: false,
-        };
-        let label = format!("determinism case {case} ({})", kind.name());
-        let runs: Vec<_> = [1usize, 3, 8]
-            .iter()
-            .map(|&w| {
-                run_plan_threaded_with(&world.tdss, &querier, &query, &params, &plan, w, &cfg)
-            })
-            .collect();
-        match &runs[0] {
-            Ok((ref_blobs, ref_report)) => {
-                for (w, run) in [1usize, 3, 8].iter().zip(&runs) {
-                    let (blobs, report) = run
-                        .as_ref()
-                        .unwrap_or_else(|e| panic!("{label}: {w} workers aborted: {e}"));
-                    assert_eq!(
-                        blobs, ref_blobs,
-                        "{label}: {w}-worker blobs differ from the 1-worker reference"
-                    );
-                    assert_eq!(
-                        report.faults, ref_report.faults,
-                        "{label}: fault counters must be schedule-independent"
-                    );
-                }
-            }
-            Err(_) => {
-                for (w, run) in [1usize, 3, 8].iter().zip(&runs) {
-                    assert!(
-                        run.is_err(),
-                        "{label}: the reference aborted but {w} workers succeeded — \
-                         abort decisions must be schedule-independent"
-                    );
-                }
             }
         }
     }

@@ -1,27 +1,14 @@
-//! Property tests for the batched crypto kernel and the arena collection
-//! path.
+//! Property tests for the batched crypto kernel.
 //!
-//! Two families of invariants:
-//!
-//! * the fast paths are *transparent* — `encrypt_into`/`seal_into`-style
-//!   arena variants produce byte-identical output to the allocating
-//!   originals, and the hardware (AES-NI) block cipher produces
-//!   byte-identical output to the portable software implementation,
-//!   including across every 32/64/96-bit counter-carry boundary the CTR
-//!   rewrite now propagates;
-//! * the sharded runtime built on top of them stays schedule-independent —
-//!   chaos seeds 0–3 produce byte-identical sealed blobs at 1 and 8
-//!   workers.
+//! The fast paths are *transparent*: `encrypt_into`-style appending
+//! variants produce byte-identical output to the allocating originals, and
+//! the hardware (AES-NI) block cipher produces byte-identical output to the
+//! portable software implementation, including across every 32/64/96-bit
+//! counter-carry boundary the CTR rewrite now propagates.
 
-use tdsql_core::access::AccessPolicy;
-use tdsql_core::arena::TupleArena;
-use tdsql_core::protocol::ProtocolKind;
-use tdsql_core::runtime::SimBuilder;
-use tdsql_core::workload::{smart_meters, SmartMeterConfig};
 use tdsql_crypto::aes::{aes_backend, Aes128, AesBackend, BLOCK_SIZE};
 use tdsql_crypto::rng::{SeedableRng, StdRng};
 use tdsql_crypto::{ctr, DetCipher, KeyRing, NDetCipher};
-use tdsql_sql::parser::parse_query;
 
 /// Message lengths exercising every path split: empty, sub-block, exact
 /// block ±1, a multi-stripe buffer, and a 1 MiB body (many stripes).
@@ -143,122 +130,5 @@ fn hardware_backend_is_detected_or_forced_off() {
     let forced = std::env::var_os("TDSQL_SOFT_CRYPTO").is_some_and(|v| !v.is_empty() && v != "0");
     if forced {
         assert_eq!(aes_backend(), AesBackend::Software);
-    }
-}
-
-/// The arena collection path (shared buffer, batched flush) must be
-/// byte-identical to the allocating `collect` path for all five protocols,
-/// given the same per-item RNG state.
-#[test]
-fn collect_into_arena_matches_collect_for_all_protocols() {
-    const SFW: &str = "SELECT c.cid FROM consumer c WHERE c.accomodation = 'apartment'";
-    const AGG: &str = "SELECT c.district, COUNT(*), AVG(c.cid) FROM consumer c GROUP BY c.district";
-    let cases = [
-        (ProtocolKind::Basic, SFW),
-        (ProtocolKind::SAgg, AGG),
-        (ProtocolKind::RnfNoise { nf: 2 }, AGG),
-        (ProtocolKind::CNoise, AGG),
-        (ProtocolKind::EdHist { buckets: 2 }, AGG),
-    ];
-    let (dbs, _) = smart_meters(&SmartMeterConfig {
-        n_tds: 12,
-        districts: 3,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    for (kind, sql) in cases {
-        let query = parse_query(sql).unwrap();
-        let mut world = SimBuilder::new()
-            .seed(0xa3e7a)
-            .build(dbs.clone(), AccessPolicy::allow_all(Role::new("supplier")));
-        let querier = world.make_querier("energy-co", "supplier");
-        let params = world.prepare_params(&query, kind).unwrap();
-        let mut env_rng = StdRng::seed_from_u64(42);
-        let envelope = querier.make_envelope(&query, params.kind, &mut env_rng);
-
-        let mut arena = TupleArena::with_capacity(1 << 12);
-        let mut flat = Vec::new();
-        let mut nested = Vec::new();
-        for (i, tds) in world.tdss.iter().enumerate() {
-            let ctx = tds.open_query(&envelope, params.clone(), 0).unwrap();
-            let mut rng_a = StdRng::seed_from_u64(0x9000 + i as u64);
-            let mut rng_b = rng_a.clone();
-            nested.extend(tds.collect(&ctx, &mut rng_a).unwrap());
-            arena.begin_item();
-            tds.collect_into(&ctx, &mut rng_b, &mut arena).unwrap();
-            // Flush mid-population to cover multi-batch draining too.
-            if i == 5 {
-                flat.extend(arena.drain_flat());
-            }
-        }
-        flat.extend(arena.drain_flat());
-        assert_eq!(
-            nested.len(),
-            flat.len(),
-            "{}: tuple counts diverge",
-            kind.name()
-        );
-        for (a, b) in nested.iter().zip(flat.iter()) {
-            assert_eq!(a.tag, b.tag, "{}: group tags diverge", kind.name());
-            assert_eq!(
-                a.blob.as_ref(),
-                b.blob.as_ref(),
-                "{}: sealed bytes diverge",
-                kind.name()
-            );
-        }
-    }
-}
-
-use tdsql_core::connectivity::FaultPlan;
-use tdsql_core::plan::PhasePlan;
-use tdsql_core::runtime::threaded::{run_plan_threaded_with, FaultConfig};
-use tdsql_crypto::credential::Role;
-
-/// Chaos seeds 0–3: sealed result blobs must be byte-identical at 1 and 8
-/// workers even with faults injected — the arena flush batching must not
-/// introduce any worker-count-dependent ordering.
-#[test]
-fn chaos_seeds_byte_identical_across_worker_counts() {
-    let (dbs, _) = smart_meters(&SmartMeterConfig {
-        n_tds: 20,
-        districts: 3,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    let query =
-        parse_query("SELECT c.district, COUNT(*), AVG(c.cid) FROM consumer c GROUP BY c.district")
-            .unwrap();
-    for case in 0u64..4 {
-        let mut world = SimBuilder::new()
-            .seed(0xbeef ^ case)
-            .build(dbs.clone(), AccessPolicy::allow_all(Role::new("supplier")));
-        let querier = world.make_querier("energy-co", "supplier");
-        let params = world.prepare_params(&query, ProtocolKind::SAgg).unwrap();
-        let plan = PhasePlan::compile(&query, &params);
-        let cfg = FaultConfig {
-            faults: FaultPlan::seeded(case)
-                .with_loss(0.05)
-                .with_duplication(0.05),
-            retry_budget: 24,
-            degrade: false,
-        };
-        let reference =
-            run_plan_threaded_with(&world.tdss, &querier, &query, &params, &plan, 1, &cfg);
-        let sharded =
-            run_plan_threaded_with(&world.tdss, &querier, &query, &params, &plan, 8, &cfg);
-        match (reference, sharded) {
-            (Ok((ref_blobs, _)), Ok((blobs, _))) => assert_eq!(
-                blobs, ref_blobs,
-                "chaos seed {case}: 8-worker blobs differ from the 1-worker reference"
-            ),
-            (Err(_), Err(_)) => {}
-            (r, s) => panic!(
-                "chaos seed {case}: abort decision is worker-count dependent \
-                 (1w ok={}, 8w ok={})",
-                r.is_ok(),
-                s.is_ok()
-            ),
-        }
     }
 }

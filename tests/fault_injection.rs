@@ -377,59 +377,6 @@ fn discovery_phase_faults_are_retried_within_budget() {
 }
 
 #[test]
-fn threaded_discovery_faults_are_absorbed() {
-    // Same property on the threaded runtime: discovery under loss +
-    // corruption reports its absorbed faults in the discovery run report and
-    // the prepared parameters still drive an oracle-exact main query.
-    use tdsql_core::runtime::threaded::{
-        prepare_params_threaded_faulty, run_threaded_faulty, FaultConfig,
-    };
-    use tdsql_core::tds::SYSTEM_ROLE;
-
-    let (dbs, oracle) = smart_meters(&SmartMeterConfig {
-        n_tds: 30,
-        districts: 3,
-        readings_per_tds: 1,
-        ..Default::default()
-    });
-    let query = parse_query(SQL).unwrap();
-    let expected = execute(&oracle, &query).unwrap().rows;
-    let world = SimBuilder::new()
-        .seed(321)
-        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
-    let system = world.make_querier("system", SYSTEM_ROLE);
-    let querier = world.make_querier("energy-co", "supplier");
-    let cfg = FaultConfig {
-        faults: FaultPlan::seeded(9).with_loss(0.3).with_corruption(0.3),
-        retry_budget: 64,
-        degrade: false,
-    };
-    for kind in [ProtocolKind::CNoise, ProtocolKind::EdHist { buckets: 3 }] {
-        let (params, dreport) =
-            prepare_params_threaded_faulty(&world.tdss, &system, &query, kind, 4, &cfg).unwrap();
-        assert!(
-            dreport.faults.lost_uploads > 0,
-            "{}: discovery losses must be counted (faults: {:?})",
-            kind.name(),
-            dreport.faults
-        );
-        assert!(
-            dreport.faults.corrupt_rejected > 0,
-            "{}: discovery corruption must be counted (faults: {:?})",
-            kind.name(),
-            dreport.faults
-        );
-        let (rows, _) =
-            run_threaded_faulty(&world.tdss, &querier, &query, &params, 4, &cfg).unwrap();
-        assert_rows_eq(
-            rows,
-            expected.clone(),
-            &format!("threaded {} after faulty discovery", kind.name()),
-        );
-    }
-}
-
-#[test]
 fn deterministic_replay_with_same_seed() {
     let (dbs, _) = smart_meters(&SmartMeterConfig {
         n_tds: 20,
