@@ -18,13 +18,11 @@ use tdsql_core::access::AccessPolicy;
 use tdsql_core::connectivity::{Connectivity, FaultPlan};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
 use tdsql_core::runtime::SimBuilder;
-use tdsql_core::ssi::Ssi;
 use tdsql_core::stats::{FaultStats, Phase, RunStats, TdsWork};
 use tdsql_core::tds::SYSTEM_ROLE;
 use tdsql_core::workload::{smart_meters, SmartMeterConfig};
-use tdsql_core::{DriverConfig, LocalTdsPool, ProtocolError, ServiceDriver};
+use tdsql_core::{DriverConfig, LocalTdsPool, ServiceDriver};
 use tdsql_crypto::credential::Role;
-use tdsql_obs::Obs;
 use tdsql_sql::engine::{execute, Database};
 use tdsql_sql::parser::parse_query;
 
@@ -177,29 +175,4 @@ fn one_world_keeps_its_clock_across_queries() {
     assert!(rows.is_empty(), "expired credential sees only dummies");
     assert!(world.round > one_query, "the clock keeps advancing");
     assert_eq!(world.stats.rounds, world.round - one_query, "per-run stats");
-}
-
-/// A world or pool with no TDS is refused up front with a typed error, by
-/// the facade and by a hand-built driver alike: no protocol can answer over
-/// nobody, and the cleartext oracle's `[[0]]` is not what an empty
-/// collection would produce.
-#[test]
-fn empty_population_rejected() {
-    let is_empty_population =
-        |e: &ProtocolError| matches!(e, ProtocolError::Protocol(m) if m == "empty TDS population");
-    let query = parse_query("SELECT COUNT(*) FROM health").unwrap();
-    for kind in [ProtocolKind::SAgg, ProtocolKind::CNoise] {
-        let mut world = SimBuilder::new().seed(602).build(Vec::new(), policy());
-        let querier = world.make_querier("q", "supplier");
-        let err = world
-            .run_query(&querier, &query, ProtocolParams::new(kind))
-            .unwrap_err();
-        assert!(is_empty_population(&err), "{}: {err}", kind.name());
-    }
-
-    let ssi = Ssi::new();
-    let pool = LocalTdsPool::new(Arc::new(Vec::new()));
-    let obs = Arc::new(Obs::new(b"empty-population"));
-    let err = ServiceDriver::new(&ssi, &pool, obs, DriverConfig::default()).unwrap_err();
-    assert!(is_empty_population(&err), "hand-built driver: {err}");
 }
