@@ -3,14 +3,20 @@
 //! ```sh
 //! cargo run --release -p tdsql-bench --bin figures            # everything
 //! cargo run --release -p tdsql-bench --bin figures -- 10e 11  # a subset
+//! cargo run --release -p tdsql-bench --bin figures -- capacity sim des
+//! cargo run --release -p tdsql-bench --bin figures -- --check
 //! ```
 //!
-//! Output goes to stdout and, for the Fig. 10 sweeps, to CSV files under
-//! `results/`.
+//! Output goes to stdout and, for the Fig. 7/8/10 data, to CSV files under
+//! `results/`. `--check` regenerates the default set and the cross-checks in
+//! memory, compares them with the committed `results/figures_output.txt`,
+//! `results/*.csv` and `results/figures_crosschecks.txt`, writes nothing,
+//! and exits 1 naming the first differing line. An unknown argument exits 2.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::Path;
+use std::process::ExitCode;
 
 use tdsql_costmodel::device::DeviceProfile;
 use tdsql_costmodel::optimum;
@@ -21,90 +27,209 @@ use tdsql_exposure::fig7;
 use tdsql_exposure::schemes::ColumnScheme;
 use tdsql_exposure::zipf;
 
-fn main() {
+const RESULTS: &str = "results";
+/// Where `figures` with no argument writes its stdout.
+const DEFAULT_OUTPUT: &str = "figures_output.txt";
+/// Where `figures -- capacity sim des` writes its stdout.
+const CROSSCHECKS: &str = "figures_crosschecks.txt";
+const CROSSCHECK_ARGS: [&str; 3] = ["capacity", "sim", "des"];
+
+const FIG10: [&str; 10] = [
+    "10a", "10b", "10c", "10d", "10e", "10f", "10g", "10h", "10i", "10j",
+];
+const SECTIONS: [&str; 10] = [
+    "7", "fig7", "8", "fig8", "9", "fig9", "10", "11", "fig11", "alpha",
+];
+/// Real protocol runs: printed only when asked for by name.
+const OPT_IN: [&str; 3] = ["capacity", "sim", "des"];
+
+/// One invocation's output: the text for stdout and the CSV files (by file
+/// name) for `results/`.
+#[derive(Default)]
+struct Rendered {
+    text: String,
+    csvs: Vec<(String, String)>,
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |id: &str| {
-        args.is_empty()
-            || args
-                .iter()
-                .any(|a| a == id || a.trim_start_matches("--") == id)
-    };
+    if args == ["--check"] {
+        return if check() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
+    }
+    let ids: Vec<&str> = args.iter().map(|a| a.trim_start_matches("--")).collect();
+    if let Some(bad) = args.iter().find(|a| !known(a.trim_start_matches("--"))) {
+        eprintln!(
+            "figures: unknown argument `{bad}`; known: {} {} {}, or --check alone",
+            SECTIONS.join(" "),
+            FIG10.join(" "),
+            OPT_IN.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    let r = render(&ids);
+    print!("{}", r.text);
+    if !r.csvs.is_empty() {
+        fs::create_dir_all(RESULTS).expect("create results dir");
+    }
+    for (name, body) in &r.csvs {
+        fs::write(Path::new(RESULTS).join(name), body).expect("write csv");
+    }
+    ExitCode::SUCCESS
+}
 
-    fs::create_dir_all("results").expect("create results dir");
+fn known(id: &str) -> bool {
+    SECTIONS.contains(&id) || FIG10.contains(&id) || OPT_IN.contains(&id)
+}
 
+/// Render the sections `ids` select: no id selects every section except
+/// the opt-in real-protocol runs.
+fn render(ids: &[&str]) -> Rendered {
+    let mut r = Rendered::default();
+    render_into(&mut r, ids).expect("writing to a String cannot fail");
+    r
+}
+
+fn render_into(r: &mut Rendered, ids: &[&str]) -> fmt::Result {
+    let want = |id: &str| ids.is_empty() || ids.contains(&id);
     if want("7") || want("fig7") {
-        print_fig7();
+        fig7(&mut r.text)?;
     }
     if want("8") || want("fig8") {
-        print_fig8();
+        fig8(&mut r.text, &mut r.csvs)?;
     }
     if want("9") || want("fig9") {
-        print_fig9();
+        fig9(&mut r.text)?;
     }
-    for id in [
-        "10a", "10b", "10c", "10d", "10e", "10f", "10g", "10h", "10i", "10j",
-    ] {
+    for id in FIG10 {
         if want(id) || want("10") {
-            print_fig10(id);
+            fig10(&mut r.text, &mut r.csvs, id)?;
         }
     }
     if want("11") || want("fig11") {
-        print_fig11();
+        fig11(&mut r.text)?;
     }
     if want("alpha") {
-        print_alpha();
+        alpha(&mut r.text)?;
     }
     if want("capacity") {
-        print_capacity();
+        capacity(&mut r.text)?;
     }
-    // The simulator cross-checks run real protocols; opt-in only.
-    if args.iter().any(|a| a == "sim" || a == "--sim") {
-        print_sim_vs_model();
+    if ids.contains(&"sim") {
+        sim_vs_model(&mut r.text)?;
     }
-    if args.iter().any(|a| a == "des" || a == "--des") {
-        print_des_elasticity();
+    if ids.contains(&"des") {
+        des_elasticity(&mut r.text)?;
     }
+    Ok(())
 }
 
-fn hr(title: &str) {
-    println!(
+/// Regenerate both committed sets in memory and compare them with
+/// `results/`; report every differing file on stderr.
+fn check() -> bool {
+    let results = Path::new(RESULTS);
+    let default = render(&[]);
+    let mut ok = same(&results.join(DEFAULT_OUTPUT), &default.text);
+    for (name, body) in &default.csvs {
+        ok &= same(&results.join(name), body);
+    }
+    let mut committed_csvs: Vec<_> = fs::read_dir(results)
+        .map(|dir| {
+            dir.filter_map(|e| e.ok())
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| n.ends_with(".csv"))
+                .collect()
+        })
+        .unwrap_or_default();
+    committed_csvs.sort();
+    for name in committed_csvs {
+        if !default.csvs.iter().any(|(n, _)| *n == name) {
+            eprintln!("{RESULTS}/{name}: committed but no longer produced by `figures`");
+            ok = false;
+        }
+    }
+    ok &= same(&results.join(CROSSCHECKS), &render(&CROSSCHECK_ARGS).text);
+    if ok {
+        println!("figures --check: results/ matches the regenerated figures");
+    }
+    ok
+}
+
+/// Is the committed file at `path` exactly `fresh`? Otherwise name its
+/// first differing line.
+fn same(path: &Path, fresh: &str) -> bool {
+    let committed = match fs::read_to_string(path) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{}: cannot read committed file: {e}", path.display());
+            return false;
+        }
+    };
+    if committed == fresh {
+        return true;
+    }
+    let equal = committed
+        .lines()
+        .zip(fresh.lines())
+        .take_while(|(a, b)| a == b);
+    let line = equal.count();
+    let nth = |s: &str| s.lines().nth(line).unwrap_or("<end of file>").to_owned();
+    eprintln!(
+        "{}:{}: differs\n  committed:   {}\n  regenerated: {}",
+        path.display(),
+        line + 1,
+        nth(&committed),
+        nth(fresh)
+    );
+    false
+}
+
+fn hr(o: &mut String, title: &str) -> fmt::Result {
+    writeln!(
+        o,
         "\n==== {title} {}",
         "=".repeat(68usize.saturating_sub(title.len()))
-    );
+    )
 }
 
-fn print_fig7() {
-    hr("Fig. 7 — encryptions and IC tables (Accounts example)");
+fn fig7(o: &mut String) -> fmt::Result {
+    hr(o, "Fig. 7 — encryptions and IC tables (Accounts example)")?;
     let table = fig7::accounts_table();
-    println!("plaintext Accounts table ({} rows):", table.n_rows());
+    writeln!(o, "plaintext Accounts table ({} rows):", table.n_rows())?;
     for i in 0..table.n_rows() {
         let row: Vec<&str> = table.columns.iter().map(|c| c.cells[i].as_str()).collect();
-        println!("  {}", row.join(" | "));
+        writeln!(o, "  {}", row.join(" | "))?;
     }
-    println!(
+    writeln!(
+        o,
         "\n{:<22} {:>12} {:>18}",
         "scheme", "epsilon", "P(<Alice,200>)"
-    );
+    )?;
     for row in fig7::fig7_rows() {
-        println!(
+        writeln!(
+            o,
             "{:<22} {:>12.6} {:>18.6}",
             row.scheme, row.report.epsilon, row.p_alice_200
-        );
+        )?;
     }
-    println!("\nIC table under Det_Enc (Fig. 7a):");
+    writeln!(o, "\nIC table under Det_Enc (Fig. 7a):")?;
     let ic = tdsql_exposure::ic_table::IcTable::compute(
         &table,
         &[ColumnScheme::Det, ColumnScheme::Det, ColumnScheme::Det],
     );
-    print!("{}", ic.render());
-    println!(
+    write!(o, "{}", ic.render())?;
+    writeln!(
+        o,
         "\npaper's takeaway: Det_Enc discloses the association with certainty;\n\
          nDet_Enc (S_Agg) is the floor 1/(N1·N2·N3)."
-    );
+    )
 }
 
-fn print_fig8() {
-    hr("Fig. 8 — information exposure among protocols");
+fn fig8(o: &mut String, csvs: &mut Vec<(String, String)>) -> fmt::Result {
+    hr(o, "Fig. 8 — information exposure among protocols")?;
     // A Zipf-skewed single-attribute database (G = 100 groups, ~5000 rows),
     // the setting of the collision-factor experiment of [11].
     let table = zipf::zipf_column(100, 5000, 1.0, 42);
@@ -136,87 +261,107 @@ fn print_fig8() {
         ),
         ("nDet_Enc (S_Agg)".into(), eps(ColumnScheme::NDet)),
     ];
-    println!("{:<26} {:>12}", "scheme", "epsilon");
+    writeln!(o, "{:<26} {:>12}", "scheme", "epsilon")?;
     for (name, e) in &rows {
-        println!("{name:<26} {e:>12.6}");
+        writeln!(o, "{name:<26} {e:>12.6}")?;
     }
-    println!("floor = 1/N = {:.6}", epsilon_ndet(&[distinct]));
+    writeln!(o, "floor = 1/N = {:.6}", epsilon_ndet(&[distinct]))?;
 
-    println!("\nε_ED_Hist vs collision factor h (Zipf database, [11] experiment):");
-    println!("{:>10} {:>12}", "h", "epsilon");
+    writeln!(
+        o,
+        "\nε_ED_Hist vs collision factor h (Zipf database, [11] experiment):"
+    )?;
+    writeln!(o, "{:>10} {:>12}", "h", "epsilon")?;
     let mut csv = String::from("h,epsilon\n");
     for p in zipf::h_sweep(100, 5000, 1.0, &[1, 2, 5, 10, 20, 50, 100], 42) {
-        println!("{:>10.2} {:>12.6}", p.h, p.epsilon);
-        let _ = writeln!(csv, "{},{}", p.h, p.epsilon);
+        writeln!(o, "{:>10.2} {:>12.6}", p.h, p.epsilon)?;
+        writeln!(csv, "{},{}", p.h, p.epsilon)?;
     }
-    fs::write(Path::new("results").join("fig8_h_sweep.csv"), csv).expect("write csv");
-    println!("(smaller h → bigger ε; max ≈ 0.4 at h = 1 in the paper)");
+    csvs.push(("fig8_h_sweep.csv".into(), csv));
+    writeln!(o, "(smaller h → bigger ε; max ≈ 0.4 at h = 1 in the paper)")
 }
 
-fn print_fig9() {
-    hr("Fig. 9b — TDS internal time to manage a 4 KB partition");
+fn fig9(o: &mut String) -> fmt::Result {
+    hr(o, "Fig. 9b — TDS internal time to manage a 4 KB partition")?;
     let d = DeviceProfile::default();
     let b = d.partition_breakdown(4096.0);
-    println!("device: 120 MHz MCU, AES 167 cycles/block, link 7.9 Mbps");
-    println!("{:<12} {:>12} {:>8}", "component", "seconds", "share");
+    writeln!(
+        o,
+        "device: 120 MHz MCU, AES 167 cycles/block, link 7.9 Mbps"
+    )?;
+    writeln!(o, "{:<12} {:>12} {:>8}", "component", "seconds", "share")?;
     for (name, v) in [
         ("transfer", b.transfer),
         ("cpu", b.cpu),
         ("decrypt", b.decrypt),
         ("encrypt", b.encrypt),
     ] {
-        println!("{name:<12} {v:>12.6} {:>7.1}%", 100.0 * v / b.total());
+        writeln!(o, "{name:<12} {v:>12.6} {:>7.1}%", 100.0 * v / b.total())?;
     }
-    println!("total        {:>12.6}", b.total());
-    println!(
+    writeln!(o, "total        {:>12.6}", b.total())?;
+    writeln!(
+        o,
         "effective per-tuple time Tt = {:.2} µs (paper: 16 µs)",
         d.tuple_time() * 1e6
-    );
+    )
 }
 
-fn print_fig10(id: &str) {
+fn fig10(o: &mut String, csvs: &mut Vec<(String, String)>, id: &str) -> fmt::Result {
     let fig = sweep::figure(id).expect("known figure id");
-    hr(&format!("Fig. {} — {}", fig.id, fig.title));
-    print!("{:>12}", fig.x_label);
+    hr(o, &format!("Fig. {} — {}", fig.id, fig.title))?;
+    write!(o, "{:>12}", fig.x_label)?;
     for p in &fig.protocols {
-        print!(" {p:>14}");
+        write!(o, " {p:>14}")?;
     }
-    println!();
+    writeln!(o)?;
     let mut csv = String::new();
-    let _ = writeln!(csv, "{},{}", fig.x_label, fig.protocols.join(","));
+    writeln!(csv, "{},{}", fig.x_label, fig.protocols.join(","))?;
     for pt in &fig.points {
-        print!("{:>12.0}", pt.x);
+        write!(o, "{:>12.0}", pt.x)?;
         let mut line = format!("{}", pt.x);
         for v in &pt.y {
-            print!(" {v:>14.6}");
-            let _ = write!(line, ",{v}");
+            write!(o, " {v:>14.6}")?;
+            write!(line, ",{v}")?;
         }
-        println!();
-        let _ = writeln!(csv, "{line}");
+        writeln!(o)?;
+        writeln!(csv, "{line}")?;
     }
-    fs::write(Path::new("results").join(format!("fig{}.csv", fig.id)), csv).expect("write csv");
+    csvs.push((format!("fig{}.csv", fig.id), csv));
+    Ok(())
 }
 
-fn print_fig11() {
-    hr("Fig. 11 — comparison among solutions (worst → best)");
-    for r in ranking::fig11() {
-        println!("{:<44} {}", r.axis.label(), r.worst_to_best.join("  →  "));
+fn fig11(o: &mut String) -> fmt::Result {
+    hr(o, "Fig. 11 — comparison among solutions (worst → best)")?;
+    for row in ranking::fig11() {
+        writeln!(
+            o,
+            "{:<44} {}",
+            row.axis.label(),
+            row.worst_to_best.join("  →  ")
+        )?;
     }
+    Ok(())
 }
 
-fn print_capacity() {
-    hr("system capacity — parallel queries per hour (Load_Q inverted)");
+fn capacity(o: &mut String) -> fmt::Result {
+    hr(
+        o,
+        "system capacity — parallel queries per hour (Load_Q inverted)",
+    )?;
     let p = tdsql_costmodel::ModelParams::default();
     let d = DeviceProfile::default();
-    println!("Nt = 10⁶ TDSs, 10% connected, 7.9 Mbps per TDS");
-    println!("{:<14} {:>18}", "protocol", "queries / hour");
+    writeln!(o, "Nt = 10⁶ TDSs, 10% connected, 7.9 Mbps per TDS")?;
+    writeln!(o, "{:<14} {:>18}", "protocol", "queries / hour")?;
     for (name, q) in tdsql_costmodel::capacity::capacity_table(&p, &d) {
-        println!("{name:<14} {q:>18.0}");
+        writeln!(o, "{name:<14} {q:>18.0}")?;
     }
-    println!("(the Fig. 11 'Global Resource Consumption' axis, quantified)");
+    writeln!(
+        o,
+        "(the Fig. 11 'Global Resource Consumption' axis, quantified)"
+    )
 }
 
-fn print_des_elasticity() {
+fn des_elasticity(o: &mut String) -> fmt::Result {
     use tdsql_core::access::AccessPolicy;
     use tdsql_core::protocol::ProtocolKind;
     use tdsql_core::runtime::SimBuilder;
@@ -224,7 +369,10 @@ fn print_des_elasticity() {
     use tdsql_crypto::credential::Role;
     use tdsql_sql::parser::parse_query;
 
-    hr("elasticity, functionally — virtual-time T_Q vs available workers");
+    hr(
+        o,
+        "elasticity, functionally — virtual-time T_Q vs available workers",
+    )?;
     let (dbs, _) = smart_meters(&SmartMeterConfig {
         n_tds: 600,
         districts: 16,
@@ -238,11 +386,15 @@ fn print_des_elasticity() {
     let query = parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district")
         .expect("valid SQL");
     let device = DeviceProfile::default();
-    println!("600 TDSs, G = 16 — real protocol executions scheduled in virtual time");
-    println!(
+    writeln!(
+        o,
+        "600 TDSs, G = 16 — real protocol executions scheduled in virtual time"
+    )?;
+    writeln!(
+        o,
         "{:<14} {:>6} {:>14} {:>12} {:>8}",
         "protocol", "workers", "T_Q (s)", "partitions", "util"
-    );
+    )?;
     for kind in [ProtocolKind::SAgg, ProtocolKind::EdHist { buckets: 8 }] {
         let params = {
             let mut p = world.prepare_params(&query, kind).expect("discovery");
@@ -251,7 +403,7 @@ fn print_des_elasticity() {
             p
         };
         for workers in [1usize, 4, 16, 64] {
-            let r = tdsql_bench::des::simulate_tq(
+            let d = tdsql_bench::des::simulate_tq(
                 &world.tdss,
                 &querier,
                 &query,
@@ -260,22 +412,24 @@ fn print_des_elasticity() {
                 workers,
             )
             .expect("DES run");
-            println!(
+            writeln!(
+                o,
                 "{:<14} {workers:>6} {:>14.5} {:>12} {:>7.0}%",
                 kind.name(),
-                r.tq_seconds,
-                r.partitions,
-                r.utilization * 100.0
-            );
+                d.tq_seconds,
+                d.partitions,
+                d.utilization * 100.0
+            )?;
         }
     }
-    println!(
+    writeln!(
+        o,
         "(Fig. 10i/j's claim, functionally: ED_Hist exploits added workers;\n\
          S_Agg's serial reducer tail caps its speed-up)"
-    );
+    )
 }
 
-fn print_sim_vs_model() {
+fn sim_vs_model(o: &mut String) -> fmt::Result {
     use tdsql_core::access::AccessPolicy;
     use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
     use tdsql_core::runtime::SimBuilder;
@@ -287,7 +441,10 @@ fn print_sim_vs_model() {
     use tdsql_crypto::credential::Role;
     use tdsql_sql::parser::parse_query;
 
-    hr("model cross-check — functional simulator vs analytical Load_Q");
+    hr(
+        o,
+        "model cross-check — functional simulator vs analytical Load_Q",
+    )?;
     let n_tds = 2_000usize;
     let g = 10usize;
     let (dbs, _) = smart_meters(&SmartMeterConfig {
@@ -307,11 +464,12 @@ fn print_sim_vs_model() {
         ..ModelParams::default()
     };
 
-    println!("population: {n_tds} TDSs, G = {g}, full availability");
-    println!(
+    writeln!(o, "population: {n_tds} TDSs, G = {g}, full availability")?;
+    writeln!(
+        o,
         "{:<14} {:>14} {:>14} {:>10} {:>14} {:>10}",
         "protocol", "sim load (B)", "model load (B)", "ratio", "sim T_Q (s)", "agg steps"
-    );
+    )?;
     let cases: Vec<(ProtocolKind, Box<dyn ProtocolModel>)> = vec![
         (ProtocolKind::SAgg, Box::new(SAggModel)),
         (ProtocolKind::RnfNoise { nf: 2 }, Box::new(NoiseModel::r2())),
@@ -334,7 +492,8 @@ fn print_sim_vs_model() {
         // 16-byte model tuple does not; normalise by the padded tuple size.
         let sim_load = world.stats.load_bytes() as f64;
         let model_load = metrics.load_bytes * (96.0 + 16.0) / 16.0;
-        println!(
+        writeln!(
+            o,
             "{:<14} {:>14.0} {:>14.0} {:>10.2} {:>14.5} {:>10}",
             kind.name(),
             sim_load,
@@ -345,26 +504,32 @@ fn print_sim_vs_model() {
                 .stats
                 .phase(tdsql_core::stats::Phase::Aggregation)
                 .steps,
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        o,
         "\nLoad_Q is the structural invariant: noise-based protocols pay the\n\
          fake-tuple multiple, and simulated/model ratios stay within a small\n\
          constant (wire framing, batch headers, discovery traffic). Laptop-\n\
          scale wall-clock T_Q is chunk-constant-dominated; the paper-scale\n\
          T_Q curves come from the analytical sweeps (Fig. 10e/i/j above)."
-    );
+    )
 }
 
-fn print_alpha() {
-    hr("α_op — optimal S_Agg reduction factor");
+fn alpha(o: &mut String) -> fmt::Result {
+    hr(o, "α_op — optimal S_Agg reduction factor")?;
     let solved = optimum::solve_alpha_opt();
-    println!("numeric minimiser of (α+1)/ln α: α_op = {solved:.4} (paper: ≈ 3.6)");
-    println!("{:>8} {:>14}", "alpha", "(α+1)logα(N)");
+    writeln!(
+        o,
+        "numeric minimiser of (α+1)/ln α: α_op = {solved:.4} (paper: ≈ 3.6)"
+    )?;
+    writeln!(o, "{:>8} {:>14}", "alpha", "(α+1)logα(N)")?;
     for alpha in [2.0, 2.5, 3.0, 3.59, 4.0, 5.0, 8.0] {
-        println!(
+        writeln!(
+            o,
             "{alpha:>8.2} {:>14.4}",
             optimum::s_agg_time_factor(alpha) * (1e3f64).ln()
-        );
+        )?;
     }
+    Ok(())
 }
