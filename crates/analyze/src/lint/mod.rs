@@ -269,7 +269,7 @@ mod tests {
         let f = lint_file("crates/core/src/ssi.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-raw-print");
-        let f = lint_file("crates/bench/src/des.rs", src);
+        let f = lint_file("crates/bench/src/simtime.rs", src);
         assert_eq!(f.len(), 1);
         // Out of scope: the analyzer's own CLI output and the obs console
         // sink (which only ever sees already-redacted fields).

@@ -5,5 +5,4 @@
 
 #![warn(missing_docs)]
 
-pub mod des;
 pub mod simtime;

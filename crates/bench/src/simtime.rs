@@ -63,6 +63,7 @@ pub fn simulate(stats: &RunStats, device: &DeviceProfile) -> SimulatedTime {
 mod tests {
     use super::*;
     use tdsql_core::access::AccessPolicy;
+    use tdsql_core::connectivity::Connectivity;
     use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
     use tdsql_core::runtime::SimBuilder;
     use tdsql_core::workload::{smart_meters, SmartMeterConfig};
@@ -86,6 +87,76 @@ mod tests {
         params.chunk = 32;
         world.run_query(&querier, &query, params).unwrap();
         world.stats.clone()
+    }
+
+    /// One GROUP BY run over `n_tds` TDSs and `districts` groups in which
+    /// `available` TDSs connect per round — the paper's availability, and
+    /// the knob of Fig. 10i/j — timed by [`simulate`].
+    fn with_available(
+        kind: ProtocolKind,
+        available: usize,
+        n_tds: usize,
+        districts: usize,
+    ) -> SimulatedTime {
+        let (dbs, _) = smart_meters(&SmartMeterConfig {
+            n_tds,
+            districts,
+            readings_per_tds: 1,
+            ..Default::default()
+        });
+        let mut world = SimBuilder {
+            connectivity: Connectivity::fraction(available as f64 / n_tds as f64),
+            // Collection is untimed; let it hear from every TDS.
+            default_max_rounds: 100_000,
+            ..SimBuilder::new().seed(7)
+        }
+        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
+        let querier = world.make_querier("q", "supplier");
+        let query =
+            parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district").unwrap();
+        let mut params = ProtocolParams::new(kind);
+        params.chunk = 16;
+        params.alpha = 4;
+        world.run_query(&querier, &query, params).unwrap();
+        assert!(!world.stats.partial, "every TDS must contribute");
+        simulate(&world.stats, &DeviceProfile::default())
+    }
+
+    #[test]
+    fn tag_protocols_are_elastic_s_agg_is_not() {
+        // Fig. 10i vs 10j at functional scale: more available TDSs help
+        // ED_Hist a lot and S_Agg much less (its tail is the serial reducer
+        // chain).
+        let speedup =
+            |kind| with_available(kind, 1, 400, 16).tq() / with_available(kind, 64, 400, 16).tq();
+        let speedup_ed = speedup(ProtocolKind::EdHist { buckets: 8 });
+        let speedup_sa = speedup(ProtocolKind::SAgg);
+        assert!(
+            speedup_ed > speedup_sa,
+            "ED speedup {speedup_ed:.2} vs S_Agg {speedup_sa:.2}"
+        );
+        assert!(
+            speedup_ed > 2.0,
+            "ED must exploit 64 TDSs: ×{speedup_ed:.2}"
+        );
+    }
+
+    #[test]
+    fn utilization_degrades_with_overprovisioning() {
+        // Utilization of k TDSs: T_Q(1) / (k · T_Q(k)).
+        let serial = with_available(ProtocolKind::SAgg, 1, 200, 4).tq();
+        let utilization =
+            |k: usize| serial / (k as f64 * with_available(ProtocolKind::SAgg, k, 200, 4).tq());
+        let (lean, fat) = (utilization(2), utilization(128));
+        assert!(lean > fat, "lean {lean:.3} vs fat {fat:.3}");
+        assert!(lean <= 1.0 + 1e-9, "lean {lean:.3}");
+    }
+
+    #[test]
+    fn noise_pays_in_virtual_time_too() {
+        let s_agg = with_available(ProtocolKind::SAgg, 16, 300, 6).tq();
+        let noisy = with_available(ProtocolKind::RnfNoise { nf: 10 }, 16, 300, 6).tq();
+        assert!(noisy > s_agg, "noise {noisy} vs s_agg {s_agg}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! [`PhasePlan::compile`] makes those choices explicit: it maps a query +
 //! [`ProtocolParams`] to a small IR of steps that every backend interprets —
-//! the driver (`runtime::service`, in a simulated world or over the wire)
-//! and the virtual-time DES bench (`tdsql-bench::des`). The static analyzer
+//! the one driver (`runtime::service`, in a simulated world or over the
+//! wire). The static analyzer
 //! (`tdsql-analyze`) lowers its leakage labels from the same compiled plan,
 //! and the plan cross-checks itself against the protocol's
 //! [`ExposureDeclaration`], so the artifact that executes is the artifact
@@ -388,7 +388,7 @@ impl PhasePlan {
     /// The delivery contract each phase of this plan imposes on an
     /// interpreter running over at-least-once transport.
     ///
-    /// Every interpreter (the driver, the DES) must honour these: the
+    /// The interpreter (the driver) must honour these: the
     /// transport may re-send, duplicate, delay or corrupt any message, so
     /// the contract splits into what may be repeated freely and what must
     /// be deduplicated. Workers are pure functions of their input

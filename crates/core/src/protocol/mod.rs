@@ -3,7 +3,7 @@
 //! A protocol is named by a [`ProtocolKind`] and tuned by [`ProtocolParams`];
 //! its dataflow is described by a compiled [`crate::plan::PhasePlan`], which
 //! the driver ([`crate::runtime::service`], behind [`crate::runtime::round`])
-//! and the DES cost model interpret. The paper's protocols map onto plans as:
+//! interprets. The paper's protocols map onto plans as:
 //!
 //! * **Basic** — Select-From-Where (Section 3.2): collect untagged, no
 //!   reduction, filter rows in random partitions;

@@ -12,8 +12,8 @@
 //!   immediately replaces the plaintext with a keyed SHA-256 digest; no
 //!   constructor stores sensitive plaintext, so no sink can leak it.
 //! * [`MetricsSet`] holds monotonic counters and fixed-log2-bucket
-//!   [`Log2Histogram`]s — admission queue depths in the scheduler, virtual
-//!   time (simulated microseconds) in the DES bench.
+//!   [`Log2Histogram`]s — admission queue depths in the scheduler, for
+//!   example.
 //! * [`Obs`] is a bounded ring-buffer collector with a deterministic JSONL
 //!   exporter and a console sink gated by the `TDSQL_LOG` environment
 //!   variable.

@@ -3,9 +3,7 @@
 //! The histogram layout is fixed (32 power-of-two buckets) so merged sets
 //! from different runs always line up, and recording is allocation-free
 //! once a name has been seen (the first record under a name stores it).
-//! Units are the caller's choice: the scheduler records queue depths, the
-//! DES bench records virtual time (simulated microseconds) and partition
-//! counts.
+//! Units are the caller's choice: the scheduler records queue depths.
 
 use std::collections::BTreeMap;
 

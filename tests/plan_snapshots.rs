@@ -1,7 +1,7 @@
 //! Golden snapshots of the compiled [`PhasePlan`] for every protocol.
 //!
-//! The plan is the single dataflow contract shared by the driver, the DES
-//! cost bench, and the static leakage analyzer. A
+//! The plan is the single dataflow contract shared by the driver and the
+//! static leakage analyzer. A
 //! change in these renderings means every interpreter's behavior changed —
 //! which is sometimes intended, but never silently: update the snapshot in
 //! the same commit as the compiler change, and say why.
