@@ -42,15 +42,16 @@ fn step_time(device: &DeviceProfile, bytes: f64) -> f64 {
 }
 
 /// Estimate wall-clock time from a run's statistics: each sequential step
-/// lasts as long as its busiest TDS (the recorded critical path).
+/// lasts as long as its busiest TDS (the recorded critical path). A phase
+/// with no step takes `0.0` (folded from `+0.0`: `Iterator::sum` over `f64`
+/// starts at `-0.0`).
 pub fn simulate(stats: &RunStats, device: &DeviceProfile) -> SimulatedTime {
     let phase_time = |phase: Phase| -> f64 {
         stats
             .phase(phase)
             .critical_path_bytes
             .iter()
-            .map(|&b| step_time(device, b as f64))
-            .sum()
+            .fold(0.0, |t, &b| t + step_time(device, b as f64))
     };
     SimulatedTime {
         collection: phase_time(Phase::Collection),
@@ -157,6 +158,24 @@ mod tests {
         let s_agg = with_available(ProtocolKind::SAgg, 16, 300, 6).tq();
         let noisy = with_available(ProtocolKind::RnfNoise { nf: 10 }, 16, 300, 6).tq();
         assert!(noisy > s_agg, "noise {noisy} vs s_agg {s_agg}");
+    }
+
+    #[test]
+    fn basic_protocol_has_no_aggregation_time() {
+        let (dbs, _) = smart_meters(&SmartMeterConfig {
+            n_tds: 10,
+            ..Default::default()
+        });
+        let mut world = SimBuilder::new()
+            .seed(7)
+            .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
+        let querier = world.make_querier("q", "supplier");
+        let query = parse_query("SELECT cid FROM consumer").unwrap();
+        let params = ProtocolParams::new(ProtocolKind::Basic);
+        world.run_query(&querier, &query, params).unwrap();
+        let t = simulate(&world.stats, &DeviceProfile::default());
+        assert_eq!(t.tq().to_bits(), 0.0f64.to_bits(), "T_Q {:?}", t.tq());
+        assert!(t.filtering > 0.0);
     }
 
     #[test]
