@@ -179,6 +179,68 @@ mod tests {
     }
 
     #[test]
+    fn virtual_time_does_not_depend_on_the_backend() {
+        use std::net::TcpListener;
+        use std::sync::Arc;
+        use tdsql_core::ssi::Ssi;
+        use tdsql_core::{DriverConfig, ServiceDriver, SsiService, TdsPool};
+        use tdsql_net::deploy::Deployment;
+        use tdsql_net::{serve_pool, serve_ssi, RemoteSsi, RemoteTdsPool};
+        use tdsql_obs::Obs;
+
+        // The one clock times any driver run: the same deployment and seed
+        // give bit-identical virtual time in process and over loopback TCP.
+        let dep = Deployment {
+            meters: SmartMeterConfig {
+                n_tds: 60,
+                districts: 4,
+                readings_per_tds: 1,
+                ..Default::default()
+            },
+            ..Deployment::default()
+        };
+        let querier = dep.make_querier("q", &dep.role);
+        let system = dep.system_querier();
+        let query =
+            parse_query("SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.district").unwrap();
+        let obs = || Arc::new(Obs::new(b"virtual-time"));
+        let loopback = || {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            (listener, addr)
+        };
+        for kind in [ProtocolKind::SAgg, ProtocolKind::EdHist { buckets: 2 }] {
+            let mut params = ProtocolParams::new(kind);
+            params.chunk = 8;
+            let time = |ssi: &dyn SsiService, pool: &dyn TdsPool| {
+                let config = DriverConfig {
+                    seed: 11,
+                    ..DriverConfig::default()
+                };
+                let mut driver = ServiceDriver::new(ssi, pool, obs(), config).unwrap();
+                driver
+                    .run_query(&querier, Some(&system), &query, params.clone())
+                    .unwrap();
+                let t = simulate(&driver.stats, &DeviceProfile::default());
+                [t.collection, t.aggregation, t.filtering].map(f64::to_bits)
+            };
+            let in_process = time(&Ssi::new(), &dep.provision().0);
+
+            let (ssi_listener, ssi_addr) = loopback();
+            let (pool_listener, pool_addr) = loopback();
+            let ssi = Arc::new(Ssi::new());
+            let pool = Arc::new(dep.provision().0);
+            std::thread::spawn(move || serve_ssi(ssi_listener, ssi, obs()));
+            std::thread::spawn(move || serve_pool(pool_listener, pool, obs()));
+            let remote_pool = RemoteTdsPool::connect(pool_addr, obs()).unwrap();
+            let over_tcp = time(&RemoteSsi::connect(ssi_addr, obs()), &remote_pool);
+
+            assert_eq!(in_process, over_tcp, "{}", kind.name());
+            assert!(in_process.iter().all(|&b| f64::from_bits(b) > 0.0));
+        }
+    }
+
+    #[test]
     fn simulated_times_are_positive_and_ordered() {
         let device = DeviceProfile::default();
         let t = simulate(&run(ProtocolKind::SAgg, 150), &device);
