@@ -34,7 +34,7 @@ use crate::runtime::service::{DriverConfig, ServiceDriver};
 use crate::service::LocalTdsPool;
 use crate::ssi::Ssi;
 use crate::stats::RunStats;
-use crate::tds::{CipherContext, Tds, SYSTEM_ROLE};
+use crate::tds::{provision, CipherContext, Tds, SYSTEM_ROLE};
 
 /// Builder for a simulation world.
 #[derive(Debug, Clone)]
@@ -108,26 +108,11 @@ impl SimBuilder {
         policies: Vec<AccessPolicy>,
     ) -> SimWorld {
         assert_eq!(databases.len(), policies.len(), "one policy per TDS");
-        let ring = KeyRing::derive(&self.master_seed);
-        let signer = CredentialSigner::new(&self.authority_secret);
-        // One cipher context per ring: AES key schedules and HMAC pads are
-        // derived once and shared, so provisioning 100k TDSs costs 100k
-        // refcount bumps, not 100k key-schedule expansions.
-        let ciphers = CipherContext::shared(&ring);
-        let tdss: Vec<Tds> = databases
-            .into_iter()
-            .zip(policies)
-            .enumerate()
-            .map(|(i, (db, policy))| {
-                Tds::with_ciphers(
-                    i as u64,
-                    Arc::clone(&ciphers),
-                    signer.verification_key(),
-                    db,
-                    policy,
-                )
-            })
-            .collect();
+        let (ring, signer, tdss) = provision(
+            &self.master_seed,
+            &self.authority_secret,
+            databases.into_iter().zip(policies),
+        );
         let system_querier = Querier::new(
             "system",
             &ring.k1,

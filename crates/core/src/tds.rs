@@ -13,7 +13,9 @@ use tdsql_crypto::rng::seq::SliceRandom;
 use tdsql_crypto::rng::Rng;
 use tdsql_crypto::rng::StdRng;
 
-use tdsql_crypto::{BucketHasher, CredentialVerifier, DetCipher, KeyRing, NDetCipher};
+use tdsql_crypto::{
+    BucketHasher, CredentialSigner, CredentialVerifier, DetCipher, KeyRing, NDetCipher,
+};
 use tdsql_sql::aggregate::AggState;
 use tdsql_sql::ast::Query;
 use tdsql_sql::engine::{AggregatePlan, Database, JoinedRelation};
@@ -213,6 +215,34 @@ impl std::fmt::Debug for CipherContext {
         // Never print key-derived material.
         write!(f, "CipherContext {{ .. }}")
     }
+}
+
+/// Burn-time provisioning of a population: derive the key ring from
+/// `master_seed` and the credential signer from `authority_secret`, then
+/// install the ring (as one shared [`CipherContext`]) and the authority's
+/// verification key into one TDS per `(database, policy)`, numbered from 0.
+/// The ring and the signer come back with the population so the caller can
+/// issue queriers.
+pub fn provision(
+    master_seed: &[u8],
+    authority_secret: &[u8],
+    population: impl IntoIterator<Item = (Database, AccessPolicy)>,
+) -> (KeyRing, CredentialSigner, Vec<Tds>) {
+    let ring = KeyRing::derive(master_seed);
+    let signer = CredentialSigner::new(authority_secret);
+    // One cipher context per ring: AES key schedules and HMAC pads are
+    // derived once and shared, so provisioning 100k TDSs costs 100k
+    // refcount bumps, not 100k key-schedule expansions.
+    let ciphers = CipherContext::shared(&ring);
+    let tdss = population
+        .into_iter()
+        .enumerate()
+        .map(|(i, (db, policy))| {
+            let key = signer.verification_key();
+            Tds::with_ciphers(i as u64, Arc::clone(&ciphers), key, db, policy)
+        })
+        .collect();
+    (ring, signer, tdss)
 }
 
 /// The Trusted Data Server.

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use tdsql_core::access::AccessPolicy;
 use tdsql_core::querier::Querier;
 use tdsql_core::service::LocalTdsPool;
-use tdsql_core::tds::{CipherContext, Tds, SYSTEM_ROLE};
+use tdsql_core::tds::{provision, SYSTEM_ROLE};
 use tdsql_core::workload::{smart_meters, SmartMeterConfig};
 use tdsql_crypto::credential::{CredentialSigner, Role};
 use tdsql_crypto::KeyRing;
@@ -50,23 +50,9 @@ impl Deployment {
     /// only serves ciphertext).
     pub fn provision(&self) -> (LocalTdsPool, Database) {
         let (dbs, oracle) = smart_meters(&self.meters);
-        let ring = KeyRing::derive(&self.master_seed);
-        let signer = CredentialSigner::new(&self.authority_secret);
-        let ciphers = CipherContext::shared(&ring);
         let policy = AccessPolicy::allow_all(Role::new(&self.role));
-        let tdss: Vec<Tds> = dbs
-            .into_iter()
-            .enumerate()
-            .map(|(i, db)| {
-                Tds::with_ciphers(
-                    i as u64,
-                    Arc::clone(&ciphers),
-                    signer.verification_key(),
-                    db,
-                    policy.clone(),
-                )
-            })
-            .collect();
+        let population = dbs.into_iter().map(|db| (db, policy.clone()));
+        let (_, _, tdss) = provision(&self.master_seed, &self.authority_secret, population);
         (LocalTdsPool::new(Arc::new(tdss)), oracle)
     }
 
