@@ -37,11 +37,11 @@ const CROSSCHECK_ARGS: [&str; 3] = ["capacity", "sim", "des"];
 const FIG10: [&str; 10] = [
     "10a", "10b", "10c", "10d", "10e", "10f", "10g", "10h", "10i", "10j",
 ];
-const SECTIONS: [&str; 10] = [
-    "7", "fig7", "8", "fig8", "9", "fig9", "10", "11", "fig11", "alpha",
+/// Section names besides `FIG10`; `sim` and `des` (real protocol runs)
+/// print only when named.
+const SECTIONS: [&str; 13] = [
+    "7", "fig7", "8", "fig8", "9", "fig9", "10", "11", "fig11", "alpha", "capacity", "sim", "des",
 ];
-/// Real protocol runs: printed only when asked for by name.
-const OPT_IN: [&str; 3] = ["capacity", "sim", "des"];
 
 /// One invocation's output: the text for stdout and the CSV files (by file
 /// name) for `results/`.
@@ -61,12 +61,12 @@ fn main() -> ExitCode {
         };
     }
     let ids: Vec<&str> = args.iter().map(|a| a.trim_start_matches("--")).collect();
+    let known = |id: &str| SECTIONS.contains(&id) || FIG10.contains(&id);
     if let Some(bad) = args.iter().find(|a| !known(a.trim_start_matches("--"))) {
         eprintln!(
-            "figures: unknown argument `{bad}`; known: {} {} {}, or --check alone",
+            "figures: unknown argument `{bad}`; known: {} {}, or --check alone",
             SECTIONS.join(" "),
-            FIG10.join(" "),
-            OPT_IN.join(" ")
+            FIG10.join(" ")
         );
         return ExitCode::from(2);
     }
@@ -81,12 +81,8 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn known(id: &str) -> bool {
-    SECTIONS.contains(&id) || FIG10.contains(&id) || OPT_IN.contains(&id)
-}
-
 /// Render the sections `ids` select: no id selects every section except
-/// the opt-in real-protocol runs.
+/// the real-protocol runs `sim` and `des`.
 fn render(ids: &[&str]) -> Rendered {
     let mut r = Rendered::default();
     render_into(&mut r, ids).expect("writing to a String cannot fail");
@@ -136,17 +132,9 @@ fn check() -> bool {
     for (name, body) in &default.csvs {
         ok &= same(&results.join(name), body);
     }
-    let mut committed_csvs: Vec<_> = fs::read_dir(results)
-        .map(|dir| {
-            dir.filter_map(|e| e.ok())
-                .map(|e| e.file_name().to_string_lossy().into_owned())
-                .filter(|n| n.ends_with(".csv"))
-                .collect()
-        })
-        .unwrap_or_default();
-    committed_csvs.sort();
-    for name in committed_csvs {
-        if !default.csvs.iter().any(|(n, _)| *n == name) {
+    for entry in fs::read_dir(results).into_iter().flatten().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".csv") && !default.csvs.iter().any(|(n, _)| *n == name) {
             eprintln!("{RESULTS}/{name}: committed but no longer produced by `figures`");
             ok = false;
         }
