@@ -1,7 +1,8 @@
-//! Benchmark crate: Criterion benches live in `benches/`, the figure
-//! regeneration harness in `src/bin/figures.rs`, and [`simtime`] bridges the
-//! functional simulator's measured statistics to wall-clock estimates on the
-//! paper's secure-token hardware profile.
+//! Benchmark crate: the figure regeneration harness lives in
+//! `src/bin/figures.rs`, the wall-clock sweep in `src/bin/bench_report.rs`,
+//! and [`simtime`] is the one virtual clock: it turns a driver run's
+//! measured statistics into time on the paper's secure-token hardware
+//! profile.
 
 #![warn(missing_docs)]
 
