@@ -12,6 +12,13 @@
 //! the five protocols and the chaos harness run the same in a simulation
 //! and over a real wire.
 //!
+//! Every TDS contact — a collection answer, a reduce or a finalize step —
+//! takes one path, [`ServiceDriver::contact`]: step the TDS, deliver its
+//! upload under a fresh assignment, settle it on the SSI's ledger. The
+//! collection loop (one work item per TDS) and the partition loop (one per
+//! partition) differ only in which item they attempt next and in what
+//! they do with an attempt that settled nothing.
+//!
 //! Two fault sources compose here:
 //!
 //! * the seeded [`crate::connectivity::FaultPlan`] injects loss,
@@ -111,21 +118,67 @@ struct WorkItem {
     not_before: u64,
 }
 
+/// A posted query, as every phase of its run needs it.
+struct Posted<'q> {
+    qid: u64,
+    env: &'q QueryEnvelope,
+    params: &'q ProtocolParams,
+}
+
+/// One attempt at one work item: TDS `tds` runs `step` over `inputs`.
+struct Contact<'i> {
+    tds: usize,
+    item: u64,
+    attempt: u32,
+    step: TdsStep,
+    inputs: &'i [StoredTuple],
+}
+
+/// What a step uploads, named by the SSI method that settles it.
+#[derive(Clone)]
+enum Upload {
+    Collection(Vec<StoredTuple>),
+    Working(Vec<StoredTuple>),
+    Results(Vec<Bytes>),
+}
+
+impl Upload {
+    fn of(step: TdsStep, output: StepResult) -> Result<Self> {
+        Ok(match (step, output) {
+            (TdsStep::Collect, StepResult::Working(ts)) => Self::Collection(ts),
+            (TdsStep::Collect, StepResult::Results(_)) => {
+                return Err(ProtocolError::Protocol(
+                    "collect step returned result rows".into(),
+                ))
+            }
+            (_, StepResult::Working(ts)) => Self::Working(ts),
+            (_, StepResult::Results(rs)) => Self::Results(rs),
+        })
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Self::Collection(ts) | Self::Working(ts) => ts.len() as u64,
+            Self::Results(rs) => rs.len() as u64,
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        match self {
+            Self::Collection(ts) | Self::Working(ts) => {
+                ts.iter().map(|t| t.blob.len() as u64).sum()
+            }
+            Self::Results(rs) => rs.iter().map(|b| b.len() as u64).sum(),
+        }
+    }
+}
+
 /// An upload the fault plan delayed: from the SSI's clock it timed out,
 /// but the bytes are still in flight and land at `deliver_at`.
 struct LateUpload {
+    tds: usize,
     assignment: AssignmentId,
-    output: StepResult,
-    bytes_up: u64,
-    deliver_at: u64,
-}
-
-/// A collection upload the fault plan delayed.
-struct LateCollection {
-    pool_index: usize,
-    assignment: AssignmentId,
-    tuples: Vec<StoredTuple>,
-    bytes_up: u64,
+    upload: Upload,
     deliver_at: u64,
 }
 
@@ -345,9 +398,14 @@ impl<'a> ServiceDriver<'a> {
         let qid = self.control(|ssi| ssi.post_query(envelope.clone()))?;
         let env = self.control(|ssi| ssi.envelope(qid))?;
         self.in_discovery = true;
+        let q = Posted {
+            qid,
+            env: &env,
+            params: &dparams,
+        };
         let run = self
-            .run_collection(qid, &env, &dparams)
-            .and_then(|()| self.execute_plan(qid, &env, &dparams, &plan));
+            .run_collection(&q)
+            .and_then(|()| self.execute_plan(&q, &plan));
         self.in_discovery = false;
         run?;
         let blobs = self.control(|ssi| ssi.results(qid))?;
@@ -378,8 +436,13 @@ impl<'a> ServiceDriver<'a> {
                 Field::sensitive("sql", self.obs.redactor(), format!("{query:?}").as_bytes()),
             ],
         );
-        self.run_collection(qid, &env, params)?;
-        self.execute_plan(qid, &env, params, &plan)?;
+        let q = Posted {
+            qid,
+            env: &env,
+            params,
+        };
+        self.run_collection(&q)?;
+        self.execute_plan(&q, &plan)?;
         self.control(|ssi| ssi.results(qid))
     }
 
@@ -431,13 +494,8 @@ impl<'a> ServiceDriver<'a> {
     /// Interpret the post-collection steps of the compiled plan: reduce
     /// (iterative or per-tag) then finalize. This is the whole protocol
     /// dispatch — there is no per-protocol driver.
-    fn execute_plan(
-        &mut self,
-        qid: u64,
-        env: &QueryEnvelope,
-        params: &ProtocolParams,
-        plan: &PhasePlan,
-    ) -> Result<()> {
+    fn execute_plan(&mut self, q: &Posted<'_>, plan: &PhasePlan) -> Result<()> {
+        let qid = q.qid;
         let agg = self.effective_phase(Phase::Aggregation);
         let fil = self.effective_phase(Phase::Filtering);
         if let Some(reduce) = plan.reduce {
@@ -447,10 +505,8 @@ impl<'a> ServiceDriver<'a> {
             }
             let partitions = self.partition_working(working, reduce.first);
             self.process_partitions(
-                qid,
+                q,
                 agg,
-                env,
-                params,
                 partitions,
                 TdsStep::ReduceInputs {
                     retag: reduce.retag,
@@ -466,10 +522,8 @@ impl<'a> ServiceDriver<'a> {
                     }
                     let partitions = self.partition_working(working, reduce.again);
                     self.process_partitions(
-                        qid,
+                        q,
                         agg,
-                        env,
-                        params,
                         partitions,
                         TdsStep::ReducePartials {
                             retag: reduce.retag,
@@ -498,10 +552,8 @@ impl<'a> ServiceDriver<'a> {
                     self.ssi.restore_working(qid, agg, pass_through)?;
                     let partitions = self.partition_working(to_reduce, reduce.again);
                     self.process_partitions(
-                        qid,
+                        q,
                         agg,
-                        env,
-                        params,
                         partitions,
                         TdsStep::ReducePartials {
                             retag: reduce.retag,
@@ -530,45 +582,33 @@ impl<'a> ServiceDriver<'a> {
                 dest: plan.finalize.dest,
             },
         };
-        self.process_partitions(qid, fil, env, params, partitions, step)
+        self.process_partitions(q, fil, partitions, step)
     }
 
     /// Has the SIZE tuple bound been reached? The SSI's answer is constant
     /// `false` for an envelope without one, and the driver holds that
     /// envelope, so an unbounded query never asks. A bounded one asks before
     /// every TDS: the cut-off must land on the TDS that crosses the bound.
-    fn size_tuples_reached(&self, qid: u64, env: &QueryEnvelope) -> Result<bool> {
-        if env.size.max_tuples.is_none() {
+    fn size_tuples_reached(&self, q: &Posted<'_>) -> Result<bool> {
+        if q.env.size.max_tuples.is_none() {
             return Ok(false);
         }
-        self.control(|ssi| ssi.size_tuples_reached(qid))
+        self.control(|ssi| ssi.size_tuples_reached(q.qid))
     }
 
     /// Collection phase: rounds of connected TDSs answering until SIZE is
     /// reached, every targeted TDS contributed, or the round budget is
     /// exhausted.
     ///
-    /// Transport is at-least-once under the connectivity's
-    /// [`crate::connectivity::FaultPlan`]: an upload may be lost (retried at
-    /// the TDS's next connection), duplicated (deduplicated by the SSI's
-    /// assignment ledger), delivered rounds late, or the downloaded envelope
-    /// corrupted (authenticated decryption fails at the TDS and the SSI
-    /// re-sends); real transport failures fold into the same taxonomy. Each
-    /// TDS's contribution is one work item with a retry budget; exhausting
-    /// it aborts an unbounded query and degrades a SIZE-bounded one to a
-    /// partial result. If the round bound expires before every targeted TDS
+    /// Each targeted TDS's contribution is one work item, allocated at its
+    /// first contact and carried to the SSI by [`ServiceDriver::contact`];
+    /// a TDS whose attempt settled nothing answers again at its next
+    /// connection. If the round bound expires before every targeted TDS
     /// answered, the query finalizes over the tuples collected so far and
     /// the run is flagged partial.
-    fn run_collection(
-        &mut self,
-        qid: u64,
-        env: &QueryEnvelope,
-        params: &ProtocolParams,
-    ) -> Result<()> {
+    fn run_collection(&mut self, q: &Posted<'_>) -> Result<()> {
+        let (qid, env) = (q.qid, q.env);
         let phase = self.effective_phase(Phase::Collection);
-        let faults = self.connectivity.faults;
-        let budget = self.retry_budget;
-        let size_bounded = env.size.max_tuples.is_some() || env.size.max_rounds.is_some();
         let max_rounds = env
             .size
             .max_rounds
@@ -582,157 +622,58 @@ impl<'a> ServiceDriver<'a> {
             .collect();
         let mut item_of: Vec<Option<u64>> = vec![None; n];
         let mut attempts: Vec<u32> = vec![0; n];
-        let mut stash: Vec<LateCollection> = Vec::new();
+        let mut late: Vec<LateUpload> = Vec::new();
         let mut rounds = 0u64;
         'outer: while rounds < max_rounds
-            && !self.size_tuples_reached(qid, env)?
+            && !self.size_tuples_reached(q)?
             && contributed.iter().any(|c| !c)
         {
             rounds += 1;
             self.round += 1;
             self.stats.record_step(phase);
-            self.flush_collection_stash(qid, &mut stash, &mut contributed, false)?;
-            let mut round_max_bytes = 0u64;
+            for tds in self.flush_late(qid, phase, &mut late, false)? {
+                contributed[tds] = true;
+            }
+            let mut busiest = 0u64;
             let connected = self.connectivity.sample_connected(n, &mut self.rng);
             for i in connected {
                 if contributed[i] || !env.target.includes(self.tds_ids[i]) {
                     continue;
                 }
-                if self.size_tuples_reached(qid, env)? {
+                if self.size_tuples_reached(q)? {
                     break 'outer;
                 }
-                if attempts[i] >= budget {
-                    if size_bounded {
-                        self.stats.faults.items_abandoned += 1;
-                        self.stats.partial = true;
-                        contributed[i] = true;
-                        continue;
-                    }
-                    return Err(ProtocolError::QueryAborted {
-                        phase,
-                        retries: attempts[i],
-                    });
+                if !self.charge(phase, env, &mut attempts[i])? {
+                    contributed[i] = true;
+                    continue;
                 }
-                attempts[i] += 1;
-                let attempt = attempts[i];
                 let item = match item_of[i] {
                     Some(it) => it,
-                    None => {
-                        let it = self.control(|ssi| ssi.new_item(qid))?;
-                        item_of[i] = Some(it);
-                        it
-                    }
+                    None => *item_of[i].insert(self.control(|ssi| ssi.new_item(qid))?),
                 };
-                let rng_seed = self.step_seed(qid, phase, item, attempt);
-                // Download leg: a corrupted envelope fails authenticated
-                // decryption at the TDS; the SSI re-sends next connection.
-                // A transport failure of the step RPC is handled the same
-                // way — the attempt is consumed and the TDS retries later.
-                let corrupted = faults.corrupt_download(phase, item, attempt);
-                let stepped = if corrupted {
-                    let mut bad = env.clone();
-                    bad.enc_query = faults.corrupt_blob(&env.enc_query, phase, item, attempt);
-                    self.pool
-                        .step(i, &bad, params, self.round, TdsStep::Collect, &[], rng_seed)
-                } else {
-                    self.pool
-                        .step(i, env, params, self.round, TdsStep::Collect, &[], rng_seed)
+                let contact = Contact {
+                    tds: i,
+                    item,
+                    attempt: attempts[i],
+                    step: TdsStep::Collect,
+                    inputs: &[],
                 };
-                let tuples = match stepped {
-                    Ok(StepResult::Working(ts)) => ts,
-                    Ok(StepResult::Results(_)) => {
-                        return Err(ProtocolError::Protocol(
-                            "collect step returned result rows".into(),
-                        ))
-                    }
-                    Err(e) if step_failure_absorbed(&e, corrupted) => {
-                        self.stats.faults.corrupt_rejected += 1;
-                        self.stats.record_reassignment(phase);
-                        continue;
-                    }
-                    Err(other) => return Err(other),
-                };
-                let bytes_up: u64 = tuples.iter().map(|t| t.blob.len() as u64).sum();
-                let n_tuples = tuples.len() as u64;
-                self.stats.record(
-                    phase,
-                    self.tds_ids[i],
-                    TdsWork {
-                        bytes_down: env.enc_query.len() as u64,
-                        bytes_up,
-                        tuples: n_tuples,
-                        crypto_blocks: bytes_up / 16,
-                    },
-                );
-                round_max_bytes = round_max_bytes.max(env.enc_query.len() as u64 + bytes_up);
-                // Upload leg.
-                if faults.lose_upload(phase, item, attempt) {
-                    self.stats.faults.lost_uploads += 1;
-                    continue;
-                }
-                let assignment = match self.ssi.begin_assignment(qid, item) {
-                    Ok(a) => a,
-                    Err(e) if is_transport_error(&e) => {
-                        self.stats.faults.lost_uploads += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                if faults.deliver_late(phase, item, attempt) {
-                    stash.push(LateCollection {
-                        pool_index: i,
-                        assignment,
-                        tuples,
-                        bytes_up,
-                        deliver_at: self.round + LATE_DELAY,
-                    });
-                    continue;
-                }
-                let duplicate = if faults.duplicate_upload(phase, item, attempt) {
-                    Some(tuples.clone())
-                } else {
-                    None
-                };
-                match self.ssi.receive_collection(qid, assignment, tuples) {
-                    Ok(DeliveryOutcome::Accepted) => {
-                        self.stats.record_ssi_store(phase, n_tuples, bytes_up);
-                        contributed[i] = true;
-                    }
-                    // Both rejections mean the item is already done on the
-                    // SSI — typically a pre-crash delivery that was accepted
-                    // and journaled but whose response was lost. Marking the
-                    // contribution here keeps the loop from re-sending a
-                    // settled item forever. (Under simulated fault plans
-                    // these arms are unreachable with `contributed[i]`
-                    // false, so chaos runs are unaffected.)
-                    Ok(DeliveryOutcome::Duplicate) => {
-                        self.stats.faults.duplicates_dropped += 1;
-                        contributed[i] = true;
-                    }
-                    Ok(DeliveryOutcome::LateAfterReassign) => {
-                        self.stats.faults.late_after_reassign += 1;
-                        contributed[i] = true;
-                    }
-                    Ok(DeliveryOutcome::WindowClosed) => {}
-                    Err(e) if is_transport_error(&e) => {
-                        self.stats.faults.lost_uploads += 1;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-                if let Some(copy) = duplicate {
-                    if self.ssi.receive_collection(qid, assignment, copy)?
-                        == DeliveryOutcome::Duplicate
-                    {
-                        self.stats.faults.duplicates_dropped += 1;
-                    }
+                // Any settlement but a closed window means the SSI holds
+                // this TDS's contribution — a `Duplicate` is typically a
+                // pre-crash delivery that was accepted and journaled but
+                // whose response was lost. Marking it keeps the loop from
+                // re-sending a settled item forever.
+                if let Some(outcome) = self.contact(q, phase, contact, &mut late, &mut busiest)? {
+                    contributed[i] |= outcome != DeliveryOutcome::WindowClosed;
                 }
             }
-            self.stats.record_step_critical(phase, round_max_bytes);
+            self.stats.record_step_critical(phase, busiest);
         }
-        self.flush_collection_stash(qid, &mut stash, &mut contributed, true)?;
+        for tds in self.flush_late(qid, phase, &mut late, true)? {
+            contributed[tds] = true;
+        }
         self.stats.rounds += rounds;
-        if !self.size_tuples_reached(qid, env)? && contributed.iter().any(|c| !c) {
+        if !self.size_tuples_reached(q)? && contributed.iter().any(|c| !c) {
             self.stats.partial = true;
         }
         self.obs.event(
@@ -749,66 +690,19 @@ impl<'a> ServiceDriver<'a> {
         self.control(|ssi| ssi.close_collection(qid))
     }
 
-    /// Deliver stashed late collection uploads whose flight time elapsed
-    /// (all of them when `force`), marking accepted contributors.
-    fn flush_collection_stash(
-        &mut self,
-        qid: u64,
-        stash: &mut Vec<LateCollection>,
-        contributed: &mut [bool],
-        force: bool,
-    ) -> Result<()> {
-        let phase = self.effective_phase(Phase::Collection);
-        let mut rest = Vec::new();
-        for entry in stash.drain(..) {
-            if !force && entry.deliver_at > self.round {
-                rest.push(entry);
-                continue;
-            }
-            let n = entry.tuples.len() as u64;
-            match self
-                .ssi
-                .receive_collection(qid, entry.assignment, entry.tuples)
-            {
-                Ok(DeliveryOutcome::Accepted) => {
-                    self.stats.record_ssi_store(phase, n, entry.bytes_up);
-                    contributed[entry.pool_index] = true;
-                }
-                Ok(DeliveryOutcome::Duplicate) => self.stats.faults.duplicates_dropped += 1,
-                Ok(DeliveryOutcome::LateAfterReassign) => {
-                    self.stats.faults.late_after_reassign += 1;
-                }
-                Ok(DeliveryOutcome::WindowClosed) => {}
-                // A transport failure drops the in-flight copy — the same
-                // fate as a lost upload; the owning work item retries.
-                Err(e) if is_transport_error(&e) => self.stats.faults.lost_uploads += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        *stash = rest;
-        Ok(())
-    }
-
-    /// Process a batch of partitions with the connected population.
-    /// Dropouts re-queue the partition (SSI timeout + resend), and the
-    /// connectivity's [`crate::connectivity::FaultPlan`] additionally injects
-    /// upload loss, duplication, late delivery after reassignment, dispatch
-    /// reordering and payload corruption. Every work item carries a retry
-    /// budget with round-based backoff: exhausting it raises
-    /// [`ProtocolError::QueryAborted`] on an unbounded query and abandons the
-    /// item (partial result) on a SIZE-bounded one.
+    /// Process a batch of partitions with the connected population, one
+    /// work item per partition. A partition whose attempt settled nothing
+    /// — its TDS dropped out mid-step (SSI timeout + resend), or
+    /// [`ServiceDriver::contact`] lost it — is re-queued with round-based
+    /// backoff, and the fault plan may reorder a round's dispatch.
     fn process_partitions(
         &mut self,
-        qid: u64,
+        q: &Posted<'_>,
         phase: Phase,
-        env: &QueryEnvelope,
-        params: &ProtocolParams,
         partitions: Vec<Vec<StoredTuple>>,
         step: TdsStep,
     ) -> Result<()> {
-        let faults = self.connectivity.faults;
-        let budget = self.retry_budget;
-        let size_bounded = env.size.max_tuples.is_some() || env.size.max_rounds.is_some();
+        let qid = q.qid;
         let n_partitions = partitions.len() as u64;
         let mut queue: VecDeque<WorkItem> = VecDeque::with_capacity(partitions.len());
         for partition in partitions {
@@ -820,7 +714,7 @@ impl<'a> ServiceDriver<'a> {
                 not_before: 0,
             });
         }
-        let mut stash: Vec<LateUpload> = Vec::new();
+        let mut late: Vec<LateUpload> = Vec::new();
         let mut spins = 0u64;
         let spin_cap = 100_000;
         while !queue.is_empty() {
@@ -833,7 +727,7 @@ impl<'a> ServiceDriver<'a> {
             self.round += 1;
             self.stats.record_step(phase);
             self.stats.rounds += 1;
-            if self.flush_late_uploads(qid, phase, &mut stash, false)? {
+            if !self.flush_late(qid, phase, &mut late, false)?.is_empty() {
                 let mut remaining = VecDeque::with_capacity(queue.len());
                 for w in queue.drain(..) {
                     if !self.control(|ssi| ssi.item_done(qid, w.item))? {
@@ -855,11 +749,11 @@ impl<'a> ServiceDriver<'a> {
                 }
             }
             queue = waiting;
-            if dispatchable.len() > 1 && faults.reorder_round(phase, self.round) {
+            if dispatchable.len() > 1 && self.connectivity.faults.reorder_round(phase, self.round) {
                 dispatchable.shuffle(&mut self.rng);
             }
             let mut ready: VecDeque<WorkItem> = dispatchable.into();
-            let mut round_max_bytes = 0u64;
+            let mut busiest = 0u64;
             let connected = self
                 .connectivity
                 .sample_connected(self.tds_ids.len(), &mut self.rng);
@@ -867,132 +761,33 @@ impl<'a> ServiceDriver<'a> {
                 let Some(mut w) = ready.pop_front() else {
                     break;
                 };
-                if w.attempts >= budget {
-                    if size_bounded {
-                        self.stats.faults.items_abandoned += 1;
-                        self.stats.partial = true;
-                        continue;
-                    }
-                    return Err(ProtocolError::QueryAborted {
-                        phase,
-                        retries: w.attempts,
-                    });
+                if !self.charge(phase, q.env, &mut w.attempts)? {
+                    continue;
                 }
-                w.attempts += 1;
-                let attempt = w.attempts;
-                if self.connectivity.drops(&mut self.rng) {
+                let settled = if self.connectivity.drops(&mut self.rng) {
                     self.stats.record_reassignment(phase);
-                    w.not_before = self.round + backoff(attempt);
-                    queue.push_back(w);
-                    continue;
-                }
-                let bytes_down: u64 = w.partition.iter().map(|t| t.blob.len() as u64).sum();
-                let tuples_in = w.partition.len() as u64;
-                let rng_seed = self.step_seed(qid, phase, w.item, attempt);
-                // Download leg: injected corruption flips one ciphertext
-                // bit (authenticated decryption rejects, the SSI re-sends
-                // its pristine copy); a transport failure of the RPC takes
-                // the same retry path.
-                let corrupted = faults.corrupt_download(phase, w.item, attempt);
-                let stepped = if corrupted {
-                    let mut delivered = w.partition.clone();
-                    if let Some(first) = delivered.first_mut() {
-                        first.blob = faults.corrupt_blob(&first.blob, phase, w.item, attempt);
-                    }
-                    self.pool
-                        .step(i, env, params, self.round, step, &delivered, rng_seed)
-                } else {
-                    self.pool
-                        .step(i, env, params, self.round, step, &w.partition, rng_seed)
-                };
-                let output = match stepped {
-                    Ok(o) => o,
-                    Err(e) if step_failure_absorbed(&e, corrupted) => {
-                        self.stats.faults.corrupt_rejected += 1;
-                        self.stats.record_reassignment(phase);
-                        w.not_before = self.round + backoff(attempt);
-                        queue.push_back(w);
-                        continue;
-                    }
-                    Err(other) => return Err(other),
-                };
-                let bytes_up = match &output {
-                    StepResult::Working(ts) => ts.iter().map(|t| t.blob.len() as u64).sum(),
-                    StepResult::Results(rs) => rs.iter().map(|b| b.len() as u64).sum(),
-                };
-                self.stats.record(
-                    phase,
-                    self.tds_ids[i],
-                    TdsWork {
-                        bytes_down,
-                        bytes_up,
-                        tuples: tuples_in,
-                        crypto_blocks: (bytes_down + bytes_up) / 16,
-                    },
-                );
-                round_max_bytes = round_max_bytes.max(bytes_down + bytes_up);
-                // Upload leg.
-                if faults.lose_upload(phase, w.item, attempt) {
-                    self.stats.faults.lost_uploads += 1;
-                    w.not_before = self.round + backoff(attempt);
-                    queue.push_back(w);
-                    continue;
-                }
-                let assignment = match self.ssi.begin_assignment(qid, w.item) {
-                    Ok(a) => a,
-                    Err(e) if is_transport_error(&e) => {
-                        self.stats.faults.lost_uploads += 1;
-                        w.not_before = self.round + backoff(attempt);
-                        queue.push_back(w);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-                if faults.deliver_late(phase, w.item, attempt) {
-                    stash.push(LateUpload {
-                        assignment,
-                        output,
-                        bytes_up,
-                        deliver_at: self.round + LATE_DELAY,
-                    });
-                    w.not_before = self.round + backoff(attempt);
-                    queue.push_back(w);
-                    continue;
-                }
-                let duplicate = if faults.duplicate_upload(phase, w.item, attempt) {
-                    Some(output.clone())
-                } else {
                     None
+                } else {
+                    let contact = Contact {
+                        tds: i,
+                        item: w.item,
+                        attempt: w.attempts,
+                        step,
+                        inputs: &w.partition,
+                    };
+                    self.contact(q, phase, contact, &mut late, &mut busiest)?
                 };
-                match self.deliver_upload(qid, phase, assignment, output, bytes_up) {
-                    Ok(DeliveryOutcome::Accepted) => {}
-                    Ok(DeliveryOutcome::Duplicate) => self.stats.faults.duplicates_dropped += 1,
-                    Ok(DeliveryOutcome::LateAfterReassign) => {
-                        self.stats.faults.late_after_reassign += 1;
-                    }
-                    Ok(DeliveryOutcome::WindowClosed) => {}
-                    Err(e) if is_transport_error(&e) => {
-                        self.stats.faults.lost_uploads += 1;
-                        w.not_before = self.round + backoff(attempt);
-                        queue.push_back(w);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-                if let Some(copy) = duplicate {
-                    if self.deliver_upload(qid, phase, assignment, copy, bytes_up)?
-                        == DeliveryOutcome::Duplicate
-                    {
-                        self.stats.faults.duplicates_dropped += 1;
-                    }
+                if settled.is_none() {
+                    w.not_before = self.round + backoff(w.attempts);
+                    queue.push_back(w);
                 }
             }
             while let Some(w) = ready.pop_back() {
                 queue.push_front(w);
             }
-            self.stats.record_step_critical(phase, round_max_bytes);
+            self.stats.record_step_critical(phase, busiest);
         }
-        self.flush_late_uploads(qid, phase, &mut stash, true)?;
+        self.flush_late(qid, phase, &mut late, true)?;
         self.obs.event(
             "service.phase.done",
             Some(self.round),
@@ -1006,67 +801,191 @@ impl<'a> ServiceDriver<'a> {
         Ok(())
     }
 
-    /// Deliver one upload (working tuples or result rows) under its
-    /// assignment, recording SSI storage on acceptance.
-    fn deliver_upload(
+    /// Spend one delivery attempt of a work item. Exhausting the retry
+    /// budget raises [`ProtocolError::QueryAborted`] on an unbounded query
+    /// and abandons the item (`Ok(false)`, partial result) on a
+    /// SIZE-bounded one.
+    fn charge(&mut self, phase: Phase, env: &QueryEnvelope, attempts: &mut u32) -> Result<bool> {
+        if *attempts < self.retry_budget {
+            *attempts += 1;
+            return Ok(true);
+        }
+        if env.size.max_tuples.is_none() && env.size.max_rounds.is_none() {
+            return Err(ProtocolError::QueryAborted {
+                phase,
+                retries: *attempts,
+            });
+        }
+        self.stats.faults.items_abandoned += 1;
+        self.stats.partial = true;
+        Ok(false)
+    }
+
+    /// One contact, the driver's whole at-least-once path: TDS `c.tds`
+    /// steps attempt `c.attempt` of work item `c.item`, and its upload is
+    /// delivered under a fresh assignment and settled by the SSI's ledger.
+    /// Returns the settlement, or `None` when nothing reached the SSI and
+    /// the attempt is spent.
+    ///
+    /// The connectivity's [`crate::connectivity::FaultPlan`] strikes at
+    /// fixed (phase, item, attempt) coordinates: a corrupted download fails
+    /// authenticated decryption at the TDS (the SSI re-sends its pristine
+    /// copy next time), and an upload may be lost, delivered rounds late
+    /// (into `late`, settled by [`ServiceDriver::flush_late`]) or
+    /// duplicated (the ledger drops the copy). A real transport failure of
+    /// the step counts as a reassignment, of the delivery as a lost upload.
+    /// `busiest` keeps the round's largest per-TDS byte volume.
+    fn contact(
+        &mut self,
+        q: &Posted<'_>,
+        phase: Phase,
+        c: Contact<'_>,
+        late: &mut Vec<LateUpload>,
+        busiest: &mut u64,
+    ) -> Result<Option<DeliveryOutcome>> {
+        let Posted { qid, env, params } = *q;
+        let faults = self.connectivity.faults;
+        let (item, attempt) = (c.item, c.attempt);
+        let rng_seed = self.step_seed(qid, phase, item, attempt);
+        let round = self.round;
+        // Download leg: a collect step downloads the envelope, every other
+        // step its partition; injected corruption flips one bit of either.
+        let corrupted = faults.corrupt_download(phase, item, attempt);
+        let stepped = if !corrupted {
+            self.pool
+                .step(c.tds, env, params, round, c.step, c.inputs, rng_seed)
+        } else if c.step == TdsStep::Collect {
+            let mut bad = env.clone();
+            bad.enc_query = faults.corrupt_blob(&env.enc_query, phase, item, attempt);
+            self.pool
+                .step(c.tds, &bad, params, round, c.step, c.inputs, rng_seed)
+        } else {
+            let mut bad = c.inputs.to_vec();
+            if let Some(first) = bad.first_mut() {
+                first.blob = faults.corrupt_blob(&first.blob, phase, item, attempt);
+            }
+            self.pool
+                .step(c.tds, env, params, round, c.step, &bad, rng_seed)
+        };
+        let upload = match stepped {
+            Ok(output) => Upload::of(c.step, output)?,
+            Err(e) if step_failure_absorbed(&e, corrupted) => {
+                self.stats.faults.corrupt_rejected += 1;
+                self.stats.record_reassignment(phase);
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        };
+        // A collect step is charged for the tuples it emits, any other
+        // step for the partition it reads.
+        let bytes_up = upload.bytes();
+        let work = if c.step == TdsStep::Collect {
+            TdsWork {
+                bytes_down: env.enc_query.len() as u64,
+                bytes_up,
+                tuples: upload.len(),
+                crypto_blocks: bytes_up / 16,
+            }
+        } else {
+            let bytes_down: u64 = c.inputs.iter().map(|t| t.blob.len() as u64).sum();
+            TdsWork {
+                bytes_down,
+                bytes_up,
+                tuples: c.inputs.len() as u64,
+                crypto_blocks: (bytes_down + bytes_up) / 16,
+            }
+        };
+        self.stats.record(phase, self.tds_ids[c.tds], work);
+        *busiest = (*busiest).max(work.bytes_down + bytes_up);
+        // Upload leg.
+        if faults.lose_upload(phase, item, attempt) {
+            self.stats.faults.lost_uploads += 1;
+            return Ok(None);
+        }
+        let assignment = match self.ssi.begin_assignment(qid, item) {
+            Ok(a) => a,
+            Err(e) if is_transport_error(&e) => {
+                self.stats.faults.lost_uploads += 1;
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        };
+        if faults.deliver_late(phase, item, attempt) {
+            late.push(LateUpload {
+                tds: c.tds,
+                assignment,
+                upload,
+                deliver_at: round + LATE_DELAY,
+            });
+            return Ok(None);
+        }
+        let copy = faults
+            .duplicate_upload(phase, item, attempt)
+            .then(|| upload.clone());
+        let settled = self.settle(qid, phase, assignment, upload)?;
+        if let (Some(_), Some(copy)) = (settled, copy) {
+            self.settle(qid, phase, assignment, copy)?;
+        }
+        Ok(settled)
+    }
+
+    /// Deliver an upload under its assignment and count what the SSI's
+    /// ledger made of it. `None` when a transport failure dropped it in
+    /// flight — a lost upload; the owning work item retries under a fresh
+    /// assignment.
+    fn settle(
         &mut self,
         qid: u64,
         phase: Phase,
         assignment: AssignmentId,
-        output: StepResult,
-        bytes_up: u64,
-    ) -> Result<DeliveryOutcome> {
-        Ok(match output {
-            StepResult::Working(ts) => {
-                let n = ts.len() as u64;
-                let outcome = self.ssi.receive_working(qid, assignment, phase, ts)?;
-                if outcome == DeliveryOutcome::Accepted {
-                    self.stats.record_ssi_store(phase, n, bytes_up);
-                }
-                outcome
+        upload: Upload,
+    ) -> Result<Option<DeliveryOutcome>> {
+        let (n, bytes) = (upload.len(), upload.bytes());
+        let delivered = match upload {
+            Upload::Collection(ts) => self.ssi.receive_collection(qid, assignment, ts),
+            Upload::Working(ts) => self.ssi.receive_working(qid, assignment, phase, ts),
+            Upload::Results(rs) => self.ssi.receive_results(qid, assignment, rs),
+        };
+        let outcome = match delivered {
+            Ok(outcome) => outcome,
+            Err(e) if is_transport_error(&e) => {
+                self.stats.faults.lost_uploads += 1;
+                return Ok(None);
             }
-            StepResult::Results(rs) => {
-                let n = rs.len() as u64;
-                let outcome = self.ssi.receive_results(qid, assignment, rs)?;
-                if outcome == DeliveryOutcome::Accepted {
-                    self.stats.record_ssi_store(phase, n, bytes_up);
-                }
-                outcome
-            }
-        })
+            Err(e) => return Err(e),
+        };
+        let faults = &mut self.stats.faults;
+        match outcome {
+            DeliveryOutcome::Accepted => self.stats.record_ssi_store(phase, n, bytes),
+            DeliveryOutcome::Duplicate => faults.duplicates_dropped += 1,
+            DeliveryOutcome::LateAfterReassign => faults.late_after_reassign += 1,
+            DeliveryOutcome::WindowClosed => {}
+        }
+        Ok(Some(outcome))
     }
 
-    /// Deliver stashed late uploads whose flight time elapsed (all of them
-    /// when `force`). Returns whether any delivery was accepted.
-    fn flush_late_uploads(
+    /// Settle the delayed uploads whose flight time elapsed (all of them
+    /// when `force`). Returns the TDSs whose late upload was accepted.
+    fn flush_late(
         &mut self,
         qid: u64,
         phase: Phase,
-        stash: &mut Vec<LateUpload>,
+        late: &mut Vec<LateUpload>,
         force: bool,
-    ) -> Result<bool> {
-        let mut accepted = false;
-        let mut rest = Vec::new();
-        for entry in stash.drain(..) {
-            if !force && entry.deliver_at > self.round {
-                rest.push(entry);
-                continue;
-            }
-            match self.deliver_upload(qid, phase, entry.assignment, entry.output, entry.bytes_up) {
-                Ok(DeliveryOutcome::Accepted) => accepted = true,
-                Ok(DeliveryOutcome::Duplicate) => self.stats.faults.duplicates_dropped += 1,
-                Ok(DeliveryOutcome::LateAfterReassign) => {
-                    self.stats.faults.late_after_reassign += 1;
-                }
-                Ok(DeliveryOutcome::WindowClosed) => {}
-                // The in-flight copy dies with the connection — a lost
-                // upload; the owning work item retries under a fresh
-                // assignment.
-                Err(e) if is_transport_error(&e) => self.stats.faults.lost_uploads += 1,
-                Err(e) => return Err(e),
+    ) -> Result<Vec<usize>> {
+        let round = self.round;
+        let (due, rest): (Vec<_>, Vec<_>) = std::mem::take(late)
+            .into_iter()
+            .partition(|entry| force || entry.deliver_at <= round);
+        *late = rest;
+        let mut accepted = Vec::new();
+        for entry in due {
+            if self.settle(qid, phase, entry.assignment, entry.upload)?
+                == Some(DeliveryOutcome::Accepted)
+            {
+                accepted.push(entry.tds);
             }
         }
-        *stash = rest;
         Ok(accepted)
     }
 }
