@@ -67,17 +67,6 @@ fn backoff(attempt: u32) -> u64 {
     1u64 << attempt.min(4)
 }
 
-/// Is a failed TDS step absorbed — the attempt consumed and the item
-/// retried — rather than fatal? A transport failure always is. An
-/// authenticated-decryption or decode rejection is only where the fault
-/// plan corrupted this very delivery: anywhere else it is the query's own
-/// error (a querier keyed to a stale epoch, a malformed envelope) and every
-/// TDS would reject every retry the same way.
-fn step_failure_absorbed(err: &ProtocolError, corrupted: bool) -> bool {
-    is_transport_error(err)
-        || (corrupted && matches!(err, ProtocolError::Crypto(_) | ProtocolError::Codec(_)))
-}
-
 /// Driver configuration (the knobs [`crate::runtime::SimBuilder`] exposes).
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -867,10 +856,19 @@ impl<'a> ServiceDriver<'a> {
             self.pool
                 .step(c.tds, env, params, round, c.step, &bad, rng_seed)
         };
+        // A failed step is absorbed — the attempt spent, the item retried —
+        // when the RPC failed in transport, or when the TDS rejected the very
+        // download the fault plan corrupted. Any other rejection is the
+        // query's own error (a querier keyed to a stale epoch, a malformed
+        // envelope): every TDS would reject every retry the same way.
         let upload = match stepped {
             Ok(output) => Upload::of(c.step, output)?,
-            Err(e) if step_failure_absorbed(&e, corrupted) => {
+            Err(ProtocolError::Crypto(_) | ProtocolError::Codec(_)) if corrupted => {
                 self.stats.faults.corrupt_rejected += 1;
+                self.stats.record_reassignment(phase);
+                return Ok(None);
+            }
+            Err(e) if is_transport_error(&e) => {
                 self.stats.record_reassignment(phase);
                 return Ok(None);
             }

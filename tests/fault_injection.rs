@@ -7,16 +7,24 @@
 
 mod common;
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use common::assert_rows_eq;
 use tdsql_core::access::AccessPolicy;
+use tdsql_core::bytes::Bytes;
 use tdsql_core::connectivity::{Connectivity, FaultPlan};
+use tdsql_core::message::{QueryEnvelope, StoredTuple};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
 use tdsql_core::runtime::SimBuilder;
+use tdsql_core::service::{transport_error, StepResult, TdsPool, TdsStep};
 use tdsql_core::stats::Phase;
 use tdsql_core::workload::{smart_meters, SmartMeterConfig};
+use tdsql_core::{DriverConfig, LocalTdsPool, ServiceDriver};
 use tdsql_crypto::credential::Role;
 use tdsql_sql::engine::execute;
 use tdsql_sql::parser::parse_query;
+use tdsql_sql::value::Value;
 
 const SQL: &str = "SELECT c.district, AVG(p.cons), COUNT(*) FROM power p, consumer c \
                    WHERE c.cid = p.cid GROUP BY c.district";
@@ -400,4 +408,92 @@ fn deterministic_replay_with_same_seed() {
     assert_eq!(a.1, b.1, "rounds must replay identically");
     assert_eq!(a.2, b.2, "observation counts must replay identically");
     assert_rows_eq(a.0, b.0, "replayed rows");
+}
+
+/// Forwards to `inner`, except that every `every`-th step fails the way a
+/// dropped connection does.
+struct FlakyPool {
+    inner: LocalTdsPool,
+    every: u64,
+    calls: AtomicU64,
+    failed: AtomicU64,
+}
+
+impl TdsPool for FlakyPool {
+    fn len(&self) -> tdsql_core::Result<usize> {
+        self.inner.len()
+    }
+
+    fn tds_ids(&self) -> tdsql_core::Result<Vec<u64>> {
+        self.inner.tds_ids()
+    }
+
+    fn step(
+        &self,
+        index: usize,
+        env: &QueryEnvelope,
+        params: &ProtocolParams,
+        now_round: u64,
+        step: TdsStep,
+        partition: &[StoredTuple],
+        rng_seed: u64,
+    ) -> tdsql_core::Result<StepResult> {
+        if (self.calls.fetch_add(1, Ordering::SeqCst) + 1) % self.every == 0 {
+            self.failed.fetch_add(1, Ordering::SeqCst);
+            return Err(transport_error("connection reset by peer"));
+        }
+        self.inner
+            .step(index, env, params, now_round, step, partition, rng_seed)
+    }
+
+    fn open_rows(&self, blobs: &[Bytes]) -> tdsql_core::Result<Vec<Vec<Value>>> {
+        self.inner.open_rows(blobs)
+    }
+}
+
+#[test]
+fn a_step_lost_in_transport_is_a_reassignment_not_a_corrupt_rejection() {
+    // No fault plan: every failure is the pool's transport. Each one costs
+    // its item an attempt and a reassignment, and none of them is a
+    // corrupted download the TDS rejected.
+    let (dbs, oracle) = smart_meters(&SmartMeterConfig {
+        n_tds: 20,
+        districts: 3,
+        readings_per_tds: 2,
+        ..Default::default()
+    });
+    let query = parse_query(SQL).unwrap();
+    let mut world = SimBuilder::new()
+        .seed(315)
+        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
+    let querier = world.make_querier("energy-co", "supplier");
+    let pool = FlakyPool {
+        inner: LocalTdsPool::new(Arc::new(std::mem::take(&mut world.tdss))),
+        every: 5,
+        calls: AtomicU64::new(0),
+        failed: AtomicU64::new(0),
+    };
+    let mut driver = ServiceDriver::new(
+        &world.ssi,
+        &pool,
+        Arc::clone(&world.obs),
+        DriverConfig::default(),
+    )
+    .unwrap();
+    let mut params = ProtocolParams::new(ProtocolKind::SAgg);
+    params.chunk = 4;
+    let rows = driver.run_query(&querier, None, &query, params).unwrap();
+    assert_rows_eq(rows, execute(&oracle, &query).unwrap().rows, "S_Agg");
+
+    let failed = pool.failed.load(Ordering::SeqCst);
+    let reassigned: u64 = Phase::ALL
+        .iter()
+        .map(|&p| driver.stats.phase(p).partitions_reassigned)
+        .sum();
+    assert!(failed > 0);
+    assert_eq!(reassigned, failed, "one reassignment per failed step");
+    assert_eq!(
+        driver.stats.faults.corrupt_rejected, 0,
+        "nothing was corrupted"
+    );
 }
