@@ -156,62 +156,34 @@ fn abandon_and_abort_transcripts_are_pinned() {
     let bounded = format!("{SQL} SIZE 8 ROUNDS");
     let sfw_bounded = format!("{SFW_SQL} SIZE 8 ROUNDS");
     let tuple_bounded = format!("{SQL} SIZE 12");
-    let s_agg = ProtocolKind::SAgg;
-    let r2_noise = ProtocolKind::RnfNoise { nf: 2 };
-    // (label, protocol, query, retry budget, expect an abort, pinned)
+    let (s_agg, c_noise) = (ProtocolKind::SAgg, ProtocolKind::CNoise);
+    let (basic, r2_noise) = (ProtocolKind::Basic, ProtocolKind::RnfNoise { nf: 2 });
+    // (label, protocol, query, retry budget, expect an abort)
     let cases = [
-        (
-            "S_Agg SIZE-bounded",
-            s_agg,
-            bounded.as_str(),
-            3,
-            false,
-            0x0e09_4529_f97a_ffdb,
-        ),
-        (
-            "Basic SIZE-bounded",
-            ProtocolKind::Basic,
-            sfw_bounded.as_str(),
-            3,
-            false,
-            0x7c3e_bd8d_31f6_93d1,
-        ),
+        ("S_Agg SIZE-bounded", s_agg, bounded.as_str(), 3, false),
+        ("Basic SIZE-bounded", basic, sfw_bounded.as_str(), 3, false),
         (
             "S_Agg tuple-bounded",
             s_agg,
             tuple_bounded.as_str(),
             24,
             false,
-            0x9911_b0a4_21bd_8e53,
         ),
-        (
-            "S_Agg unbounded",
-            s_agg,
-            SQL,
-            2,
-            true,
-            0xb658_6aec_347b_8210,
-        ),
-        (
-            "C_Noise unbounded",
-            ProtocolKind::CNoise,
-            SQL,
-            2,
-            true,
-            0xd598_cfcc_a637_8ea0,
-        ),
+        ("S_Agg unbounded", s_agg, SQL, 2, true),
+        ("C_Noise unbounded", c_noise, SQL, 2, true),
         // The discovery sub-query carries no SIZE bound, so it aborts.
-        (
-            "R2_Noise discovery",
-            r2_noise,
-            bounded.as_str(),
-            3,
-            true,
-            0xee66_d45c_f525_1c55,
-        ),
+        ("R2_Noise discovery", r2_noise, bounded.as_str(), 3, true),
+    ];
+    let pinned: [u64; 6] = [
+        0x0e09_4529_f97a_ffdb,
+        0x7c3e_bd8d_31f6_93d1,
+        0x9911_b0a4_21bd_8e53,
+        0xb658_6aec_347b_8210,
+        0xd598_cfcc_a637_8ea0,
+        0xee66_d45c_f525_1c55,
     ];
     let mut drifted = Vec::new();
-    for (label, kind, sql, budget, aborts, pinned) in cases {
+    for ((label, kind, sql, budget, aborts), pinned) in cases.into_iter().zip(pinned) {
         let run = transcript(kind, sql, lossy, budget);
         assert_eq!(run.error.is_some(), aborts, "{label}: {:?}", run.error);
         if !aborts && budget < 24 {
