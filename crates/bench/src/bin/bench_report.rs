@@ -53,13 +53,23 @@
 //! O(tuples). The per-ring `CipherContext` cache is what makes
 //! million-TDS collections affordable.
 //!
+//! Each row also says where its wall goes: `collection_ms`,
+//! `aggregation_ms` and `filtering_ms` are the driver's time in each phase
+//! (one clock read on each side of a phase, [`RunStats::phase_wall`]), and
+//! `unattributed_ms` is the rest of `wall_ms` — posting the query, fetching
+//! and decrypting the results.
+//!
 //! Queries are single-table on purpose: the nested-loop join would add an
 //! O(N²) term that swamps the costs this report tracks.
 //! `--throughput-smoke` runs one small row (S_Agg @ 1k) with every check
 //! enabled and writes nothing: the CI-sized canary.
 //! `--check-throughput BENCH_7.json` validates the committed artifact's
-//! schema; adding `--floor` also reruns S_Agg @ 10k live and fails if it
-//! regresses more than 30% below the committed row's tuples/second.
+//! schema and two invariants of its rows: the phase columns and
+//! `unattributed_ms` add up to `wall_ms`, and S_Agg's per-TDS wall at the
+//! largest population is at most twice its per-TDS wall at 10k (paper
+//! scale needs per-TDS cost that stays flat as N grows). Adding `--floor`
+//! also reruns S_Agg @ 10k live and fails if it regresses more than 30%
+//! below the committed row's tuples/second.
 //!
 //! ## Mixed mode (`--mixed` → `BENCH_8.json`)
 //!
@@ -592,7 +602,7 @@ fn run_mixed_report() {
 
 /// Schema identifier of the current throughput report; bump on row-layout
 /// changes.
-const THROUGHPUT_SCHEMA: &str = "tdsql-bench-throughput/v3";
+const THROUGHPUT_SCHEMA: &str = "tdsql-bench-throughput/v4";
 const THROUGHPUT_SEED: u64 = 5;
 const THROUGHPUT_SWEEP: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 /// Above this population the protocol sweep trims to the aggregation
@@ -608,8 +618,25 @@ const MAX_RUN_KEY_SCHEDULES: u64 = 64;
 /// `--check-throughput --floor`: the live 10k S_Agg run may be at most
 /// this much slower than the committed row before the check fails.
 const FLOOR_REGRESSION: f64 = 0.30;
+/// S_Agg's per-TDS wall at the largest population may be at most this
+/// multiple of its per-TDS wall at 10k: per-TDS cost must not double with
+/// the population, as it did while the connectivity sampler filled a
+/// `BTreeSet` of every connected TDS each round (2.0× in the last report
+/// made with it). The target is 1.3×; on a 2-core VM whose speed drifts
+/// between rows minutes apart, regenerated reports read 1.24–1.74×.
+const MAX_PER_TDS_GROWTH: f64 = 2.0;
+/// How far the rendered phase columns plus `unattributed_ms` may sit from
+/// the rendered `wall_ms`: five values, each rounded to 0.0005 ms.
+const WALL_SUM_TOLERANCE_MS: f64 = 0.003;
+/// The phase columns of a throughput row, in emission order, with the phase
+/// each one times.
+const PHASE_KEYS: [(&str, Phase); 3] = [
+    ("collection_ms", Phase::Collection),
+    ("aggregation_ms", Phase::Aggregation),
+    ("filtering_ms", Phase::Filtering),
+];
 /// Keys every throughput row must carry, in emission order.
-const THROUGHPUT_ROW_KEYS: [&str; 10] = [
+const THROUGHPUT_ROW_KEYS: [&str; 14] = [
     "protocol",
     "n_tds",
     "wall_ms",
@@ -620,6 +647,10 @@ const THROUGHPUT_ROW_KEYS: [&str; 10] = [
     "key_schedules_delta",
     "aes_blocks_batched",
     "arena_bytes",
+    "collection_ms",
+    "aggregation_ms",
+    "filtering_ms",
+    "unattributed_ms",
 ];
 
 struct ThroughputRow {
@@ -633,6 +664,15 @@ struct ThroughputRow {
     key_schedules_delta: u64,
     aes_blocks_batched: u64,
     arena_bytes: u64,
+    /// Wall per [`PHASE_KEYS`] phase, in milliseconds.
+    phase_ms: [f64; PHASE_KEYS.len()],
+}
+
+impl ThroughputRow {
+    /// The part of `wall_ms` no phase accounts for.
+    fn unattributed_ms(&self) -> f64 {
+        self.wall_ms - self.phase_ms.iter().sum::<f64>()
+    }
 }
 
 /// Above 10k only the aggregation workhorses run: a full five-protocol
@@ -725,6 +765,7 @@ fn throughput_one(name: &'static str, kind: ProtocolKind, n_tds: usize) -> Throu
         key_schedules_delta: key_schedules,
         aes_blocks_batched,
         arena_bytes,
+        phase_ms: PHASE_KEYS.map(|(_, p)| stats.phase_wall(p).as_secs_f64() * 1e3),
     }
 }
 
@@ -742,7 +783,8 @@ fn render_throughput(rows: &[ThroughputRow]) -> String {
             out,
             "\n  {{\"protocol\":\"{}\",\"n_tds\":{},\"wall_ms\":{:.3},\"runs\":{},\"tuples\":{},\
              \"tuples_per_sec\":{:.1},\"results\":{},\"key_schedules_delta\":{},\
-             \"aes_blocks_batched\":{},\"arena_bytes\":{}}}",
+             \"aes_blocks_batched\":{},\"arena_bytes\":{},\"collection_ms\":{:.3},\
+             \"aggregation_ms\":{:.3},\"filtering_ms\":{:.3},\"unattributed_ms\":{:.3}}}",
             r.protocol,
             r.n_tds,
             r.wall_ms,
@@ -753,14 +795,20 @@ fn render_throughput(rows: &[ThroughputRow]) -> String {
             r.key_schedules_delta,
             r.aes_blocks_batched,
             r.arena_bytes,
+            r.phase_ms[0],
+            r.phase_ms[1],
+            r.phase_ms[2],
+            r.unattributed_ms(),
         );
     }
     out.push_str("\n]}\n");
     out
 }
 
-/// Structural schema validation for the throughput report, mirroring
-/// [`check`]: header, row count, per-row keys, the full sweep present.
+/// Schema validation for the throughput report, mirroring [`check`]
+/// (header, row count, per-row keys, the full sweep present), then the
+/// row invariants: each row's wall adds up, and S_Agg's per-TDS wall grows
+/// at most [`MAX_PER_TDS_GROWTH`]-fold from 10k to the largest population.
 fn check_throughput(content: &str) -> Result<(), String> {
     let header = format!("{{\"schema\":\"{THROUGHPUT_SCHEMA}\"");
     if !content.starts_with(&header) {
@@ -797,26 +845,62 @@ fn check_throughput(content: &str) -> Result<(), String> {
             return Err(format!("sweep point n_tds={n} missing from report"));
         }
     }
+    for line in content.lines().filter(|l| l.contains("{\"protocol\":")) {
+        let number = |key: &str| {
+            row_field(line, key).ok_or_else(|| format!("row without a numeric {key}: {line}"))
+        };
+        let wall = number("wall_ms")?;
+        let mut parts = number("unattributed_ms")?;
+        for (key, _) in PHASE_KEYS {
+            parts += number(key)?;
+        }
+        if (parts - wall).abs() > WALL_SUM_TOLERANCE_MS {
+            return Err(format!(
+                "phases plus unattributed_ms sum to {parts:.3} ms, not wall_ms {wall:.3}: {line}"
+            ));
+        }
+    }
+    let largest = THROUGHPUT_SWEEP[THROUGHPUT_SWEEP.len() - 1];
+    let per_tds = |n_tds: usize| {
+        committed_field(content, "s_agg", n_tds, "wall_ms")
+            .map(|wall| wall / n_tds as f64)
+            .ok_or_else(|| format!("no s_agg/{n_tds} wall_ms"))
+    };
+    let (base, top) = (per_tds(10_000)?, per_tds(largest)?);
+    if top > base * MAX_PER_TDS_GROWTH {
+        return Err(format!(
+            "s_agg per-TDS wall grows {:.2}x from 10k to {largest} TDSs \
+             ({:.3} → {:.3} µs; at most {MAX_PER_TDS_GROWTH}x)",
+            top / base,
+            base * 1e3,
+            top * 1e3
+        ));
+    }
     Ok(())
 }
 
-/// Extract `tuples_per_sec` from the committed row matching (protocol,
-/// n_tds). Keeps the dependency-free hand-rolled JSON discipline of the
-/// rest of this binary: rows are emitted one per line by
-/// [`render_throughput`], so a line-oriented scan is exact.
-fn committed_tuples_per_sec(content: &str, protocol: &str, n_tds: usize) -> Option<f64> {
-    let marker = format!("\"protocol\":\"{protocol}\",\"n_tds\":{n_tds},");
-    let line = content.lines().find(|l| l.contains(&marker))?;
-    let field = "\"tuples_per_sec\":";
-    let at = line.find(field)? + field.len();
+/// The numeric value of `key` on one rendered row line.
+fn row_field(line: &str, key: &str) -> Option<f64> {
+    let field = format!("\"{key}\":");
+    let at = line.find(&field)? + field.len();
     let rest = &line[at..];
     let end = rest.find([',', '}'])?;
     rest[..end].parse().ok()
 }
 
+/// Extract `key` from the committed row matching (protocol, n_tds). Keeps
+/// the dependency-free hand-rolled JSON discipline of the rest of this
+/// binary: rows are emitted one per line by [`render_throughput`], so a
+/// line-oriented scan is exact.
+fn committed_field(content: &str, protocol: &str, n_tds: usize, key: &str) -> Option<f64> {
+    let marker = format!("\"protocol\":\"{protocol}\",\"n_tds\":{n_tds},");
+    let line = content.lines().find(|l| l.contains(&marker))?;
+    row_field(line, key)
+}
+
 fn print_throughput_row(r: &ThroughputRow) {
     println!(
-        "{:<10} {:>8} {:>11.3} {:>4} {:>8} {:>14.1} {:>8} {:>9} {:>12} {:>11}",
+        "{:<10} {:>8} {:>11.3} {:>4} {:>8} {:>14.1} {:>8} {:>9} {:>12} {:>11} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
         r.protocol,
         r.n_tds,
         r.wall_ms,
@@ -827,12 +911,16 @@ fn print_throughput_row(r: &ThroughputRow) {
         r.key_schedules_delta,
         r.aes_blocks_batched,
         r.arena_bytes,
+        r.phase_ms[0],
+        r.phase_ms[1],
+        r.phase_ms[2],
+        r.unattributed_ms(),
     );
 }
 
 fn print_throughput_header() {
     println!(
-        "{:<10} {:>8} {:>11} {:>4} {:>8} {:>14} {:>8} {:>9} {:>12} {:>11}",
+        "{:<10} {:>8} {:>11} {:>4} {:>8} {:>14} {:>8} {:>9} {:>12} {:>11} {:>10} {:>10} {:>10} {:>10}",
         "protocol",
         "n_tds",
         "wall_ms",
@@ -842,7 +930,11 @@ fn print_throughput_header() {
         "results",
         "key_sched",
         "aes_blocks",
-        "arena_bytes"
+        "arena_bytes",
+        "collect_ms",
+        "agg_ms",
+        "filter_ms",
+        "unattr_ms"
     );
 }
 
@@ -875,7 +967,7 @@ fn run_throughput(smoke: bool) {
 /// the collection phase, not just scheduler noise: the live number is a
 /// best-of-[`THROUGHPUT_RUNS`] minimum on the same sweep point.
 fn run_floor_check(content: &str) {
-    let committed = committed_tuples_per_sec(content, "s_agg", 10_000)
+    let committed = committed_field(content, "s_agg", 10_000, "tuples_per_sec")
         .expect("committed report has no s_agg/10k row to check the floor against");
     let row = throughput_one("s_agg", ProtocolKind::SAgg, 10_000);
     let floor = committed * (1.0 - FLOOR_REGRESSION);
@@ -930,5 +1022,63 @@ fn main() {
             eprintln!("unknown argument {other:?}; see the module docs for usage");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A full throughput sweep whose S_Agg rows cost `sagg_us(n)` µs a TDS
+    /// and whose phase columns add up to each wall.
+    fn sweep(sagg_us: impl Fn(usize) -> f64) -> String {
+        let mut rows = Vec::new();
+        for n_tds in THROUGHPUT_SWEEP {
+            for (protocol, _) in throughput_protocols(n_tds) {
+                let wall_ms = if protocol == "s_agg" {
+                    sagg_us(n_tds) * n_tds as f64 / 1e3
+                } else {
+                    4e-3 * n_tds as f64
+                };
+                rows.push(ThroughputRow {
+                    protocol,
+                    n_tds,
+                    wall_ms,
+                    runs: THROUGHPUT_RUNS,
+                    tuples: n_tds as u64,
+                    tuples_per_sec: 1.0,
+                    results: 8,
+                    key_schedules_delta: 0,
+                    aes_blocks_batched: 1,
+                    arena_bytes: 1,
+                    phase_ms: [wall_ms * 0.7, wall_ms * 0.2, wall_ms * 0.05],
+                });
+            }
+        }
+        render_throughput(&rows)
+    }
+
+    #[test]
+    fn throughput_check_guards_per_tds_growth() {
+        assert_eq!(check_throughput(&sweep(|_| 4.0)), Ok(()));
+        let doubled = sweep(|n| if n == 1_000_000 { 8.4 } else { 4.0 });
+        let err = check_throughput(&doubled).unwrap_err();
+        assert!(err.contains("per-TDS wall grows 2.10x"), "{err}");
+    }
+
+    #[test]
+    fn throughput_check_guards_the_phase_sum() {
+        let report = sweep(|_| 4.0);
+        let line = report
+            .lines()
+            .find(|l| l.contains("\"n_tds\":10000,"))
+            .unwrap();
+        let unattributed = row_field(line, "unattributed_ms").unwrap();
+        let off_by_a_millisecond = line.replace(
+            &format!("\"unattributed_ms\":{unattributed:.3}"),
+            &format!("\"unattributed_ms\":{:.3}", unattributed + 1.0),
+        );
+        let err = check_throughput(&report.replace(line, &off_by_a_millisecond)).unwrap_err();
+        assert!(err.contains("not wall_ms"), "{err}");
     }
 }

@@ -239,23 +239,32 @@ impl Connectivity {
     /// always returned for a non-empty population (otherwise no protocol
     /// could ever terminate under a tiny fraction).
     ///
-    /// Uses Floyd's sampling: O(count) RNG draws and memory instead of
-    /// allocating and shuffling a `Vec` of the whole population every round.
-    /// The `BTreeSet` keeps the result sorted, matching the previous
-    /// contract of ascending, distinct indices.
+    /// Uses Floyd's sampling: O(count) RNG draws instead of shuffling the
+    /// whole population every round. Membership lives in a mark array of
+    /// one byte per TDS, swept in ascending order, so the result keeps the
+    /// contract of ascending, distinct indices at O(population) cost with
+    /// no per-member allocation.
+    ///
+    /// A caller that needs only a few TDSs still ranks the whole population:
+    /// drawing fewer would change how much of the run's RNG stream a round
+    /// consumes, and with it every later draw of the run.
     pub fn sample_connected<R: Rng>(&self, population: usize, rng: &mut R) -> Vec<usize> {
         if population == 0 {
             return Vec::new();
         }
         let count = ((population as f64 * self.fraction).round() as usize).clamp(1, population);
-        let mut chosen = std::collections::BTreeSet::new();
+        let mut chosen = vec![false; population];
         for j in (population - count)..population {
             let t = rng.gen_range(0..j + 1);
-            if !chosen.insert(t) {
-                chosen.insert(j);
+            if chosen[t] {
+                chosen[j] = true;
+            } else {
+                chosen[t] = true;
             }
         }
-        chosen.into_iter().collect()
+        let mut connected = Vec::with_capacity(count);
+        connected.extend((0..population).filter(|&i| chosen[i]));
+        connected
     }
 
     /// Does a TDS drop out while holding a partition?
@@ -352,6 +361,51 @@ mod tests {
         let a = c.sample_connected(100, &mut rng);
         let b = c.sample_connected(100, &mut rng);
         assert_ne!(a, b, "rounds should rotate the connected subset");
+    }
+
+    /// Floyd's sampling into a `BTreeSet`: the sampler's earlier form, kept
+    /// as the reference the mark-array version must reproduce.
+    fn sample_connected_btree<R: Rng>(
+        c: &Connectivity,
+        population: usize,
+        rng: &mut R,
+    ) -> Vec<usize> {
+        if population == 0 {
+            return Vec::new();
+        }
+        let count = ((population as f64 * c.fraction).round() as usize).clamp(1, population);
+        let mut chosen = std::collections::BTreeSet::new();
+        for j in (population - count)..population {
+            let t = rng.gen_range(0..j + 1);
+            if !chosen.insert(t) {
+                chosen.insert(j);
+            }
+        }
+        chosen.into_iter().collect()
+    }
+
+    #[test]
+    fn mark_array_sampler_matches_the_btree_sampler() {
+        let populations = [0, 1, 2, 3, 7, 63, 64, 65, 257, 999, 4096];
+        let fractions = [1e-4, 0.01, 0.13, 0.5, 0.99, 1.0];
+        for population in populations {
+            for fraction in fractions {
+                let c = Connectivity::fraction(fraction);
+                for seed in 0..20u64 {
+                    let mut new = StdRng::seed_from_u64(seed);
+                    let mut old = StdRng::seed_from_u64(seed);
+                    assert_eq!(
+                        c.sample_connected(population, &mut new),
+                        sample_connected_btree(&c, population, &mut old),
+                        "population {population}, fraction {fraction}, seed {seed}"
+                    );
+                    assert_eq!(
+                        new, old,
+                        "RNG state after the draw (population {population}, fraction {fraction}, seed {seed})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 use tdsql_obs::{Field, Obs};
 
@@ -49,7 +50,7 @@ use crate::message::{
     AssignmentId, DeliveryOutcome, GroupTag, QueryEnvelope, QueryTarget, StoredTuple,
 };
 use crate::partition::{random_partitions, tag_partitions};
-use crate::plan::{FinalizeOp, FinalizePartitioning, Partitioning, PhasePlan, Until};
+use crate::plan::{FinalizeOp, FinalizePartitioning, Partitioning, PhasePlan, ReduceSpec, Until};
 use crate::protocol::{discovery, ProtocolKind, ProtocolParams};
 use crate::querier::Querier;
 use crate::runtime::backoff::BackoffPolicy;
@@ -392,9 +393,7 @@ impl<'a> ServiceDriver<'a> {
             env: &env,
             params: &dparams,
         };
-        let run = self
-            .run_collection(&q)
-            .and_then(|()| self.execute_plan(&q, &plan));
+        let run = self.run_phases(&q, &plan);
         self.in_discovery = false;
         run?;
         let blobs = self.control(|ssi| ssi.results(qid))?;
@@ -430,8 +429,7 @@ impl<'a> ServiceDriver<'a> {
             env: &env,
             params,
         };
-        self.run_collection(&q)?;
-        self.execute_plan(&q, &plan)?;
+        self.run_phases(&q, &plan)?;
         self.control(|ssi| ssi.results(qid))
     }
 
@@ -480,79 +478,106 @@ impl<'a> ServiceDriver<'a> {
         }
     }
 
-    /// Interpret the post-collection steps of the compiled plan: reduce
-    /// (iterative or per-tag) then finalize. This is the whole protocol
+    /// Run `f` as phase `phase` and add its wall-clock time to the run's
+    /// [`RunStats::phase_wall`]: one clock read on each side of a whole
+    /// phase, none per contact.
+    fn timed<T>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let start = Instant::now();
+        let out = f(self);
+        self.stats.record_phase_wall(phase, start.elapsed());
+        out
+    }
+
+    /// Run a posted query's phases: collection, then the post-collection
+    /// steps of the compiled plan — reduce (iterative or per-tag) and
+    /// finalize — each one timed as a whole. This is the whole protocol
     /// dispatch — there is no per-protocol driver.
-    fn execute_plan(&mut self, q: &Posted<'_>, plan: &PhasePlan) -> Result<()> {
-        let qid = q.qid;
+    fn run_phases(&mut self, q: &Posted<'_>, plan: &PhasePlan) -> Result<()> {
+        let col = self.effective_phase(Phase::Collection);
         let agg = self.effective_phase(Phase::Aggregation);
         let fil = self.effective_phase(Phase::Filtering);
+        self.timed(col, |d| d.run_collection(q))?;
         if let Some(reduce) = plan.reduce {
-            let working = self.ssi.take_working(qid)?;
-            if working.is_empty() {
+            if !self.timed(agg, |d| d.run_reduce(q, agg, reduce))? {
                 return Ok(());
             }
-            let partitions = self.partition_working(working, reduce.first);
-            self.process_partitions(
-                q,
-                agg,
-                partitions,
-                TdsStep::ReduceInputs {
-                    retag: reduce.retag,
-                },
-            )?;
-
-            match reduce.until {
-                Until::SingleBatch => loop {
-                    let working = self.ssi.take_working(qid)?;
-                    if working.len() <= 1 {
-                        self.ssi.restore_working(qid, agg, working)?;
-                        break;
-                    }
-                    let partitions = self.partition_working(working, reduce.again);
-                    self.process_partitions(
-                        q,
-                        agg,
-                        partitions,
-                        TdsStep::ReducePartials {
-                            retag: reduce.retag,
-                        },
-                    )?;
-                },
-                Until::TagSingletons => loop {
-                    let working = self.ssi.take_working(qid)?;
-                    let mut per_tag: BTreeMap<GroupTag, usize> = BTreeMap::new();
-                    for t in &working {
-                        *per_tag.entry(t.tag.clone()).or_default() += 1;
-                    }
-                    if per_tag.values().all(|&n| n <= 1) {
-                        self.ssi.restore_working(qid, agg, working)?;
-                        break;
-                    }
-                    let mut pass_through: Vec<StoredTuple> = Vec::new();
-                    let mut to_reduce: Vec<StoredTuple> = Vec::new();
-                    for t in working {
-                        if per_tag[&t.tag] <= 1 {
-                            pass_through.push(t);
-                        } else {
-                            to_reduce.push(t);
-                        }
-                    }
-                    self.ssi.restore_working(qid, agg, pass_through)?;
-                    let partitions = self.partition_working(to_reduce, reduce.again);
-                    self.process_partitions(
-                        q,
-                        agg,
-                        partitions,
-                        TdsStep::ReducePartials {
-                            retag: reduce.retag,
-                        },
-                    )?;
-                },
-            }
         }
+        self.timed(fil, |d| d.run_finalize(q, fil, plan))
+    }
 
+    /// Reduce the working set until the plan's stopping rule holds.
+    /// `false` when collection left nothing to reduce, and so nothing to
+    /// finalize either.
+    fn run_reduce(&mut self, q: &Posted<'_>, agg: Phase, reduce: ReduceSpec) -> Result<bool> {
+        let qid = q.qid;
         let working = self.ssi.take_working(qid)?;
+        if working.is_empty() {
+            return Ok(false);
+        }
+        let partitions = self.partition_working(working, reduce.first);
+        self.process_partitions(
+            q,
+            agg,
+            partitions,
+            TdsStep::ReduceInputs {
+                retag: reduce.retag,
+            },
+        )?;
+
+        match reduce.until {
+            Until::SingleBatch => loop {
+                let working = self.ssi.take_working(qid)?;
+                if working.len() <= 1 {
+                    self.ssi.restore_working(qid, agg, working)?;
+                    break;
+                }
+                let partitions = self.partition_working(working, reduce.again);
+                self.process_partitions(
+                    q,
+                    agg,
+                    partitions,
+                    TdsStep::ReducePartials {
+                        retag: reduce.retag,
+                    },
+                )?;
+            },
+            Until::TagSingletons => loop {
+                let working = self.ssi.take_working(qid)?;
+                let mut per_tag: BTreeMap<GroupTag, usize> = BTreeMap::new();
+                for t in &working {
+                    *per_tag.entry(t.tag.clone()).or_default() += 1;
+                }
+                if per_tag.values().all(|&n| n <= 1) {
+                    self.ssi.restore_working(qid, agg, working)?;
+                    break;
+                }
+                let mut pass_through: Vec<StoredTuple> = Vec::new();
+                let mut to_reduce: Vec<StoredTuple> = Vec::new();
+                for t in working {
+                    if per_tag[&t.tag] <= 1 {
+                        pass_through.push(t);
+                    } else {
+                        to_reduce.push(t);
+                    }
+                }
+                self.ssi.restore_working(qid, agg, pass_through)?;
+                let partitions = self.partition_working(to_reduce, reduce.again);
+                self.process_partitions(
+                    q,
+                    agg,
+                    partitions,
+                    TdsStep::ReducePartials {
+                        retag: reduce.retag,
+                    },
+                )?;
+            },
+        }
+        Ok(true)
+    }
+
+    /// Finalize the working set: filter its rows or finalize its groups.
+    fn run_finalize(&mut self, q: &Posted<'_>, fil: Phase, plan: &PhasePlan) -> Result<()> {
+        let working = self.ssi.take_working(q.qid)?;
         if working.is_empty() {
             return Ok(());
         }
@@ -822,7 +847,8 @@ impl<'a> ServiceDriver<'a> {
     /// copy next time), and an upload may be lost, delivered rounds late
     /// (into `late`, settled by [`ServiceDriver::flush_late`]) or
     /// duplicated (the ledger drops the copy). A real transport failure of
-    /// the step counts as a reassignment, of the delivery as a lost upload.
+    /// the step counts as a reassignment, of the delivery as a lost upload,
+    /// and of a duplicated copy as a dropped duplicate.
     /// `busiest` keeps the round's largest per-TDS byte volume.
     fn contact(
         &mut self,
@@ -922,7 +948,11 @@ impl<'a> ServiceDriver<'a> {
             .then(|| upload.clone());
         let settled = self.settle(qid, phase, assignment, upload)?;
         if let (Some(_), Some(copy)) = (settled, copy) {
-            self.settle(qid, phase, assignment, copy)?;
+            // The original settled, so the copy is dropped either way: by
+            // the ledger, or in flight, where nothing re-sends it.
+            if self.deliver(qid, phase, assignment, copy)?.is_none() {
+                self.stats.faults.duplicates_dropped += 1;
+            }
         }
         Ok(settled)
     }
@@ -938,6 +968,23 @@ impl<'a> ServiceDriver<'a> {
         assignment: AssignmentId,
         upload: Upload,
     ) -> Result<Option<DeliveryOutcome>> {
+        let settled = self.deliver(qid, phase, assignment, upload)?;
+        if settled.is_none() {
+            self.stats.faults.lost_uploads += 1;
+        }
+        Ok(settled)
+    }
+
+    /// [`ServiceDriver::settle`] without its verdict on a transport
+    /// failure: `None` when the upload was dropped in flight, and the
+    /// caller says what that loss was.
+    fn deliver(
+        &mut self,
+        qid: u64,
+        phase: Phase,
+        assignment: AssignmentId,
+        upload: Upload,
+    ) -> Result<Option<DeliveryOutcome>> {
         let (n, bytes) = (upload.len(), upload.bytes());
         let delivered = match upload {
             Upload::Collection(ts) => self.ssi.receive_collection(qid, assignment, ts),
@@ -946,10 +993,7 @@ impl<'a> ServiceDriver<'a> {
         };
         let outcome = match delivered {
             Ok(outcome) => outcome,
-            Err(e) if is_transport_error(&e) => {
-                self.stats.faults.lost_uploads += 1;
-                return Ok(None);
-            }
+            Err(e) if is_transport_error(&e) => return Ok(None),
             Err(e) => return Err(e),
         };
         let faults = &mut self.stats.faults;

@@ -7,6 +7,7 @@
 //! counts into time (done in `tdsql-costmodel`).
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Phases of the generic protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,7 +114,10 @@ impl PhaseStats {
 /// shows non-zero counters here and an unchanged result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Deliveries dropped because the same assignment already delivered.
+    /// Deliveries dropped because the same assignment already delivered:
+    /// refused by the settle ledger, or a duplicated copy lost in transit
+    /// after its original settled (nothing re-sends it, so it is not a
+    /// lost upload).
     pub duplicates_dropped: u64,
     /// Deliveries rejected after authenticated decryption failed (payload
     /// corrupted in transit); the work was re-sent from the pristine copy.
@@ -121,7 +125,8 @@ pub struct FaultStats {
     /// Deliveries that arrived after the SSI's timeout had already handed
     /// the work item to another TDS which completed it.
     pub late_after_reassign: u64,
-    /// Uploads that vanished in transit (SSI timeout → resend).
+    /// Uploads that vanished in transit (SSI timeout → resend). A lost
+    /// duplicate copy is not one: its original settled.
     pub lost_uploads: u64,
     /// Work items abandoned under SIZE-bounded graceful degradation after
     /// exhausting their retry budget (each one flags the result partial).
@@ -160,6 +165,10 @@ pub struct RunStats {
     /// SIZE window closed before every targeted TDS contributed, or when a
     /// SIZE-bounded query abandoned work items after their retry budget.
     pub partial: bool,
+    /// Wall-clock time per phase, indexed by `Phase as usize`. Kept out of
+    /// [`PhaseStats`] on purpose: every other counter here repeats exactly
+    /// under a fixed seed, and a time never does.
+    phase_wall: [Duration; Phase::ALL.len()],
 }
 
 impl RunStats {
@@ -206,6 +215,16 @@ impl RunStats {
             .entry(phase)
             .or_default()
             .partitions_reassigned += 1;
+    }
+
+    /// Add `wall` to the wall-clock time spent in `phase`.
+    pub fn record_phase_wall(&mut self, phase: Phase, wall: Duration) {
+        self.phase_wall[phase as usize] += wall;
+    }
+
+    /// Wall-clock time the driver spent in `phase` (zero if it never ran).
+    pub fn phase_wall(&self, phase: Phase) -> Duration {
+        self.phase_wall[phase as usize]
     }
 
     /// Per-phase stats (empty default if the phase never ran).
@@ -330,5 +349,21 @@ mod tests {
         assert_eq!(s.phase(Phase::Aggregation).steps, 2);
         assert_eq!(s.phase(Phase::Filtering).partitions_reassigned, 1);
         assert_eq!(s.phase(Phase::Collection).steps, 0);
+    }
+
+    #[test]
+    fn phase_wall_accumulates_per_phase_outside_phase_stats() {
+        let mut s = RunStats::new();
+        s.record_phase_wall(Phase::Discovery, Duration::from_millis(2));
+        s.record_phase_wall(Phase::Discovery, Duration::from_millis(3));
+        s.record_phase_wall(Phase::Filtering, Duration::from_millis(7));
+        assert_eq!(s.phase_wall(Phase::Discovery), Duration::from_millis(5));
+        assert_eq!(s.phase_wall(Phase::Filtering), Duration::from_millis(7));
+        assert_eq!(s.phase_wall(Phase::Collection), Duration::ZERO);
+        assert_eq!(
+            format!("{:?}", s.phase(Phase::Filtering)),
+            format!("{:?}", PhaseStats::default()),
+            "a phase's time is not part of its digested stats"
+        );
     }
 }

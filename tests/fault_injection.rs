@@ -7,17 +7,19 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use common::assert_rows_eq;
 use tdsql_core::access::AccessPolicy;
 use tdsql_core::bytes::Bytes;
 use tdsql_core::connectivity::{Connectivity, FaultPlan};
-use tdsql_core::message::{QueryEnvelope, StoredTuple};
+use tdsql_core::message::{AssignmentId, DeliveryOutcome, QueryEnvelope, StoredTuple};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
 use tdsql_core::runtime::SimBuilder;
-use tdsql_core::service::{transport_error, StepResult, TdsPool, TdsStep};
+use tdsql_core::service::{transport_error, SsiService, StepResult, TdsPool, TdsStep};
+use tdsql_core::ssi::Ssi;
 use tdsql_core::stats::Phase;
 use tdsql_core::workload::{smart_meters, SmartMeterConfig};
 use tdsql_core::{DriverConfig, LocalTdsPool, ServiceDriver};
@@ -496,4 +498,142 @@ fn a_step_lost_in_transport_is_a_reassignment_not_a_corrupt_rejection() {
         driver.stats.faults.corrupt_rejected, 0,
         "nothing was corrupted"
     );
+}
+
+/// Forwards to `inner`, except that the second delivery under any one
+/// assignment fails the way a dropped connection does.
+#[derive(Default)]
+struct SecondDeliveryLost {
+    inner: Ssi,
+    delivered: Mutex<BTreeSet<AssignmentId>>,
+    lost: AtomicU64,
+}
+
+impl SecondDeliveryLost {
+    /// Forward a delivery, unless `assignment` already delivered once.
+    fn deliver(
+        &self,
+        assignment: AssignmentId,
+        forward: impl FnOnce() -> tdsql_core::Result<DeliveryOutcome>,
+    ) -> tdsql_core::Result<DeliveryOutcome> {
+        if !self.delivered.lock().unwrap().insert(assignment) {
+            self.lost.fetch_add(1, Ordering::SeqCst);
+            return Err(transport_error("connection reset by peer"));
+        }
+        forward()
+    }
+}
+
+impl SsiService for SecondDeliveryLost {
+    fn post_query(&self, envelope: QueryEnvelope) -> tdsql_core::Result<u64> {
+        SsiService::post_query(&self.inner, envelope)
+    }
+    fn envelope(&self, query_id: u64) -> tdsql_core::Result<QueryEnvelope> {
+        SsiService::envelope(&self.inner, query_id)
+    }
+    fn new_item(&self, query_id: u64) -> tdsql_core::Result<u64> {
+        SsiService::new_item(&self.inner, query_id)
+    }
+    fn begin_assignment(&self, query_id: u64, item: u64) -> tdsql_core::Result<AssignmentId> {
+        SsiService::begin_assignment(&self.inner, query_id, item)
+    }
+    fn item_done(&self, query_id: u64, item: u64) -> tdsql_core::Result<bool> {
+        SsiService::item_done(&self.inner, query_id, item)
+    }
+    fn receive_collection(
+        &self,
+        query_id: u64,
+        assignment: AssignmentId,
+        tuples: Vec<StoredTuple>,
+    ) -> tdsql_core::Result<DeliveryOutcome> {
+        self.deliver(assignment, || {
+            SsiService::receive_collection(&self.inner, query_id, assignment, tuples)
+        })
+    }
+    fn collection_count(&self, query_id: u64) -> tdsql_core::Result<usize> {
+        SsiService::collection_count(&self.inner, query_id)
+    }
+    fn size_tuples_reached(&self, query_id: u64) -> tdsql_core::Result<bool> {
+        SsiService::size_tuples_reached(&self.inner, query_id)
+    }
+    fn close_collection(&self, query_id: u64) -> tdsql_core::Result<()> {
+        SsiService::close_collection(&self.inner, query_id)
+    }
+    fn take_working(&self, query_id: u64) -> tdsql_core::Result<Vec<StoredTuple>> {
+        SsiService::take_working(&self.inner, query_id)
+    }
+    fn restore_working(
+        &self,
+        query_id: u64,
+        phase: Phase,
+        tuples: Vec<StoredTuple>,
+    ) -> tdsql_core::Result<()> {
+        SsiService::restore_working(&self.inner, query_id, phase, tuples)
+    }
+    fn receive_working(
+        &self,
+        query_id: u64,
+        assignment: AssignmentId,
+        phase: Phase,
+        tuples: Vec<StoredTuple>,
+    ) -> tdsql_core::Result<DeliveryOutcome> {
+        self.deliver(assignment, || {
+            SsiService::receive_working(&self.inner, query_id, assignment, phase, tuples)
+        })
+    }
+    fn receive_results(
+        &self,
+        query_id: u64,
+        assignment: AssignmentId,
+        rows: Vec<Bytes>,
+    ) -> tdsql_core::Result<DeliveryOutcome> {
+        self.deliver(assignment, || {
+            SsiService::receive_results(&self.inner, query_id, assignment, rows)
+        })
+    }
+    fn results(&self, query_id: u64) -> tdsql_core::Result<Vec<Bytes>> {
+        SsiService::results(&self.inner, query_id)
+    }
+    fn purge_query(&self, query_id: u64) -> tdsql_core::Result<()> {
+        SsiService::purge_query(&self.inner, query_id)
+    }
+}
+
+#[test]
+fn a_duplicate_lost_in_transport_is_a_dropped_duplicate_not_a_lost_upload() {
+    // Every upload is duplicated, and every copy dies on the wire after its
+    // original settled. Nothing re-sends a copy, so no upload was lost:
+    // each copy is a duplicate the run dropped.
+    let (dbs, oracle) = smart_meters(&SmartMeterConfig {
+        n_tds: 20,
+        districts: 3,
+        readings_per_tds: 2,
+        ..Default::default()
+    });
+    let query = parse_query(SQL).unwrap();
+    let mut world = SimBuilder::new()
+        .seed(316)
+        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
+    let querier = world.make_querier("energy-co", "supplier");
+    let pool = LocalTdsPool::new(Arc::new(std::mem::take(&mut world.tdss)));
+    let ssi = SecondDeliveryLost::default();
+    let config = DriverConfig {
+        connectivity: Connectivity::always_on()
+            .with_faults(FaultPlan::seeded(316).with_duplication(1.0)),
+        ..DriverConfig::default()
+    };
+    let mut driver = ServiceDriver::new(&ssi, &pool, Arc::clone(&world.obs), config).unwrap();
+    let mut params = ProtocolParams::new(ProtocolKind::SAgg);
+    params.chunk = 4;
+    let rows = driver.run_query(&querier, None, &query, params).unwrap();
+    assert_rows_eq(rows, execute(&oracle, &query).unwrap().rows, "S_Agg");
+
+    let copies_lost = ssi.lost.load(Ordering::SeqCst);
+    assert!(copies_lost > 0, "every settled upload was duplicated");
+    assert_eq!(driver.stats.faults.lost_uploads, 0, "no original was lost");
+    assert_eq!(
+        driver.stats.faults.duplicates_dropped, copies_lost,
+        "one dropped duplicate per copy lost in flight"
+    );
+    assert!(!driver.stats.partial);
 }
