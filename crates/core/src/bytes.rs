@@ -1,7 +1,7 @@
 //! A minimal cheaply-clonable immutable byte buffer.
 //!
 //! The protocol dataflow clones ciphertext blobs freely (the SSI's working
-//! sets, retention archive and observation log all hold copies). The external
+//! sets and settle-journal records all hold copies). The external
 //! `bytes` crate provided this; the hermetic build replaces it with an
 //! `Arc<[u8]>` wrapper exposing the small API subset the workspace uses.
 //! Clones are reference-count bumps, never byte copies, and [`Bytes::slice`]

@@ -320,7 +320,7 @@ impl<P: Deref<Target = Vec<Tds>>> LocalTdsPool<P> {
         }
     }
 
-    /// The underlying population (server-side access for retention tests).
+    /// The underlying population (direct TDS access for kernels and tests).
     pub fn tdss(&self) -> &[Tds] {
         &self.tdss
     }

@@ -48,8 +48,10 @@
 //! back `LateAfterReassign` post-recovery, because the unsettled slot died
 //! with the process while the item's `Done` bit was journaled. Both
 //! verdicts are non-merging, so exactly-once settlement holds either way.
-//! The SSI's observation log and the (in-process-only) blob cache are
-//! telemetry, not ledger state, and are deliberately not journaled.
+//! The SSI's observation log is telemetry, not ledger state, and is
+//! deliberately not journaled. The accepted ciphertexts, however, are all
+//! here: [`crate::adversary::archive`] reads them back as the traffic an
+//! archiving SSI would hold.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};

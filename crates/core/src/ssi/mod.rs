@@ -174,16 +174,6 @@ pub struct Ssi {
     queries: RwLock<BTreeMap<u64, Arc<QueryHandle>>>,
     /// Everything the SSI has observed, in arrival order.
     observations: Mutex<Vec<Observation>>,
-    /// When enabled, every ciphertext that ever crossed the server is kept
-    /// verbatim — modelling an SSI that archives traffic hoping to decrypt
-    /// it later (e.g. after compromising a TDS). Used by the
-    /// [`crate::adversary`] analysis.
-    retain_blobs: AtomicBool,
-    retained: Mutex<Vec<(u64, Phase, StoredTuple)>>,
-    /// Named, k2-sealed blobs parked by TDSs for other TDSs — e.g. the
-    /// discovered distribution histogram that ED_Hist refreshes "from time
-    /// to time". Opaque to the SSI like everything else.
-    cache: Mutex<BTreeMap<String, Bytes>>,
     /// Trace collector, if the runtime attached one. Everything the SSI
     /// emits through it is bounded by the posting protocol's
     /// [`ExposureDeclaration`]: tag *forms* are public only when declared,
@@ -232,11 +222,6 @@ impl Ssi {
         Self::default()
     }
 
-    /// Start archiving every ciphertext (threat-model analysis).
-    pub fn enable_retention(&mut self) {
-        self.retain_blobs.store(true, Ordering::Relaxed);
-    }
-
     /// Attach a trace collector; from here on, accepted deliveries emit
     /// `ssi.observe` events through it.
     pub fn attach_obs(&mut self, obs: Arc<Obs>) {
@@ -254,7 +239,9 @@ impl Ssi {
         lock(&self.observations).len()
     }
 
-    /// Emit one `ssi.observe` event summarizing an accepted delivery batch.
+    /// Emit one `ssi.observe` event summarizing an accepted delivery batch,
+    /// projected from the [`Observation`]s `deliver` logs for it. `rows`
+    /// marks a batch of sealed result rows.
     ///
     /// The exposure cross-check happens here: an observed tag form is named
     /// in the trace only when the posting protocol's [`ExposureDeclaration`]
@@ -263,19 +250,22 @@ impl Ssi {
     /// then). Tag payloads never appear in clear: they are folded into a
     /// single keyed digest, so the trace reveals at most what the SSI's own
     /// observation log already holds.
-    fn trace_observe(&self, query_id: u64, phase: Phase, protocol: ProtocolKind, upload: &Upload) {
+    fn trace_observe(
+        &self,
+        query_id: u64,
+        phase: Phase,
+        protocol: ProtocolKind,
+        observed: &[Observation],
+        rows: bool,
+    ) {
         let Some(obs) = &self.obs else { return };
         let decl = ExposureDeclaration::for_protocol(protocol);
         let mut forms: Vec<&'static str> = Vec::new();
         let mut undeclared = false;
-        let mut bytes = 0u64;
         let mut tagged = false;
         let mut tag_material: Vec<u8> = Vec::new();
-        let mut count = 0u64;
-        for (tag, blob) in upload.parts() {
-            count += 1;
-            bytes += blob.len() as u64;
-            let form = TagForm::of(tag);
+        for o in observed {
+            let form = TagForm::of(&o.tag);
             if decl.allows(phase, form) {
                 let name = match form {
                     TagForm::None => "none",
@@ -288,7 +278,7 @@ impl Ssi {
             } else {
                 undeclared = true;
             }
-            match tag {
+            match &o.tag {
                 GroupTag::None => tag_material.push(0),
                 GroupTag::Det(v) => {
                     tagged = true;
@@ -306,14 +296,15 @@ impl Ssi {
         if undeclared {
             forms.push("undeclared");
         }
-        if forms.is_empty() && matches!(upload, Upload::Rows(_)) {
+        if forms.is_empty() && rows {
             // Sealed rows are untagged by type, even when there are none.
             forms.push("none");
         }
+        let bytes: u64 = observed.iter().map(|o| o.blob_len as u64).sum();
         let mut fields = vec![
             Field::u64("query", query_id),
             Field::str("phase", phase.to_string()),
-            Field::u64("tuples", count),
+            Field::u64("tuples", observed.len() as u64),
             Field::u64("bytes", bytes),
             Field::str("forms", forms.join(",")),
         ];
@@ -323,24 +314,14 @@ impl Ssi {
         obs.event("ssi.observe", None, fields);
     }
 
-    /// The archived traffic: (query id, phase, stored tuple) snapshots.
-    pub fn retained(&self) -> Vec<(u64, Phase, StoredTuple)> {
-        lock(&self.retained).clone()
-    }
-
-    fn retain(&self, query_id: u64, phase: Phase, tuples: &[StoredTuple]) {
-        if self.retain_blobs.load(Ordering::Relaxed) {
-            lock(&self.retained).extend(tuples.iter().map(|t| (query_id, phase, t.clone())));
-        }
-    }
-
     /// Post a query to the global querybox (step 1). Returns the query id.
     ///
-    /// Infallible by contract — in-process runtimes post without a journal.
-    /// With a journal attached, an append failure degrades durability but
-    /// not availability: the query proceeds in memory and the failure is
-    /// reported through the obs channel. Servers that must refuse
-    /// non-durable postings use [`Ssi::post_query_durable`] instead.
+    /// Infallible by contract, and not idempotent: every runtime posts
+    /// through [`Ssi::post_query_durable`] (the [`crate::service::SsiService`]
+    /// surface), and only this module's unit tests use this path. With a
+    /// journal attached, an append failure degrades durability but not
+    /// availability: the query proceeds in memory and the failure is
+    /// reported through the obs channel.
     pub fn post_query(&self, envelope: QueryEnvelope) -> u64 {
         let mut seq = self.seq();
         self.post_locked(&mut seq, envelope).0
@@ -466,14 +447,14 @@ impl Ssi {
 
     /// The one delivery body behind the four public receive methods.
     ///
-    /// In order: archive (threat-model retention), enter the sequencing
-    /// section, consult [`window_guard`] for the receive path's `class`,
-    /// trip the debug exposure check, settle under `assignment` — and only
-    /// on [`SettleVerdict::Accepted`] observe, merge and journal. The
-    /// sequencing section spans guard + settle + merge + append, so a
-    /// concurrent `close_collection` or `take_working` cannot slot its
-    /// record between this delivery's window check and its `…Accepted`
-    /// record (see [`Ssi::seq`]).
+    /// In order: hash the upload into its [`Observation`]s, enter the
+    /// sequencing section, consult [`window_guard`] for the receive path's
+    /// `class`, trip the debug exposure check, settle under `assignment` —
+    /// and only on [`SettleVerdict::Accepted`] trace, merge, log and
+    /// journal. The sequencing section spans guard + settle + merge +
+    /// append, so a concurrent `close_collection` or `take_working` cannot
+    /// slot its record between this delivery's window check and its
+    /// `…Accepted` record (see [`Ssi::seq`]).
     ///
     /// `assignment: None` is [`Ssi::restore_working`]: SSI-internal data
     /// movement that never crossed the faulty transport, so neither the
@@ -491,9 +472,6 @@ impl Ssi {
             .parts()
             .map(|(tag, blob)| Observation::of_parts(query_id, phase, tag, blob))
             .collect();
-        if let Upload::Tuples(tuples) = &upload {
-            self.retain(query_id, phase, tuples);
-        }
         let st = self.handle(query_id)?;
         let mut seq = self.seq();
         // An unassigned delivery (`restore_working`) passes the guard and
@@ -521,7 +499,8 @@ impl Ssi {
                 "delivery under an assignment the SSI never issued",
             );
         }
-        self.trace_observe(query_id, phase, st.envelope.protocol, &upload);
+        let rows = matches!(upload, Upload::Rows(_));
+        self.trace_observe(query_id, phase, st.envelope.protocol, &observed, rows);
         // Merges clone (Arc bumps); the originals go to the journal record.
         let record = match (upload, assignment, class) {
             (Upload::Tuples(tuples), Some(a), PhaseClass::Collection) => {
@@ -734,23 +713,6 @@ impl Ssi {
         Ok(rows)
     }
 
-    /// Park a named k2-sealed blob for later download by TDSs (histogram
-    /// cache and similar cross-query state).
-    pub fn put_cache(&self, name: &str, blob: Bytes) {
-        lock(&self.observations).push(Observation::of_parts(
-            u64::MAX,
-            Phase::Collection,
-            &GroupTag::None,
-            &blob,
-        ));
-        lock(&self.cache).insert(name.to_string(), blob);
-    }
-
-    /// Fetch a parked blob (refcount bump — the blob itself is shared).
-    pub fn get_cache(&self, name: &str) -> Option<Bytes> {
-        lock(&self.cache).get(name).cloned()
-    }
-
     /// Drop all server-side state for a finished query, reclaiming storage.
     /// (The observation log — what the SSI "remembers" — is deliberately
     /// retained: forgetting is not a security mechanism.)
@@ -785,25 +747,6 @@ impl Ssi {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
-    }
-
-    /// Total bytes currently stored for a query (collection + working +
-    /// results) — feeds the Load_Q accounting.
-    pub fn stored_bytes(&self, query_id: u64) -> Result<u64> {
-        let st = self.handle(query_id)?;
-        let sum = lock(&st.collection)
-            .iter()
-            .map(|t| t.blob.len() as u64)
-            .sum::<u64>()
-            + lock(&st.working)
-                .iter()
-                .map(|t| t.blob.len() as u64)
-                .sum::<u64>()
-            + lock(&st.results)
-                .iter()
-                .map(|b| b.len() as u64)
-                .sum::<u64>();
-        Ok(sum)
     }
 
     // -- durability ---------------------------------------------------------
@@ -1499,14 +1442,6 @@ mod tests {
             ssi.receive_collection(42, AssignmentId(0), vec![tuple(1)]),
             Err(ProtocolError::UnknownQuery { query_id: 42 })
         ));
-    }
-
-    #[test]
-    fn stored_bytes_accounting() {
-        let ssi = Ssi::new();
-        let qid = ssi.post_query(envelope());
-        collect(&ssi, qid, vec![tuple(1), tuple(2)]);
-        assert_eq!(ssi.stored_bytes(qid).unwrap(), 8);
     }
 
     #[test]

@@ -505,7 +505,9 @@ impl Tds {
             }
             ProtocolKind::CNoise => {
                 // One fake per domain value the TDS does NOT hold: the
-                // resulting distribution is flat by construction.
+                // resulting distribution is flat when every TDS holds at
+                // most one row per value. A second row of a value repeats
+                // its tag, so multi-row TDSs show the SSI their counts.
                 let mut held: std::collections::BTreeSet<GroupKey> =
                     inputs.iter().map(|t| t.key.clone()).collect();
                 let mut all = inputs;
@@ -739,7 +741,7 @@ impl Tds {
             .collect()
     }
 
-    /// Seal a histogram for SSI-side caching under `k2`.
+    /// Seal a histogram under `k2`, opaque to anything but another TDS.
     pub fn seal_histogram(&self, hist: &Histogram, rng: &mut StdRng) -> Bytes {
         Bytes::from(self.ciphers.k2.encrypt(rng, &hist.encode()))
     }

@@ -1,4 +1,4 @@
-//! Credential lifetimes, the SSI-side histogram cache, and the pool-side
+//! Credential lifetimes, the k2-sealed histogram, and the pool-side
 //! query-open cache, end to end.
 //!
 //! The second half pins what the open cache ([`QueryOpenCache`], owned by
@@ -65,10 +65,10 @@ fn expired_credentials_yield_dummies_only() {
 }
 
 #[test]
-fn histogram_round_trips_through_the_ssi_cache() {
-    // The discovered distribution is sealed under k2 by a TDS, parked on the
-    // SSI, and any other TDS can download and open it — the deployment path
-    // for the "refreshed from time to time" histogram.
+fn sealed_histogram_opens_on_another_tds() {
+    // The discovered distribution is sealed under k2 by one TDS and any
+    // other TDS can open it — what lets the "refreshed from time to time"
+    // histogram travel through untrusted storage.
     let (dbs, _) = health_survey(&HealthConfig {
         n_tds: 20,
         ..Default::default()
@@ -81,20 +81,17 @@ fn histogram_round_trips_through_the_ssi_cache() {
     let dist = discovery::discover_distribution(&mut world, &query).unwrap();
     let hist = Histogram::build(&dist, 2);
 
-    // TDS 0 seals and uploads; the SSI stores an opaque blob.
+    // TDS 0 seals it into an opaque blob.
     let mut rng = tdsql_crypto::rng::SeedableRng::seed_from_u64(1);
     let sealed = world.tdss[0].seal_histogram(&hist, &mut rng);
     assert!(
         !sealed.windows(4).any(|w| w == b"city" || w == b"Memp"),
         "sealed histogram must not leak group names"
     );
-    world.ssi.put_cache("health/city/hist-v1", sealed);
 
-    // TDS 7 downloads and opens it.
-    let blob = world.ssi.get_cache("health/city/hist-v1").unwrap().clone();
-    let opened = world.tdss[7].open_histogram(&blob).unwrap();
+    // TDS 7 opens it.
+    let opened = world.tdss[7].open_histogram(&sealed).unwrap();
     assert_eq!(opened, hist);
-    assert!(world.ssi.get_cache("no-such-entry").is_none());
 
     // And the opened histogram drives a correct ED_Hist run.
     let querier = world.make_querier("agency", "physician");
@@ -108,7 +105,7 @@ fn histogram_round_trips_through_the_ssi_cache() {
     assert_rows_eq(
         rows,
         execute(&oracle, &query).unwrap().rows,
-        "cached histogram run",
+        "sealed histogram run",
     );
 }
 

@@ -7,11 +7,14 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::assert_rows_eq;
 use tdsql_core::access::AccessPolicy;
-use tdsql_core::adversary::Adversary;
+use tdsql_core::adversary::{archive, Adversary};
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
 use tdsql_core::runtime::SimBuilder;
+use tdsql_core::ssi::{JournalConfig, Ssi};
 use tdsql_core::workload::{health_survey, HealthConfig};
 use tdsql_crypto::credential::Role;
 use tdsql_sql::engine::execute;
@@ -65,14 +68,21 @@ fn rotation_contains_a_later_compromise() {
     let mut world = SimBuilder::new()
         .seed(801)
         .build(dbs, AccessPolicy::allow_all(Role::new("physician")));
-    world.ssi.enable_retention();
+    // An archiving SSI is a journaled one: the journal holds every
+    // accepted intermediate ciphertext.
+    let journal = JournalConfig::new(
+        std::env::temp_dir().join(format!("tdsql-rotation-{}.journal", std::process::id())),
+    );
+    let _ = std::fs::remove_file(&journal.path);
+    world.ssi = Ssi::recover(journal.clone()).unwrap();
+    world.ssi.attach_obs(Arc::clone(&world.obs));
 
     // Epoch-0 traffic.
     let q0 = world.make_querier("agency", "physician");
     world
         .run_query(&q0, &query, ProtocolParams::new(ProtocolKind::SAgg))
         .unwrap();
-    let epoch0_blobs = world.ssi.retained().len();
+    let epoch0_blobs = archive(&journal).unwrap().len();
     assert!(epoch0_blobs > 0);
     let ring0 = world.ring().clone();
 
@@ -83,7 +93,7 @@ fn rotation_contains_a_later_compromise() {
     world
         .run_query(&q1, &query, ProtocolParams::new(ProtocolKind::SAgg))
         .unwrap();
-    let all_blobs = world.ssi.retained();
+    let all_blobs = archive(&journal).unwrap();
     assert!(all_blobs.len() > epoch0_blobs);
 
     // An adversary with the *current* (epoch-1) ring opens only the
@@ -100,4 +110,5 @@ fn rotation_contains_a_later_compromise() {
     let adv0 = Adversary::with_ring(&ring0);
     let report = adv0.replay(&all_blobs);
     assert_eq!(report.opened, epoch0_blobs, "post-rotation stays sealed");
+    let _ = std::fs::remove_file(&journal.path);
 }

@@ -51,21 +51,18 @@ fn target_query(world: &SimWorld) -> u64 {
         .observations()
         .iter()
         .map(|o| o.query_id)
-        .filter(|&q| q != u64::MAX)
         .max()
         .unwrap()
 }
 
-/// Every query in the log (including discovery sub-queries, excluding the
-/// `u64::MAX` pseudo-id of cache uploads) must match its posted protocol's
-/// declaration.
+/// Every query in the log (including discovery sub-queries) must match its
+/// posted protocol's declaration.
 fn assert_whole_log_declared(world: &SimWorld) {
     let qids: BTreeSet<u64> = world
         .ssi
         .observations()
         .iter()
         .map(|o| o.query_id)
-        .filter(|&q| q != u64::MAX)
         .collect();
     for qid in qids {
         let kind = world.ssi.envelope(qid).unwrap().protocol;

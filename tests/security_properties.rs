@@ -6,6 +6,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use tdsql_core::access::AccessPolicy;
+use tdsql_core::leakage::TagForm;
 use tdsql_core::message::GroupTag;
 use tdsql_core::protocol::{ProtocolKind, ProtocolParams};
 use tdsql_core::runtime::{SimBuilder, SimWorld};
@@ -343,4 +344,150 @@ fn heterogeneous_policies_partition_the_population() {
         n,
         "opt-outs are indistinguishable at the SSI"
     );
+}
+
+// -- View equality (Arasu & Kaushik, arXiv 1312.4012) ------------------------
+//
+// Two populations share every public parameter (TDS count, districts,
+// readings per TDS, skew) and differ in their contents. Under one world
+// seed the SSI's view of the target query must be the same for both, up
+// to what the protocol declares: a difference the SSI can see is a
+// difference it can learn the contents from.
+//
+// R1000_Noise is not asserted: its aggregation phase partitions by Det tag,
+// so its partial count follows the per-tag collection counts (60 vs 58 for
+// the grouped COUNT(*) under uniform skew) — which its declared Det tags
+// already expose.
+
+const VIEW_SQLS: [&str; 2] = [
+    SQL,
+    "SELECT c.district, SUM(p.cons) FROM power p, consumer c \
+     WHERE c.cid = p.cid GROUP BY c.district",
+];
+const VIEW_WORLD_SEED: u64 = 210;
+/// Generator seeds of the two populations.
+const VIEW_DATA_SEEDS: [u64; 2] = [7, 8];
+
+fn view_world(kind: ProtocolKind, skew: Skew, data_seed: u64, sql: &str) -> SimWorld {
+    let (dbs, _) = smart_meters(&SmartMeterConfig {
+        n_tds: 40,
+        districts: 4,
+        skew,
+        readings_per_tds: 2,
+        seed: data_seed,
+        ..Default::default()
+    });
+    let mut world = SimBuilder::new()
+        .seed(VIEW_WORLD_SEED)
+        .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
+    let querier = world.make_querier("energy-co", "supplier");
+    world
+        .run_query(
+            &querier,
+            &parse_query(sql).unwrap(),
+            ProtocolParams::new(kind),
+        )
+        .unwrap();
+    world
+}
+
+/// The target query's observations, in arrival order.
+fn target_observations(world: &SimWorld) -> Vec<tdsql_core::message::Observation> {
+    let log = world.ssi.observations();
+    let target = log.iter().map(|o| o.query_id).max().unwrap();
+    log.into_iter().filter(|o| o.query_id == target).collect()
+}
+
+/// The public shape of the target query's view: per phase, the sequence of
+/// (tag form, ciphertext length).
+fn shape_view(world: &SimWorld) -> BTreeMap<Phase, Vec<(TagForm, usize)>> {
+    let mut view: BTreeMap<Phase, Vec<(TagForm, usize)>> = BTreeMap::new();
+    for o in target_observations(world) {
+        view.entry(o.phase)
+            .or_default()
+            .push((TagForm::of(&o.tag), o.blob_len));
+    }
+    view
+}
+
+/// Which observations of the target query carry equal tags: each tag is
+/// replaced by the index of its first occurrence.
+fn tag_pattern(world: &SimWorld) -> Vec<(Phase, usize)> {
+    let mut seen: Vec<GroupTag> = Vec::new();
+    target_observations(world)
+        .into_iter()
+        .map(|o| {
+            let index = seen.iter().position(|t| *t == o.tag).unwrap_or_else(|| {
+                seen.push(o.tag.clone());
+                seen.len() - 1
+            });
+            (o.phase, index)
+        })
+        .collect()
+}
+
+/// The target query's collection tag frequencies, as a sorted multiset.
+fn tag_frequencies(world: &SimWorld) -> Vec<u64> {
+    let mut counts: Vec<u64> = collection_tag_counts(world).into_values().collect();
+    counts.sort_unstable();
+    counts
+}
+
+/// Run `kind` on both populations for every skew and query.
+fn view_pairs(kind: ProtocolKind) -> Vec<(String, SimWorld, SimWorld)> {
+    let mut pairs = Vec::new();
+    for skew in [Skew::Uniform, Skew::Zipf(1.3)] {
+        for sql in VIEW_SQLS {
+            let [a, b] = VIEW_DATA_SEEDS.map(|seed| view_world(kind, skew, seed, sql));
+            pairs.push((format!("{} {skew:?} `{sql}`", kind.name()), a, b));
+        }
+    }
+    pairs
+}
+
+#[test]
+fn views_are_equal_across_populations_of_one_shape() {
+    for kind in [
+        ProtocolKind::SAgg,
+        ProtocolKind::CNoise,
+        ProtocolKind::RnfNoise { nf: 2 },
+        ProtocolKind::EdHist { buckets: 2 },
+    ] {
+        for (case, a, b) in view_pairs(kind) {
+            let view = shape_view(&a);
+            assert!(view.contains_key(&Phase::Collection), "{case}: no view");
+            assert_eq!(view, shape_view(&b), "{case}: views differ");
+        }
+    }
+}
+
+#[test]
+fn declared_tag_structure_is_equal_across_populations() {
+    // S_Agg shows no tags, so which observations share one is fixed too.
+    for (case, a, b) in view_pairs(ProtocolKind::SAgg) {
+        assert_eq!(tag_pattern(&a), tag_pattern(&b), "{case}");
+    }
+    // C_Noise sends one tuple per district from every TDS that holds one
+    // row: flat counts, whatever the contents. (The join query is left
+    // out: a TDS with two readings sends two tuples under its own tag and
+    // one fake under each other tag, so the counts read 40 plus the
+    // district sizes — see ROADMAP's C_Noise item.)
+    for skew in [Skew::Uniform, Skew::Zipf(1.3)] {
+        for seed in VIEW_DATA_SEEDS {
+            let world = view_world(ProtocolKind::CNoise, skew, seed, SQL);
+            assert_eq!(tag_frequencies(&world), vec![40; 4], "{skew:?} seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn bare_det_view_differs_across_populations() {
+    // Negative control: the nf = 0 ablation tags every tuple with its
+    // district, so the frequency multiset is the contents' histogram.
+    let [a, b] = VIEW_DATA_SEEDS
+        .map(|seed| view_world(ProtocolKind::RnfNoise { nf: 0 }, Skew::Zipf(1.3), seed, SQL));
+    let (fa, fb) = (tag_frequencies(&a), tag_frequencies(&b));
+    assert_eq!(fa.iter().sum::<u64>(), 40);
+    assert_ne!(fa, fb, "bare Det tags must expose the contents");
+    assert_eq!((fa, fb), (vec![4, 4, 7, 25], vec![4, 6, 8, 22]));
 }
