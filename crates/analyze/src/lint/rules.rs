@@ -120,12 +120,6 @@ fn is_runtime_scope(path: &str) -> bool {
     path.contains("core/src/runtime/")
 }
 
-/// Integration-test sources (`crates/*/tests/`): exempt from the counter
-/// and cast rules, which police wire formats, not test scaffolding.
-fn is_test_source(path: &str) -> bool {
-    path.contains("/tests/")
-}
-
 /// The network layer outside the frame codec. `frame.rs` is the single
 /// module allowed to touch a socket directly; everything else in
 /// `net/src/` must go through it.
@@ -428,9 +422,6 @@ impl LintRule for NoNarrowingCast {
          reviewed srclint.allow entry citing the bound"
     }
     fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if is_test_source(ctx.path) {
-            return;
-        }
         for (idx, _, toks) in ctx.code() {
             for i in 0..toks.len() {
                 let is_cast = toks[i].kind == TokenKind::Ident
@@ -579,8 +570,7 @@ impl LintRule for NoRawSocketWrite {
 /// not derived from the seed) and deadlines meaningless (nothing bounds
 /// it). Every wait must go through `runtime::backoff` (`BackoffPolicy`
 /// for retry schedules, `sleep_ms` for poll ticks), where delays are
-/// seeded, capped and lint-visible. Test sources are exempt: scaffolding
-/// may pace itself however it likes.
+/// seeded, capped and lint-visible.
 struct NoBareSleep;
 
 /// The single module allowed to call `std::thread::sleep`.
@@ -598,7 +588,7 @@ impl LintRule for NoBareSleep {
          backoff::sleep_ms)"
     }
     fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-        if is_sanctioned_sleeper(ctx.path) || is_test_source(ctx.path) {
+        if is_sanctioned_sleeper(ctx.path) {
             return;
         }
         for (idx, _, toks) in ctx.code() {
@@ -643,13 +633,6 @@ mod tests {
         assert!(lint_file("crates/crypto/src/lib.rs", fenced).is_empty());
         let modexpr = "let b = (h % self.n_buckets as u64) as u32;\n";
         assert!(lint_file("crates/core/src/histogram.rs", modexpr).is_empty());
-    }
-
-    #[test]
-    fn narrowing_cast_skips_integration_tests() {
-        let src = "let rows = table.entries.len() as u32;\n";
-        assert!(lint_file("crates/exposure/tests/proptest_exposure.rs", src).is_empty());
-        assert_eq!(lint_file("crates/exposure/src/model.rs", src).len(), 1);
     }
 
     #[test]
@@ -733,11 +716,10 @@ mod tests {
         assert!(lint_file("crates/core/src/workload.rs", short)
             .iter()
             .any(|x| x.rule == "no-bare-sleep"));
-        // The sanctioned backoff module and test sources are exempt.
+        // The sanctioned backoff module is exempt.
         let sanctioned = "pub fn sleep_ms(ms: u64) {\n    \
                           std::thread::sleep(Duration::from_millis(ms));\n}\n";
         assert!(lint_file("crates/core/src/runtime/backoff.rs", sanctioned).is_empty());
-        assert!(lint_file("crates/net/tests/scaffold.rs", src).is_empty());
         // `thread::spawn` and other thread:: items are not sleeps.
         let spawn = "fn f() {\n    thread::spawn(|| {});\n}\n";
         assert!(lint_file("crates/net/src/server.rs", spawn).is_empty());

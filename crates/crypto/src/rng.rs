@@ -94,8 +94,8 @@ impl RngCore for StdRng {
     }
 }
 
-/// A type samplable uniformly from a generator (the `rand::Standard`
-/// distribution equivalent; only the types the workspace draws).
+/// A type samplable uniformly from a generator (the `rand` crate's
+/// `Standard` distribution equivalent; only the types the workspace draws).
 pub trait Standard: Sized {
     /// Draw one uniform value.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
@@ -187,12 +187,12 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
-/// Path-compatibility module mirroring `rand::rngs`.
+/// Path-compatibility module mirroring the `rand` crate's `rngs`.
 pub mod rngs {
     pub use super::StdRng;
 }
 
-/// Slice shuffling and choosing, mirroring `rand::seq`.
+/// Slice shuffling and choosing, mirroring the `rand` crate's `seq`.
 pub mod seq {
     use super::{RngCore, SampleRange};
 

@@ -4,8 +4,11 @@
 //! compute *partial aggregations* over whatever partition the SSI hands
 //! them, and partial states merge pairwise (the paper's `Ω = Ω ⊕ tup` /
 //! `Ω = Ω ⊕ Ω`) until one state per group remains. Merge is associative and
-//! commutative — property-tested — so any partitioning the SSI chooses
-//! yields the same final answer.
+//! commutative, so any partitioning the SSI chooses yields the same final
+//! answer: `exact_aggregate_merge_is_partition_and_order_invariant` in
+//! `tests/generated.rs` checks that for COUNT, SUM, MIN, MAX, MEDIAN and
+//! MODE. AVG, VARIANCE and STDDEV merge floats, so the last ulp may still
+//! depend on the merge order.
 //!
 //! Classes from the paper (after \[27\]):
 //! * distributive — COUNT, SUM, MIN, MAX: the partial state is the result;
