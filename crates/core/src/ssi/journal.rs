@@ -24,7 +24,10 @@
 //! discipline. A payload is one kind byte and then fields written by
 //! [`crate::codec`] — the functions the network wire uses, so an envelope
 //! or a tuple batch is the same bytes in a journal record as in a frame,
-//! and a decoder bound argued there holds here.
+//! and a decoder bound argued there holds here. Each record is framed in
+//! one append buffer the journal reuses and leaves in a single `write_all`,
+//! so it is in the kernel before its call returns under every
+//! [`SyncPolicy`].
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -48,10 +51,27 @@
 //! back `LateAfterReassign` post-recovery, because the unsettled slot died
 //! with the process while the item's `Done` bit was journaled. Both
 //! verdicts are non-merging, so exactly-once settlement holds either way.
+//! Work-item ids are *reserved* rather than recorded one by one: an
+//! `ItemAllocated` record names the last id of an aligned block of 64, and
+//! [`super::Ssi::new_item`] writes one only when it opens a new block. A
+//! snapshot's `next_item` is that reservation, so a recovered SSI resumes
+//! at the next block and never re-issues an id.
+//!
 //! The SSI's observation log is telemetry, not ledger state, and is
 //! deliberately not journaled. The accepted ciphertexts, however, are all
 //! here: [`crate::adversary::archive`] reads them back as the traffic an
 //! archiving SSI would hold.
+//!
+//! ## Snapshots
+//!
+//! A snapshot is due when `snapshot_every` records *and* at least the last
+//! snapshot's own size in bytes have been appended since it. So all
+//! snapshots together weigh at most the records between them plus one
+//! snapshot, and the records replay re-runs after the last snapshot stay
+//! within max(`snapshot_every` records, one snapshot's size in bytes).
+//! Reopening a journal resumes this cadence from the file. Snapshots bound
+//! *replay* only: [`Journal::open`] still reads and checksums the whole
+//! file.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -62,7 +82,7 @@ use tdsql_crypto::sha256::Sha256;
 use crate::bytes::Bytes;
 use crate::codec::{
     bad, expect_consumed, len_u32, put_blobs, put_bool, put_envelope, put_phase, put_tuples,
-    put_u32, put_u64, put_u64s, put_u8, put_vec, take_blobs, take_bool, take_envelope, take_phase,
+    put_u64, put_u64s, put_u8, put_vec, take_blobs, take_bool, take_envelope, take_phase,
     take_tuples, take_u64, take_u64s, take_u8, take_vec,
 };
 use crate::error::{ProtocolError, Result};
@@ -90,10 +110,12 @@ pub enum SyncPolicy {
     /// `fsync` after every append: an acknowledged settle is durable
     /// before the response leaves the server. The default.
     Always,
-    /// `fsync` every N appends (batched). Cheaper, but up to N-1
-    /// acknowledged records can be lost on a crash — in particular a lost
-    /// `ItemAllocated` could let a restarted SSI re-issue an item id whose
-    /// previous incarnation a client still quotes. Use only when the
+    /// `fsync` every N appends (batched). Every record still reaches the
+    /// kernel before its call returns, so killing the process loses
+    /// nothing; a machine crash can lose up to N-1 acknowledged records.
+    /// In particular a lost `ItemAllocated` is a lost *block reservation*:
+    /// a restarted SSI could re-issue any of its 64 item ids while a
+    /// client still quotes the previous incarnation. Use only when the
     /// deployment tolerates that window.
     EveryN(u64),
 }
@@ -105,9 +127,11 @@ pub struct JournalConfig {
     pub path: PathBuf,
     /// Fsync batching policy.
     pub sync: SyncPolicy,
-    /// Append a full-state snapshot every this many records (0 = never).
-    /// Replay restarts from the last snapshot, bounding recovery time for
-    /// long-lived servers.
+    /// Append a full-state snapshot once at least this many records
+    /// (0 = never) *and* at least the last snapshot's size in bytes have
+    /// been appended since it. Replay restarts from the last snapshot,
+    /// bounding replay for long-lived servers; opening the journal still
+    /// reads the whole file.
     pub snapshot_every: u64,
 }
 
@@ -132,11 +156,11 @@ pub enum JournalRecord {
         /// The posted envelope (query id already assigned).
         envelope: QueryEnvelope,
     },
-    /// `new_item`: a work item was allocated.
+    /// `new_item` reserved a block of work-item ids.
     ItemAllocated {
         /// Owning query.
         query_id: u64,
-        /// The allocated item id.
+        /// The block's last id: ids up to and including it are taken.
         item: u64,
     },
     /// `begin_assignment`: a delivery attempt was registered.
@@ -215,7 +239,7 @@ pub struct QuerySnapshot {
     pub envelope: QueryEnvelope,
     /// Has the collection window closed?
     pub closed: bool,
-    /// Next work-item id to hand out.
+    /// The work-item reservation: ids below it are taken, issued or not.
     pub next_item: u64,
     /// Parked collection tuples.
     pub collection: Vec<StoredTuple>,
@@ -283,56 +307,55 @@ impl QuerySnapshot {
 }
 
 impl JournalRecord {
-    /// Encode to a payload (no framing).
-    fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
+    /// Append the payload (no framing) to `out`.
+    fn encode(&self, out: &mut Vec<u8>) -> Result<()> {
         match self {
             JournalRecord::QueryPosted { envelope } => {
-                put_u8(&mut out, 0);
-                put_envelope(&mut out, envelope)?;
+                put_u8(out, 0);
+                put_envelope(out, envelope)?;
             }
             JournalRecord::ItemAllocated { query_id, item } => {
-                put_u8(&mut out, 1);
-                put_u64(&mut out, *query_id);
-                put_u64(&mut out, *item);
+                put_u8(out, 1);
+                put_u64(out, *query_id);
+                put_u64(out, *item);
             }
             JournalRecord::AssignmentIssued {
                 query_id,
                 assignment,
                 item,
             } => {
-                put_u8(&mut out, 2);
-                put_u64(&mut out, *query_id);
-                put_u64(&mut out, *assignment);
-                put_u64(&mut out, *item);
+                put_u8(out, 2);
+                put_u64(out, *query_id);
+                put_u64(out, *assignment);
+                put_u64(out, *item);
             }
             JournalRecord::CollectionAccepted {
                 query_id,
                 assignment,
                 tuples,
             } => {
-                put_u8(&mut out, 3);
-                put_u64(&mut out, *query_id);
-                put_u64(&mut out, *assignment);
-                put_tuples(&mut out, tuples)?;
+                put_u8(out, 3);
+                put_u64(out, *query_id);
+                put_u64(out, *assignment);
+                put_tuples(out, tuples)?;
             }
             JournalRecord::CollectionClosed { query_id } => {
-                put_u8(&mut out, 4);
-                put_u64(&mut out, *query_id);
+                put_u8(out, 4);
+                put_u64(out, *query_id);
             }
             JournalRecord::WorkingTaken { query_id } => {
-                put_u8(&mut out, 5);
-                put_u64(&mut out, *query_id);
+                put_u8(out, 5);
+                put_u64(out, *query_id);
             }
             JournalRecord::WorkingRestored {
                 query_id,
                 phase,
                 tuples,
             } => {
-                put_u8(&mut out, 6);
-                put_u64(&mut out, *query_id);
-                put_phase(&mut out, *phase);
-                put_tuples(&mut out, tuples)?;
+                put_u8(out, 6);
+                put_u64(out, *query_id);
+                put_phase(out, *phase);
+                put_tuples(out, tuples)?;
             }
             JournalRecord::WorkingAccepted {
                 query_id,
@@ -340,46 +363,36 @@ impl JournalRecord {
                 phase,
                 tuples,
             } => {
-                put_u8(&mut out, 7);
-                put_u64(&mut out, *query_id);
-                put_u64(&mut out, *assignment);
-                put_phase(&mut out, *phase);
-                put_tuples(&mut out, tuples)?;
+                put_u8(out, 7);
+                put_u64(out, *query_id);
+                put_u64(out, *assignment);
+                put_phase(out, *phase);
+                put_tuples(out, tuples)?;
             }
             JournalRecord::ResultsAccepted {
                 query_id,
                 assignment,
                 rows,
             } => {
-                put_u8(&mut out, 8);
-                put_u64(&mut out, *query_id);
-                put_u64(&mut out, *assignment);
-                put_blobs(&mut out, rows)?;
+                put_u8(out, 8);
+                put_u64(out, *query_id);
+                put_u64(out, *assignment);
+                put_blobs(out, rows)?;
             }
             JournalRecord::QueryPurged { query_id } => {
-                put_u8(&mut out, 9);
-                put_u64(&mut out, *query_id);
+                put_u8(out, 9);
+                put_u64(out, *query_id);
             }
             JournalRecord::Snapshot { state } => {
-                put_u8(&mut out, 10);
-                put_u64(&mut out, state.next_query_id);
-                put_u64(&mut out, state.next_assignment_id);
-                put_vec(
-                    &mut out,
-                    "journal snapshot queries",
-                    &state.queries,
-                    |out, q| q.encode(out),
-                )?;
+                put_u8(out, 10);
+                put_u64(out, state.next_query_id);
+                put_u64(out, state.next_assignment_id);
+                put_vec(out, "journal snapshot queries", &state.queries, |out, q| {
+                    q.encode(out)
+                })?;
             }
         }
-        if out.len() > MAX_RECORD {
-            return Err(ProtocolError::LengthOverflow {
-                what: "journal record",
-                len: out.len(),
-                max: MAX_RECORD,
-            });
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Decode a payload. The record must consume the whole payload —
@@ -463,6 +476,34 @@ fn corrupt(offset: u64, what: impl Into<String>) -> ProtocolError {
     }
 }
 
+/// Where the journal stands since its last snapshot record: what
+/// [`Journal::snapshot_due`] weighs.
+#[derive(Debug, Default)]
+struct Cadence {
+    /// Records appended since the last snapshot.
+    records: u64,
+    /// Framed bytes appended since the last snapshot.
+    bytes: u64,
+    /// Framed size of the last snapshot (0 before the first).
+    last_snapshot: u64,
+}
+
+impl Cadence {
+    /// Advance past one record of `len` framed bytes: a snapshot restarts
+    /// the count, anything else adds to it.
+    fn count(&mut self, len: usize, rec: &JournalRecord) {
+        if matches!(rec, JournalRecord::Snapshot { .. }) {
+            *self = Cadence {
+                last_snapshot: len as u64,
+                ..Cadence::default()
+            };
+        } else {
+            self.records += 1;
+            self.bytes += len as u64;
+        }
+    }
+}
+
 /// An open, append-positioned journal file.
 #[derive(Debug)]
 pub struct Journal {
@@ -470,14 +511,19 @@ pub struct Journal {
     sync: SyncPolicy,
     snapshot_every: u64,
     appended_since_sync: u64,
-    records_since_snapshot: u64,
+    cadence: Cadence,
+    /// The one append buffer, reused by every record up to the next
+    /// snapshot: each is framed here and leaves in a single `write_all`.
+    buf: Vec<u8>,
 }
 
 impl Journal {
     /// Open (creating if missing) and replay a journal: returns the
     /// append-ready journal plus every valid record with its file offset,
     /// in append order. A torn tail is truncated in place; interior
-    /// corruption is a typed [`ProtocolError::JournalCorrupt`].
+    /// corruption is a typed [`ProtocolError::JournalCorrupt`]. The
+    /// snapshot cadence resumes from the file: the records and bytes after
+    /// its last snapshot count towards the next one.
     pub fn open(config: &JournalConfig) -> Result<(Journal, Vec<(u64, JournalRecord)>)> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -488,6 +534,7 @@ impl Journal {
         let mut raw = Vec::new();
         file.read_to_end(&mut raw).map_err(|e| io_err("read", &e))?;
 
+        let mut cadence = Cadence::default();
         let mut records = Vec::new();
         let mut valid_len = MAGIC.len();
         if raw.len() < MAGIC.len() {
@@ -532,6 +579,7 @@ impl Journal {
                     };
                     corrupt(pos as u64, what)
                 })?;
+                cadence.count(len + RECORD_OVERHEAD, &rec);
                 records.push((pos as u64, rec));
                 pos = sum_start + CHECKSUM_LEN;
                 valid_len = pos;
@@ -544,34 +592,46 @@ impl Journal {
             file.seek(SeekFrom::Start(valid_len as u64))
                 .map_err(|e| io_err("seek", &e))?;
         }
-
         Ok((
             Journal {
                 file,
                 sync: config.sync,
                 snapshot_every: config.snapshot_every,
                 appended_since_sync: 0,
-                records_since_snapshot: 0,
+                cadence,
+                buf: Vec::new(),
             },
             records,
         ))
     }
 
-    /// Append one record (framed, checksummed), syncing per policy.
+    /// Append one record (framed, checksummed), syncing per policy. The
+    /// record is encoded straight into the reused append buffer behind a
+    /// 4-byte length slot, which is filled in once the payload's size is
+    /// known; the whole frame then goes out in one `write_all`.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<()> {
-        let payload = rec.encode()?;
-        let mut buf = Vec::with_capacity(payload.len() + RECORD_OVERHEAD);
-        // `encode` bounds payloads by MAX_RECORD, so the u32 conversion
-        // cannot fail; go through the checked path anyway.
-        put_u32(&mut buf, len_u32("journal record", payload.len())?);
-        buf.extend_from_slice(&payload);
-        let full = Sha256::digest(&payload);
-        buf.extend_from_slice(&full[..CHECKSUM_LEN]);
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+        rec.encode(&mut self.buf)?;
+        let len = self.buf.len() - 4;
+        if len > MAX_RECORD {
+            return Err(ProtocolError::LengthOverflow {
+                what: "journal record",
+                len,
+                max: MAX_RECORD,
+            });
+        }
+        // Bounded by MAX_RECORD above, so the u32 conversion cannot fail;
+        // go through the checked path anyway.
+        let len_be = len_u32("journal record", len)?.to_be_bytes();
+        self.buf[..4].copy_from_slice(&len_be);
+        let full = Sha256::digest(&self.buf[4..]);
+        self.buf.extend_from_slice(&full[..CHECKSUM_LEN]);
         self.file
-            .write_all(&buf)
+            .write_all(&self.buf)
             .map_err(|e| io_err("append", &e))?;
+        self.cadence.count(self.buf.len(), rec);
         self.appended_since_sync += 1;
-        self.records_since_snapshot += 1;
         match self.sync {
             SyncPolicy::Always => self.sync_now()?,
             SyncPolicy::EveryN(n) => {
@@ -590,16 +650,108 @@ impl Journal {
         Ok(())
     }
 
-    /// Is a periodic snapshot due under the configured cadence?
+    /// Is a periodic snapshot due? Only once `snapshot_every` records *and*
+    /// at least the last snapshot's size in bytes have been appended since
+    /// it, so snapshots never outweigh the records they let replay skip.
     pub fn snapshot_due(&self) -> bool {
-        self.snapshot_every > 0 && self.records_since_snapshot >= self.snapshot_every
+        let c = &self.cadence;
+        self.snapshot_every > 0 && c.records >= self.snapshot_every && c.bytes >= c.last_snapshot
     }
 
-    /// Append a snapshot record (always synced) and reset the cadence.
+    /// Append a snapshot record (always synced), restarting the cadence.
     pub fn append_snapshot(&mut self, state: SnapshotState) -> Result<()> {
-        self.append(&JournalRecord::Snapshot { state })?;
-        self.sync_now()?;
-        self.records_since_snapshot = 0;
-        Ok(())
+        let appended = self.append(&JournalRecord::Snapshot { state });
+        // A snapshot is the largest record by far: release its buffer
+        // rather than hold that much memory until the next one.
+        self.buf = Vec::new();
+        appended?;
+        self.sync_now()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A journal config on a per-process-unique path, removed before use.
+    fn config(name: &str, snapshot_every: u64) -> JournalConfig {
+        let mut path = std::env::temp_dir();
+        path.push(format!("tdsql-jcadence-{}-{name}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        JournalConfig {
+            path,
+            sync: SyncPolicy::Always,
+            snapshot_every,
+        }
+    }
+
+    /// 21 framed bytes.
+    const PURGE: JournalRecord = JournalRecord::QueryPurged { query_id: 7 };
+
+    /// 33 framed bytes.
+    fn empty_snapshot() -> SnapshotState {
+        SnapshotState {
+            next_query_id: 0,
+            next_assignment_id: 0,
+            queries: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn reopening_resumes_the_snapshot_cadence() {
+        let config = config("resume", 4);
+        {
+            let (mut j, _) = Journal::open(&config).unwrap();
+            j.append_snapshot(empty_snapshot()).unwrap();
+            // k = 2 records after the last snapshot.
+            j.append(&PURGE).unwrap();
+            j.append(&PURGE).unwrap();
+        }
+        let (mut j, records) = Journal::open(&config).unwrap();
+        assert_eq!(records.len(), 3);
+        assert!(!j.snapshot_due());
+        j.append(&PURGE).unwrap();
+        assert!(!j.snapshot_due(), "3 of 4 records since the snapshot");
+        // snapshot_every - k = 2 records after reopening, 84 bytes >= 33.
+        j.append(&PURGE).unwrap();
+        assert!(j.snapshot_due(), "the cadence restarted at the reopen");
+        let _ = std::fs::remove_file(&config.path);
+    }
+
+    #[test]
+    fn a_snapshot_waits_for_its_own_size_in_records() {
+        let config = config("bytes", 1);
+        let (mut j, _) = Journal::open(&config).unwrap();
+        // Before any snapshot only the record count applies.
+        j.append(&PURGE).unwrap();
+        assert!(j.snapshot_due());
+        j.append_snapshot(empty_snapshot()).unwrap();
+        // One record (21 bytes) past a 33-byte snapshot: the count is met,
+        // the bytes are not.
+        j.append(&PURGE).unwrap();
+        assert!(!j.snapshot_due());
+        j.append(&PURGE).unwrap();
+        assert!(j.snapshot_due(), "42 bytes since a 33-byte snapshot");
+        let _ = std::fs::remove_file(&config.path);
+    }
+
+    #[test]
+    fn append_frames_match_the_documented_format() {
+        let config = config("frame", 0);
+        {
+            let (mut j, _) = Journal::open(&config).unwrap();
+            // A large record, then a small one: the reused buffer must not
+            // carry bytes over from the first.
+            j.append_snapshot(empty_snapshot()).unwrap();
+            j.append(&PURGE).unwrap();
+        }
+        let raw = std::fs::read(&config.path).unwrap();
+        assert_eq!(raw.len(), MAGIC.len() + 33 + 21);
+        let purge = &raw[MAGIC.len() + 33..];
+        assert_eq!(purge[..4], 9u32.to_be_bytes());
+        assert_eq!(purge[4], 9, "QueryPurged kind byte");
+        assert_eq!(purge[5..13], 7u64.to_be_bytes());
+        assert_eq!(purge[13..], Sha256::digest(&purge[4..13])[..CHECKSUM_LEN]);
+        let _ = std::fs::remove_file(&config.path);
     }
 }

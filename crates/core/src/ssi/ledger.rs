@@ -285,7 +285,8 @@ struct AssignmentSlot {
 /// journal snapshot stores and [`SettleLedger::from_state`] rebuilds from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LedgerState {
-    /// Next work-item id to hand out.
+    /// Next work-item id to hand out. In a journal snapshot this is the
+    /// SSI's block reservation, which may lie past the last id issued.
     pub next_item: u64,
     /// Issued assignments, by id: (assignment id, item id, settled).
     pub assignments: Vec<(u64, u64, bool)>,
@@ -337,7 +338,8 @@ impl SettleLedger {
         self.next_item.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Was this work item ever allocated?
+    /// Was this work item ever allocated? After journal replay, every id
+    /// of a reserved block counts, issued or not.
     pub fn allocated(&self, item: u64) -> bool {
         item < self.next_item.load(Ordering::Relaxed)
     }
@@ -454,7 +456,9 @@ impl SettleLedger {
     }
 
     /// Replay support: an `ItemAllocated { item }` record means ids up to
-    /// and including `item` are taken.
+    /// and including `item` are taken. The SSI writes one per block of ids
+    /// it reserves, naming the block's last id, so this one rule replays
+    /// both reservations and the one-record-per-id journals before them.
     pub(super) fn note_allocated(&self, item: u64) {
         self.next_item
             .fetch_max(item.saturating_add(1), Ordering::Relaxed);

@@ -62,6 +62,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// a journal is attached, `None` — and zero cost — when not.
 type Seq<'a> = Option<MutexGuard<'a, journal::Journal>>;
 
+/// Work-item ids are reserved in the journal a block at a time: one
+/// `ItemAllocated` record, naming the block's last id, covers this many
+/// [`Ssi::new_item`] calls. Blocks are aligned to multiples of it.
+const ITEM_BLOCK: u64 = 64;
+
 /// Debug-mode leak tripwire: every tag form the SSI observes must appear in
 /// the posting protocol's [`ExposureDeclaration`]. A failure here means a
 /// plan interpreter showed the SSI partitioning information the static
@@ -102,6 +107,11 @@ struct QueryHandle {
     collection_closed: AtomicBool,
     /// Work items, assignments and who settled what.
     ledger: SettleLedger,
+    /// Item ids below this are reserved in the journal (see
+    /// [`Ssi::new_item`]); unused when no journal is attached. Touched only
+    /// inside the sequencing section or by single-threaded replay, whose
+    /// mutex orders it, so `Relaxed` suffices.
+    reserved: AtomicU64,
 }
 
 impl QueryHandle {
@@ -113,6 +123,7 @@ impl QueryHandle {
             results: Mutex::new(Vec::new()),
             collection_closed: AtomicBool::new(false),
             ledger: SettleLedger::new(),
+            reserved: AtomicU64::new(0),
         }
     }
 
@@ -401,14 +412,32 @@ impl Ssi {
     /// one TDS's collection contribution). Item ids never repeat within a
     /// query, so a wave-2 partition can never collide with a completed
     /// wave-1 item in the dedup ledger.
+    ///
+    /// With a journal attached, ids are reserved a block of [`ITEM_BLOCK`]
+    /// at a time: only an id past the reservation journals an
+    /// `ItemAllocated` record, which takes the whole aligned block holding
+    /// it. Replay reads that record as "ids up to the block's last are
+    /// taken", so a recovered SSI resumes at the next block and never
+    /// re-issues an id. A reservation whose append failed is not counted,
+    /// and the next call retries it.
     pub fn new_item(&self, query_id: u64) -> Result<u64> {
         let st = self.handle(query_id)?;
         let mut seq = self.seq();
         let item = st.ledger.new_item();
-        self.append_seq(&mut seq, || journal::JournalRecord::ItemAllocated {
-            query_id,
-            item,
-        })?;
+        if seq.is_some() && item >= st.reserved.load(Ordering::Relaxed) {
+            let last = item / ITEM_BLOCK * ITEM_BLOCK + (ITEM_BLOCK - 1);
+            // Raised before the append, so a snapshot cut behind the
+            // record already carries the reservation.
+            let before = st.reserved.swap(last.saturating_add(1), Ordering::Relaxed);
+            let appended = self.append_seq(&mut seq, || journal::JournalRecord::ItemAllocated {
+                query_id,
+                item: last,
+            });
+            if appended.is_err() {
+                st.reserved.store(before, Ordering::Relaxed);
+            }
+            appended?;
+        }
         Ok(item)
     }
 
@@ -829,7 +858,9 @@ impl Ssi {
             snaps.push(journal::QuerySnapshot {
                 envelope: st.envelope.clone(),
                 closed: st.collection_closed.load(Ordering::Acquire),
-                next_item: ledger.next_item,
+                // The reservation, not the next id: a recovered SSI must
+                // not re-issue an id of the current block.
+                next_item: ledger.next_item.max(st.reserved.load(Ordering::Relaxed)),
                 collection: lock(&st.collection).clone(),
                 working: lock(&st.working).clone(),
                 results: lock(&st.results).clone(),
@@ -895,6 +926,8 @@ impl Ssi {
                     .handle(query_id)
                     .map_err(|_| corrupt("item allocated for an unknown query"))?;
                 st.ledger.note_allocated(item);
+                st.reserved
+                    .fetch_max(item.saturating_add(1), Ordering::Relaxed);
             }
             R::AssignmentIssued {
                 query_id,
@@ -1066,6 +1099,7 @@ impl Ssi {
             .map_err(corrupt)?;
             let st = QueryHandle {
                 ledger,
+                reserved: AtomicU64::new(q.next_item),
                 ..QueryHandle::new(q.envelope)
             };
             st.collection_closed.store(q.closed, Ordering::Release);
@@ -1861,5 +1895,173 @@ mod tests {
         // working set.
         ssi.close_collection(qid).unwrap();
         assert_eq!(ssi.working_len(qid).unwrap(), 1);
+    }
+
+    // -- work-item reservation ----------------------------------------------
+
+    /// Is `item` allocated in the recovered ledger of `qid`?
+    fn allocated(ssi: &Ssi, qid: u64, item: u64) -> bool {
+        ssi.handle(qid).unwrap().ledger.allocated(item)
+    }
+
+    #[test]
+    fn journal_item_ids_are_never_reused_across_recovery() {
+        // 0: replay reads the two block reservations; 3: the last record is
+        // a snapshot cut inside the second block.
+        for snapshot_every in [0, 3] {
+            let path = tmp_journal(&format!("reserve-{snapshot_every}"));
+            let mut config = JournalConfig::new(&path);
+            config.snapshot_every = snapshot_every;
+            let qid = {
+                let ssi = Ssi::recover(config.clone()).unwrap();
+                let qid = ssi.post_query_durable(envelope()).unwrap();
+                for want in 0..70 {
+                    assert_eq!(ssi.new_item(qid).unwrap(), want);
+                }
+                qid
+            };
+            let (_, records) = Journal::open(&config).unwrap();
+            let reservations = records
+                .iter()
+                .filter(|(_, r)| matches!(r, JournalRecord::ItemAllocated { .. }))
+                .count();
+            assert_eq!(reservations, 2, "one record per block of 64 ids");
+            if snapshot_every > 0 {
+                match records.last() {
+                    Some((_, JournalRecord::Snapshot { state })) => {
+                        assert_eq!(state.queries[0].next_item, 128, "the reservation");
+                    }
+                    other => panic!("expected a closing snapshot, got {other:?}"),
+                }
+            }
+            let ssi = Ssi::recover(config.clone()).unwrap();
+            assert!((0..70).all(|item| allocated(&ssi, qid, item)));
+            let next = ssi.new_item(qid).unwrap();
+            assert!(
+                next >= 128,
+                "snapshot_every {snapshot_every}: id {next} reused"
+            );
+            // An id issued before the crash still takes assignments.
+            ssi.begin_assignment(qid, 69).unwrap();
+            drop(ssi);
+            // The new block's reservation survives a second recovery too.
+            let ssi = Ssi::recover(config).unwrap();
+            assert!(allocated(&ssi, qid, next));
+            assert!(ssi.new_item(qid).unwrap() >= 192);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn journal_replays_an_assignment_inside_a_reserved_block() {
+        let path = tmp_journal("reserved-block");
+        {
+            let (mut j, _) = Journal::open(&JournalConfig::new(&path)).unwrap();
+            j.append(&JournalRecord::QueryPosted {
+                envelope: envelope(),
+            })
+            .unwrap();
+            j.append(&JournalRecord::ItemAllocated {
+                query_id: 0,
+                item: 63,
+            })
+            .unwrap();
+            j.append(&JournalRecord::AssignmentIssued {
+                query_id: 0,
+                assignment: 0,
+                item: 10,
+            })
+            .unwrap();
+            j.append(&JournalRecord::CollectionAccepted {
+                query_id: 0,
+                assignment: 0,
+                tuples: vec![tuple(1)],
+            })
+            .unwrap();
+        }
+        let ssi = Ssi::recover(JournalConfig::new(&path)).unwrap();
+        assert!(ssi.item_done(0, 10).unwrap());
+        assert_eq!(ssi.collection_count(0).unwrap(), 1);
+        assert_eq!(ssi.new_item(0).unwrap(), 64);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_with_one_record_per_item_still_recovers_and_extends() {
+        // Journals written before block reservation carry one
+        // `ItemAllocated` per id. Recovering one mid-block must reserve
+        // the rest of that block before handing out its next id.
+        let path = tmp_journal("per-item");
+        {
+            let (mut j, _) = Journal::open(&JournalConfig::new(&path)).unwrap();
+            j.append(&JournalRecord::QueryPosted {
+                envelope: envelope(),
+            })
+            .unwrap();
+            for item in 0..70 {
+                j.append(&JournalRecord::ItemAllocated { query_id: 0, item })
+                    .unwrap();
+            }
+        }
+        let item = {
+            let ssi = Ssi::recover(JournalConfig::new(&path)).unwrap();
+            let item = ssi.new_item(0).unwrap();
+            assert_eq!(item, 70);
+            ssi.begin_assignment(0, item).unwrap();
+            item
+        };
+        let ssi = Ssi::recover(JournalConfig::new(&path)).unwrap();
+        assert!(allocated(&ssi, 0, item));
+        assert_eq!(ssi.new_item(0).unwrap(), 128);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The record mix of an S_Agg-shaped collection stream: one block
+    /// reservation per 64 items, and snapshots that never outweigh the
+    /// records between them by more than one snapshot.
+    #[test]
+    fn journal_record_mix_of_a_collection_stream() {
+        const ITEMS: u64 = 1_000;
+        let path = tmp_journal("record-mix");
+        let config = JournalConfig {
+            path: path.clone(),
+            sync: SyncPolicy::EveryN(64),
+            snapshot_every: 64,
+        };
+        {
+            let ssi = Ssi::recover(config.clone()).unwrap();
+            let qid = ssi.post_query_durable(envelope()).unwrap();
+            for i in 0..ITEMS {
+                assert_eq!(
+                    collect(&ssi, qid, vec![tuple(i as u8)]),
+                    DeliveryOutcome::Accepted
+                );
+            }
+        }
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        let (_, records) = Journal::open(&config).unwrap();
+        let ends = records.iter().skip(1).map(|(offset, _)| *offset);
+        let (mut reservations, mut snapshots) = (0, Vec::new());
+        let mut others = 0;
+        for ((offset, record), end) in records.iter().zip(ends.chain([file_len])) {
+            let len = end - offset;
+            match record {
+                JournalRecord::ItemAllocated { .. } => {
+                    reservations += 1;
+                    others += len;
+                }
+                JournalRecord::Snapshot { .. } => snapshots.push(len),
+                _ => others += len,
+            }
+        }
+        assert_eq!(reservations, ITEMS.div_ceil(ITEM_BLOCK));
+        assert!(snapshots.len() > 1, "the stream must cut snapshots");
+        let largest = snapshots.iter().max().copied().unwrap_or(0);
+        let total: u64 = snapshots.iter().sum();
+        assert!(
+            total <= others + largest,
+            "snapshots {total} B against {others} B of records (largest {largest} B)"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 }

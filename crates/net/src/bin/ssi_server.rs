@@ -16,10 +16,12 @@
 //! mid-append are truncated; interior corruption is a typed startup
 //! error), so a SIGKILL mid-collection loses at most the un-acked tail
 //! and never double-settles a work item. `--snapshot-every N` bounds
-//! replay by embedding a snapshot record every N appends (default 4096:
-//! a full-state snapshot every 64 records made a journaled 2 000-TDS
-//! query ~4× slower); `--sync-every N` batches fsyncs (default: every
-//! record).
+//! replay by embedding a snapshot record once N records, and at least the
+//! last snapshot's size in bytes, were appended since it (default 4096).
+//! It bounds replay, not start-up: the whole file is still read and
+//! checksummed on open. `--sync-every N` batches fsyncs
+//! (default: every record); each record still reaches the kernel before
+//! its call returns, so only a machine crash can lose the unsynced tail.
 //!
 //! SIGTERM/SIGINT drain gracefully: stop accepting, finish in-flight
 //! connections within one socket deadline (`TDSQL_NET_TIMEOUT_MS`), sync

@@ -6,12 +6,31 @@
 # after recovery — to finish oracle-checked (CHECK OK). Finally SIGTERM
 # both servers and require a clean (exit 0) drain.
 #
-#   cargo build --release -p tdsql-net && scripts/crash_smoke.sh
+#   cargo build --release -p tdsql-net && scripts/crash_smoke.sh [--sync-every N]
+#
+# `--sync-every N` is passed to both ssi-server launches, so the journal
+# fsyncs every N records instead of every record. A SIGKILL must lose
+# nothing either way: each record is in the kernel before its call returns.
 #
 # The restart window is covered querier-side by bounded per-call
 # reconnects plus the driver's idempotent control-plane retry loop, so a
 # crash mid-collection costs retries, never result drift.
 set -euo pipefail
+
+SYNC_ARGS=()
+while (($#)); do
+    case "$1" in
+    --sync-every)
+        [[ $# -ge 2 ]] || { echo "error: --sync-every needs a value" >&2; exit 2; }
+        SYNC_ARGS=(--sync-every "$2")
+        shift 2
+        ;;
+    *)
+        echo "usage: $0 [--sync-every N]" >&2
+        exit 2
+        ;;
+    esac
+done
 
 cd "$(dirname "$0")/.."
 BIN=target/release
@@ -53,7 +72,7 @@ wait_addr() {
     return 1
 }
 
-"$BIN/ssi-server" --listen 127.0.0.1:0 --journal "$JOURNAL" --snapshot-every 64 \
+"$BIN/ssi-server" --listen 127.0.0.1:0 --journal "$JOURNAL" --snapshot-every 64 "${SYNC_ARGS[@]}" \
     >"$WORKDIR/ssi.log" 2>&1 &
 SSI_PID=$!
 "$BIN/tds-pool" --listen 127.0.0.1:0 --n-tds "$N_TDS" --districts "$DISTRICTS" \
@@ -62,7 +81,7 @@ POOL_PID=$!
 
 SSI_ADDR="$(wait_addr "$WORKDIR/ssi.log")"
 POOL_ADDR="$(wait_addr "$WORKDIR/pool.log")"
-echo "ssi-server at $SSI_ADDR (journal $JOURNAL), tds-pool at $POOL_ADDR ($N_TDS TDSs)"
+echo "ssi-server at $SSI_ADDR (journal $JOURNAL ${SYNC_ARGS[*]}), tds-pool at $POOL_ADDR ($N_TDS TDSs)"
 
 AGG_SQL="SELECT c.district, COUNT(*), SUM(p.cons) FROM power p, consumer c \
 WHERE c.cid = p.cid GROUP BY c.district"
@@ -111,7 +130,7 @@ kill -9 "$SSI_PID"
 wait "$SSI_PID" 2>/dev/null || true
 echo "SIGKILLed ssi-server at journal size $size; restarting on $SSI_ADDR"
 
-"$BIN/ssi-server" --listen "$SSI_ADDR" --journal "$JOURNAL" --snapshot-every 64 \
+"$BIN/ssi-server" --listen "$SSI_ADDR" --journal "$JOURNAL" --snapshot-every 64 "${SYNC_ARGS[@]}" \
     >"$WORKDIR/ssi2.log" 2>&1 &
 SSI_PID=$!
 wait_addr "$WORKDIR/ssi2.log" >/dev/null
