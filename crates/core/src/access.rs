@@ -10,7 +10,8 @@
 use std::collections::BTreeSet;
 
 use tdsql_crypto::credential::Role;
-use tdsql_sql::ast::{ColumnRef, Expr, Query, SelectItem};
+use tdsql_sql::ast::{ColumnRef, Expr, Query, SelectItem, TableRef};
+use tdsql_sql::engine::Database;
 
 /// One policy grant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +47,10 @@ pub struct AccessPolicy {
 }
 
 /// Collect every column reference appearing anywhere in a query.
-fn collect_columns(q: &Query) -> Vec<ColumnRef> {
-    fn walk(expr: &Expr, out: &mut Vec<ColumnRef>) {
+fn collect_columns(q: &Query) -> Vec<&ColumnRef> {
+    fn walk<'q>(expr: &'q Expr, out: &mut Vec<&'q ColumnRef>) {
         match expr {
-            Expr::Column(c) => out.push(c.clone()),
+            Expr::Column(c) => out.push(c),
             Expr::Literal(_) => {}
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => {
                 walk(expr, out)
@@ -114,15 +115,19 @@ impl AccessPolicy {
         self.grants.push(grant);
     }
 
-    /// May `role` run `q`? Every table in the FROM list must be granted; when
-    /// a grant restricts columns, every column that may resolve to that table
-    /// (qualified to its binding, or unqualified with a wildcard SELECT
-    /// counting as "all columns") must be allowed.
-    pub fn allows(&self, role: &Role, q: &Query) -> bool {
-        let columns = collect_columns(q);
-        let has_wildcard = q.select.iter().any(|s| matches!(s, SelectItem::Wildcard));
+    /// May `role` run `q` against `db`, the TDS's own database? Every table
+    /// in the FROM list must be granted. When a grant restricts a table's
+    /// columns, a wildcard SELECT is denied, and so is every disallowed
+    /// column that resolves to that table: a qualified one by its binding,
+    /// an unqualified one the way the engine resolves it — to the one FROM
+    /// binding whose table has that column. An unqualified column that no
+    /// binding or several bindings have is denied outright.
+    ///
+    /// The query's columns are gathered only when a column grant applies;
+    /// a role granted every table, the common case, costs no allocation.
+    pub fn allows(&self, role: &Role, q: &Query, db: &Database) -> bool {
+        let mut columns: Option<Vec<&ColumnRef>> = None;
         for t in &q.from {
-            let binding = t.binding();
             // Find the strongest grant for this table.
             let grant = self.grants.iter().find(|g| match g {
                 Grant::All { role: r } => r == role,
@@ -136,40 +141,22 @@ impl AccessPolicy {
                 Some(Grant::Columns {
                     columns: allowed, ..
                 }) => {
-                    if has_wildcard {
+                    if q.select.iter().any(|s| matches!(s, SelectItem::Wildcard)) {
                         return false;
                     }
-                    for c in &columns {
-                        let may_target_this_table = match &c.table {
-                            Some(tb) => tb == binding,
-                            None => true, // unqualified could resolve here
+                    for c in columns.get_or_insert_with(|| collect_columns(q)).iter() {
+                        let target = match &c.table {
+                            Some(tb) => Some(tb.as_str()),
+                            None => resolve_unqualified(db, &q.from, &c.column),
                         };
-                        if may_target_this_table && !allowed.contains(&c.column) {
-                            // An unqualified column might belong to another,
-                            // fully-granted table; only deny when no other
-                            // FROM table is fully granted for this role.
-                            let resolvable_elsewhere = c.table.is_none()
-                                && q.from.iter().any(|other| {
-                                    other.binding() != binding
-                                        && self.grants.iter().any(|g| match g {
-                                            Grant::All { role: r } => r == role,
-                                            Grant::Table { role: r, table } => {
-                                                r == role && *table == other.table
-                                            }
-                                            Grant::Columns {
-                                                role: r,
-                                                table,
-                                                columns,
-                                            } => {
-                                                r == role
-                                                    && *table == other.table
-                                                    && columns.contains(&c.column)
-                                            }
-                                        })
-                                });
-                            if !resolvable_elsewhere {
-                                return false;
+                        match target {
+                            None => return false,
+                            Some(binding) if binding == t.binding() => {
+                                if !allowed.contains(&c.column) {
+                                    return false;
+                                }
                             }
+                            Some(_) => {}
                         }
                     }
                 }
@@ -179,32 +166,67 @@ impl AccessPolicy {
     }
 }
 
+/// The binding an unqualified column resolves to, by the engine's rule:
+/// the one FROM binding whose table in `db` has the column. `None` when no
+/// binding or more than one has it.
+fn resolve_unqualified<'q>(db: &Database, from: &'q [TableRef], column: &str) -> Option<&'q str> {
+    let mut having = from.iter().filter(|t| {
+        db.table(&t.table)
+            .is_ok_and(|table| table.schema().column_index(column).is_some())
+    });
+    match (having.next(), having.next()) {
+        (Some(t), None) => Some(t.binding()),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdsql_sql::parser::parse_query;
+    use tdsql_sql::schema::{Column, TableSchema};
+    use tdsql_sql::value::DataType;
 
     fn role(name: &str) -> Role {
         Role::new(name)
     }
 
+    /// An empty database with the given tables and columns: what a policy
+    /// checks a query against is the schema, not the rows.
+    fn db(tables: &[(&str, &[&str])]) -> Database {
+        let mut db = Database::new();
+        for (name, columns) in tables {
+            db.create_table(TableSchema::new(
+                *name,
+                columns
+                    .iter()
+                    .map(|c| Column::new(*c, DataType::Int))
+                    .collect(),
+            ));
+        }
+        db
+    }
+
     #[test]
     fn allow_all_permits_everything() {
+        let db = db(&[("power", &["cid", "cons", "district"])]);
         let p = AccessPolicy::allow_all(role("supplier"));
         let q = parse_query("SELECT AVG(cons) FROM power GROUP BY district").unwrap();
-        assert!(p.allows(&role("supplier"), &q));
-        assert!(!p.allows(&role("stranger"), &q));
+        assert!(p.allows(&role("supplier"), &q, &db));
+        assert!(!p.allows(&role("stranger"), &q, &db));
     }
 
     #[test]
     fn deny_all_denies() {
+        let db = db(&[("power", &["cid", "cons"])]);
         let p = AccessPolicy::deny_all();
         let q = parse_query("SELECT 1 FROM power").unwrap();
-        assert!(!p.allows(&role("anyone"), &q));
+        assert!(!p.allows(&role("anyone"), &q, &db));
     }
 
     #[test]
     fn table_grant_scopes_by_table() {
+        let db = db(&[("health", &["age"]), ("power", &["cid", "cons"])]);
         let mut p = AccessPolicy::deny_all();
         p.add(Grant::Table {
             role: role("doctor"),
@@ -213,16 +235,17 @@ mod tests {
         let ok = parse_query("SELECT age FROM health").unwrap();
         let bad = parse_query("SELECT cons FROM power").unwrap();
         let join = parse_query("SELECT h.age FROM health h, power p").unwrap();
-        assert!(p.allows(&role("doctor"), &ok));
-        assert!(!p.allows(&role("doctor"), &bad));
+        assert!(p.allows(&role("doctor"), &ok, &db));
+        assert!(!p.allows(&role("doctor"), &bad, &db));
         assert!(
-            !p.allows(&role("doctor"), &join),
+            !p.allows(&role("doctor"), &join, &db),
             "join touches an ungranted table"
         );
     }
 
     #[test]
     fn column_grant_enforced() {
+        let db = db(&[("power", &["cid", "cons", "district"])]);
         let mut p = AccessPolicy::deny_all();
         p.add(Grant::Columns {
             role: role("stats"),
@@ -232,16 +255,17 @@ mod tests {
         let ok = parse_query("SELECT AVG(cons) FROM power GROUP BY district").unwrap();
         let bad = parse_query("SELECT cid FROM power").unwrap();
         let wild = parse_query("SELECT * FROM power").unwrap();
-        assert!(p.allows(&role("stats"), &ok));
-        assert!(!p.allows(&role("stats"), &bad));
+        assert!(p.allows(&role("stats"), &ok, &db));
+        assert!(!p.allows(&role("stats"), &bad, &db));
         assert!(
-            !p.allows(&role("stats"), &wild),
+            !p.allows(&role("stats"), &wild, &db),
             "wildcard needs full-table grant"
         );
     }
 
     #[test]
     fn where_and_having_columns_checked() {
+        let db = db(&[("power", &["cid", "cons"])]);
         let mut p = AccessPolicy::deny_all();
         p.add(Grant::Columns {
             role: role("stats"),
@@ -249,15 +273,19 @@ mod tests {
             columns: ["cons"].iter().map(|s| s.to_string()).collect(),
         });
         let bad = parse_query("SELECT AVG(cons) FROM power WHERE cid = 3").unwrap();
-        assert!(!p.allows(&role("stats"), &bad));
+        assert!(!p.allows(&role("stats"), &bad, &db));
         let bad2 =
             parse_query("SELECT AVG(cons) FROM power GROUP BY cons HAVING COUNT(DISTINCT cid) > 1")
                 .unwrap();
-        assert!(!p.allows(&role("stats"), &bad2));
+        assert!(!p.allows(&role("stats"), &bad2, &db));
     }
 
     #[test]
     fn unqualified_column_resolvable_via_other_granted_table() {
+        let db = db(&[
+            ("power", &["cid", "cons"]),
+            ("consumer", &["cid", "district"]),
+        ]);
         let mut p = AccessPolicy::deny_all();
         p.add(Grant::Columns {
             role: role("r"),
@@ -270,6 +298,38 @@ mod tests {
         });
         // `district` is not in power's grant but consumer is fully granted.
         let q = parse_query("SELECT AVG(cons) FROM power p, consumer c GROUP BY district").unwrap();
-        assert!(p.allows(&role("r"), &q));
+        assert!(p.allows(&role("r"), &q, &db));
+    }
+
+    #[test]
+    fn unqualified_column_resolves_to_the_table_that_has_it() {
+        let db = db(&[
+            ("consumer", &["cid", "district", "accomodation"]),
+            ("power", &["cid", "cons"]),
+        ]);
+        let mut p = AccessPolicy::deny_all();
+        p.add(Grant::Columns {
+            role: role("r"),
+            table: "consumer".into(),
+            columns: ["cid"].iter().map(|s| s.to_string()).collect(),
+        });
+        p.add(Grant::Table {
+            role: role("r"),
+            table: "power".into(),
+        });
+        // `district` and `accomodation` exist only in consumer, whose grant
+        // leaves them out: the fully granted power does not cover for them.
+        let leaks = parse_query("SELECT district FROM consumer, power").unwrap();
+        let filters =
+            parse_query("SELECT cons FROM consumer, power WHERE accomodation = 'detached'")
+                .unwrap();
+        assert!(!p.allows(&role("r"), &leaks, &db));
+        assert!(!p.allows(&role("r"), &filters, &db));
+        // `cons` exists only in power.
+        let ok = parse_query("SELECT cons FROM consumer, power").unwrap();
+        assert!(p.allows(&role("r"), &ok, &db));
+        // `cid` is in both tables: the engine would refuse it as ambiguous.
+        let ambiguous = parse_query("SELECT cid FROM consumer, power").unwrap();
+        assert!(!p.allows(&role("r"), &ambiguous, &db));
     }
 }

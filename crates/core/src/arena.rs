@@ -1,13 +1,21 @@
-//! Arena collection buffers: seal many tuples into one shared allocation.
+//! Arena collection buffers: seal one step's tuples into one shared
+//! allocation.
 //!
-//! The collection phase used to pay four allocations per sealed tuple
-//! (plaintext encode `Vec`, ciphertext `Vec`, the `Arc<[u8]>` copy behind
-//! [`Bytes`], and the per-item output `Vec`). At paper scale — 10^6 TDSs —
-//! the allocator dominated the crypto it was wrapping. A [`TupleArena`]
-//! replaces the first three: tuples are encoded into one reusable scratch
-//! buffer, encrypted *appending* into one contiguous ciphertext buffer, and
-//! handed out as zero-copy [`Bytes`] views of a single shared allocation per
-//! flush.
+//! A TDS's collection step seals its contribution — one tuple for S_Agg,
+//! one per domain value for C_Noise — and hands each blob to the SSI. Sealed
+//! one `Vec` at a time, every tuple would pay for a plaintext `Vec`, a
+//! ciphertext `Vec` and the `Arc<[u8]>` copy behind [`Bytes`]. A
+//! [`TupleArena`] pays for none of them per tuple: tuples are encoded into
+//! one scratch buffer, encrypted *appending* into one contiguous ciphertext
+//! buffer, and handed out as zero-copy [`Bytes`] views of a single shared
+//! allocation.
+//!
+//! [`Tds::collect`](crate::tds::Tds::collect) builds one arena per step,
+//! sized up front by [`TupleArena::for_item`] for the tuples it is about to
+//! seal, and drains it with [`TupleArena::drain_item`]. Nothing outlives the
+//! step: no plaintext stays behind in a buffer kept for the next one.
+//! The multi-item API ([`TupleArena::begin_item`], [`TupleArena::drain`])
+//! seals several work items into one flush.
 //!
 //! Determinism is untouched: the arena changes where bytes land, never which
 //! bytes are drawn — a blob sealed through the arena is byte-identical to
@@ -34,8 +42,8 @@ pub fn arena_bytes_sealed() -> u64 {
     ARENA_BYTES_SEALED.load(Ordering::Relaxed)
 }
 
-/// A reusable collection buffer sealing tuples for many work items into one
-/// contiguous allocation.
+/// A collection buffer sealing the tuples of one or more work items into
+/// one contiguous allocation.
 ///
 /// Usage per work item: [`begin_item`](Self::begin_item), then for each
 /// tuple encode its plaintext into [`scratch`](Self::scratch) and call
@@ -57,6 +65,19 @@ impl TupleArena {
     /// Fresh, empty arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An arena for one work item of `tuples` tuples with `pad`-byte
+    /// plaintexts, the item already begun: sealing them grows no buffer.
+    pub fn for_item(tuples: usize, pad: usize) -> Self {
+        let mut arena = Self {
+            scratch: Vec::with_capacity(pad),
+            buf: Vec::with_capacity(tuples * (pad + tdsql_crypto::ndet::OVERHEAD)),
+            pending: Vec::with_capacity(tuples),
+            items: Vec::with_capacity(1),
+        };
+        arena.begin_item();
+        arena
     }
 
     /// Mark the start of a new work item; subsequent seals belong to it.
@@ -88,9 +109,7 @@ impl TupleArena {
     /// whose blobs are zero-copy views of it. The arena keeps its buffer
     /// capacity for reuse.
     pub fn drain(&mut self) -> Vec<Vec<StoredTuple>> {
-        ARENA_BYTES_SEALED.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
-        let shared = Bytes::copy_from_slice(&self.buf);
-        self.buf.clear();
+        let shared = self.flush();
         let n = self.pending.len();
         let mut out = Vec::with_capacity(self.items.len());
         let mut pending = self.pending.drain(..);
@@ -110,6 +129,30 @@ impl TupleArena {
         drop(pending);
         self.items.clear();
         out
+    }
+
+    /// [`drain`](Self::drain) for an arena holding one item: its tuples,
+    /// without the per-item list around them.
+    pub fn drain_item(&mut self) -> Vec<StoredTuple> {
+        debug_assert!(self.items.len() <= 1, "drain_item on a multi-item arena");
+        let shared = self.flush();
+        self.items.clear();
+        self.pending
+            .drain(..)
+            .map(|(tag, range)| StoredTuple {
+                tag,
+                blob: shared.slice(range),
+            })
+            .collect()
+    }
+
+    /// Copy the sealed ciphertext into the one allocation the drained blobs
+    /// share, and empty the buffer.
+    fn flush(&mut self) -> Bytes {
+        ARENA_BYTES_SEALED.fetch_add(self.buf.len() as u64, Ordering::Relaxed);
+        let shared = Bytes::copy_from_slice(&self.buf);
+        self.buf.clear();
+        shared
     }
 }
 
@@ -181,6 +224,35 @@ mod tests {
             assert_eq!(c.decrypt(&items[0][0].blob).unwrap(), vec![round; 10]);
             assert!(arena.drain().is_empty(), "a drain leaves nothing behind");
         }
+    }
+
+    #[test]
+    fn a_presized_item_seals_without_growing_and_drains_like_drain() {
+        let c = cipher();
+        let pad = 40;
+        let mut presized = TupleArena::for_item(3, pad);
+        let mut grown = TupleArena::new();
+        grown.begin_item();
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let capacity = presized.buf.capacity();
+        for i in 0..3u8 {
+            for (arena, rng) in [(&mut presized, &mut rng_a), (&mut grown, &mut rng_b)] {
+                arena.scratch().resize(pad, i);
+                arena.seal(&c, GroupTag::Bucket([i; 8]), rng);
+            }
+        }
+        assert_eq!(presized.buf.capacity(), capacity, "no buffer grew");
+        let one = presized.drain_item();
+        let expect = grown.drain().pop().unwrap();
+        assert_eq!(one.len(), 3);
+        for (a, b) in one.iter().zip(&expect) {
+            assert_eq!(a.tag, b.tag);
+            assert_eq!(a.blob, b.blob);
+        }
+        assert!(
+            presized.drain_item().is_empty(),
+            "a drain leaves nothing behind"
+        );
     }
 
     #[test]

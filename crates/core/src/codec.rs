@@ -127,11 +127,18 @@ pub fn put_blob(out: &mut Vec<u8>, what: &'static str, bytes: &[u8]) -> Result<(
 /// allocation.
 #[inline]
 pub fn take_blob(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
+    take_blob_ref(buf, pos).map(<[u8]>::to_vec)
+}
+
+/// Read a length-prefixed byte string in place: [`take_blob`] without the
+/// copy.
+#[inline]
+pub fn take_blob_ref<'b>(buf: &'b [u8], pos: &mut usize) -> Result<&'b [u8]> {
     let len = take_u32(buf, pos)? as usize;
     let end = pos.checked_add(len).ok_or_else(eof)?;
     let slice = buf.get(*pos..end).ok_or_else(eof)?;
     *pos = end;
-    Ok(slice.to_vec())
+    Ok(slice)
 }
 
 /// Append a length-prefixed UTF-8 string.

@@ -7,7 +7,8 @@
 //! deliberately public, and the SSI/runtime only handle those outputs.
 
 use crate::bytes::Bytes;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 use tdsql_crypto::rng::seq::SliceRandom;
 use tdsql_crypto::rng::Rng;
@@ -386,8 +387,11 @@ impl Tds {
             .verify(&envelope.credential, now_round)
             .is_ok();
         let is_system = envelope.credential.role.0 == SYSTEM_ROLE;
-        let authorized =
-            credential_ok && (is_system || self.policy.allows(&envelope.credential.role, &query));
+        let authorized = credential_ok
+            && (is_system
+                || self
+                    .policy
+                    .allows(&envelope.credential.role, &query, &self.db));
         Ok(QueryContext {
             query_id: envelope.query_id,
             query,
@@ -402,60 +406,47 @@ impl Tds {
     /// Evaluate the query locally and produce the collection-phase tuples.
     /// Unauthorized queriers and empty local results yield a dummy, so the
     /// SSI cannot learn selectivity or denial.
+    ///
+    /// Everything the step seals is gathered first — every fake value drawn
+    /// — and then sealed into one [`TupleArena`] sized for exactly those
+    /// tuples, built for this call and dropped with it.
     pub fn collect(&self, ctx: &QueryContext, rng: &mut StdRng) -> Result<Vec<StoredTuple>> {
-        let mut arena = TupleArena::new();
-        arena.begin_item();
-        self.collect_into(ctx, rng, &mut arena)?;
-        Ok(arena.drain().pop().unwrap_or_default())
-    }
-
-    /// Seal this TDS's collection tuples into the open item of `arena`.
-    fn collect_into(
-        &self,
-        ctx: &QueryContext,
-        rng: &mut StdRng,
-        arena: &mut TupleArena,
-    ) -> Result<()> {
         match (&ctx.plan, ctx.params.kind) {
-            (None, _) => self.collect_plain_into(ctx, rng, arena),
-            (Some(plan), kind) => self.collect_agg_into(ctx, plan.as_ref(), kind, rng, arena),
+            (None, _) => self.collect_plain(ctx, rng),
+            (Some(plan), kind) => self.collect_agg(ctx, plan.as_ref(), kind, rng),
         }
     }
 
-    fn collect_plain_into(
-        &self,
-        ctx: &QueryContext,
-        rng: &mut StdRng,
-        arena: &mut TupleArena,
-    ) -> Result<()> {
-        let mut sealed = 0usize;
-        if ctx.authorized {
-            let out = tdsql_sql::engine::execute(&self.db, &ctx.query)?;
-            for row in out.rows {
-                PlainTuple::Row(row).encode_into(ctx.params.pad, arena.scratch())?;
-                arena.seal(&self.ciphers.k2, GroupTag::None, rng);
-                sealed += 1;
-            }
+    fn collect_plain(&self, ctx: &QueryContext, rng: &mut StdRng) -> Result<Vec<StoredTuple>> {
+        let rows = if ctx.authorized {
+            tdsql_sql::engine::execute(&self.db, &ctx.query)?.rows
+        } else {
+            Vec::new()
+        };
+        let mut arena = TupleArena::for_item(rows.len().max(1), ctx.params.pad);
+        let dummy = rows.is_empty();
+        for row in rows {
+            PlainTuple::Row(row).encode_into(ctx.params.pad, arena.scratch())?;
+            arena.seal(&self.ciphers.k2, GroupTag::None, rng);
         }
-        if sealed == 0 {
+        if dummy {
             PlainTuple::Dummy.encode_into(ctx.params.pad, arena.scratch())?;
             arena.seal(&self.ciphers.k2, GroupTag::None, rng);
         }
-        Ok(())
+        Ok(arena.drain_item())
     }
 
-    fn collect_agg_into(
+    fn collect_agg(
         &self,
         ctx: &QueryContext,
         plan: &AggregatePlan,
         kind: ProtocolKind,
         rng: &mut StdRng,
-        arena: &mut TupleArena,
-    ) -> Result<()> {
+    ) -> Result<Vec<StoredTuple>> {
         let mut inputs: Vec<AggInput> = Vec::new();
         if ctx.authorized {
             let rel = JoinedRelation::bind(&self.db, &ctx.query.from)?;
-            rel.for_each_row(&self.db, |rows| {
+            rel.for_each_row(|rows| {
                 let env = rel.env(rows);
                 if let Some(w) = &ctx.query.where_clause {
                     if !eval_predicate(w, &env, &AggContext::Forbidden)? {
@@ -472,35 +463,29 @@ impl Tds {
                 Ok(())
             })?;
         }
-        let pad = ctx.params.pad;
-        // Dummies / fakes per protocol.
+        let domain = &ctx.params.noise_domain[..];
+        // Fakes per protocol, every value drawn before the first seal. They
+        // are sealed after the true tuples, in `fakes` order.
+        let mut fakes = Fakes::new(plan.agg_calls.len());
+        let mut histogram = None;
         match kind {
             ProtocolKind::Basic => {
                 return Err(ProtocolError::Unsupported(
                     "basic protocol cannot run aggregate queries".into(),
                 ))
             }
-            ProtocolKind::SAgg => {
-                if inputs.is_empty() {
-                    inputs.push(self.dummy_input(ctx, rng));
-                }
-                for t in inputs {
-                    t.encode_into(pad, arena.scratch())?;
-                    arena.seal(&self.ciphers.k2, GroupTag::None, rng);
-                }
-            }
+            ProtocolKind::SAgg => {}
             ProtocolKind::RnfNoise { nf } => {
                 let n_fakes = nf as usize * inputs.len().max(1);
-                let fakes = self.random_fakes(ctx, n_fakes, rng);
-                if inputs.is_empty() {
-                    // Denied/empty: one extra fake stands in for the tuple.
-                    inputs.push(self.noise_fake(ctx, rng));
+                fakes.reserve(n_fakes + 1);
+                for _ in 0..n_fakes {
+                    fakes.push_random(domain, rng);
                 }
-                inputs.extend(fakes);
-                for t in inputs {
-                    let tag = GroupTag::Det(Bytes::from(self.ciphers.det2.encrypt(&t.key.0)));
-                    t.encode_into(pad, arena.scratch())?;
-                    arena.seal(&self.ciphers.k2, tag, rng);
+                if inputs.is_empty() {
+                    // Denied/empty: one extra fake stands in for the tuple,
+                    // drawn last and sealed first.
+                    fakes.push_random(domain, rng);
+                    fakes.parts.rotate_right(1);
                 }
             }
             ProtocolKind::CNoise => {
@@ -508,92 +493,72 @@ impl Tds {
                 // resulting distribution is flat when every TDS holds at
                 // most one row per value. A second row of a value repeats
                 // its tag, so multi-row TDSs show the SSI their counts.
-                let mut held: std::collections::BTreeSet<GroupKey> =
-                    inputs.iter().map(|t| t.key.clone()).collect();
-                let mut all = inputs;
-                for key in ctx.params.noise_domain.iter() {
-                    if !held.contains(key) {
-                        held.insert(key.clone());
-                        all.push(AggInput {
-                            key: key.clone(),
-                            inputs: self.fake_inputs(ctx, rng),
-                            fake: true,
-                        });
+                let mut held: BTreeSet<&[u8]> = inputs.iter().map(|t| &t.key.0[..]).collect();
+                fakes.reserve(domain.len());
+                for key in domain {
+                    if held.insert(&key.0) {
+                        fakes.push(&key.0, rng);
                     }
-                }
-                if all.is_empty() {
-                    all.push(self.dummy_input(ctx, rng));
-                }
-                for t in all {
-                    let tag = GroupTag::Det(Bytes::from(self.ciphers.det2.encrypt(&t.key.0)));
-                    t.encode_into(pad, arena.scratch())?;
-                    arena.seal(&self.ciphers.k2, tag, rng);
                 }
             }
             ProtocolKind::EdHist { .. } => {
-                let hist = ctx.params.histogram.as_ref().ok_or_else(|| {
+                histogram = Some(ctx.params.histogram.as_deref().ok_or_else(|| {
                     ProtocolError::Protocol("ED_Hist requires a discovered histogram".into())
-                })?;
-                if inputs.is_empty() {
-                    // Dummy lands in a random bucket.
-                    let mut d = self.dummy_input(ctx, rng);
-                    d.fake = true;
-                    let bucket = rng.gen_range(0..hist.n_buckets());
-                    let tag = GroupTag::Bucket(self.ciphers.bucket_hasher.hash(bucket));
-                    d.encode_into(pad, arena.scratch())?;
-                    arena.seal(&self.ciphers.k2, tag, rng);
-                } else {
-                    for t in inputs {
-                        let bucket = hist.bucket_of(&t.key);
-                        let tag = GroupTag::Bucket(self.ciphers.bucket_hasher.hash(bucket));
-                        t.encode_into(pad, arena.scratch())?;
-                        arena.seal(&self.ciphers.k2, tag, rng);
-                    }
-                }
+                })?);
             }
         }
-        Ok(())
-    }
 
-    fn dummy_input(&self, ctx: &QueryContext, rng: &mut StdRng) -> AggInput {
-        // A dummy with an empty key: skipped by reducers before any key use.
-        let _ = ctx;
-        let _ = rng;
-        AggInput {
-            key: GroupKey(Vec::new()),
-            inputs: Vec::new(),
-            fake: true,
+        let pad = ctx.params.pad;
+        let sealed = inputs.len() + fakes.parts.len();
+        let mut arena = TupleArena::for_item(sealed.max(1), pad);
+        let mut det_scratch = Vec::new();
+        let mut det_tag = |key: &[u8]| {
+            det_scratch.clear();
+            self.ciphers.det2.encrypt_into(key, &mut det_scratch);
+            GroupTag::Det(Bytes::copy_from_slice(&det_scratch))
+        };
+        let bucket_tag = |bucket| GroupTag::Bucket(self.ciphers.bucket_hasher.hash(bucket));
+        for t in &inputs {
+            let tag = match histogram {
+                Some(hist) => bucket_tag(hist.bucket_of(&t.key)),
+                None if kind == ProtocolKind::SAgg => GroupTag::None,
+                None => det_tag(&t.key.0),
+            };
+            t.encode_into(pad, arena.scratch())?;
+            arena.seal(&self.ciphers.k2, tag, rng);
         }
-    }
-
-    fn noise_fake(&self, ctx: &QueryContext, rng: &mut StdRng) -> AggInput {
-        ctx.params
-            .noise_domain
-            .choose(rng)
-            .map(|key| AggInput {
-                key: key.clone(),
-                inputs: self.fake_inputs(ctx, rng),
-                fake: true,
-            })
-            .unwrap_or_else(|| self.dummy_input(ctx, rng))
-    }
-
-    fn random_fakes(&self, ctx: &QueryContext, n: usize, rng: &mut StdRng) -> Vec<AggInput> {
-        (0..n).map(|_| self.noise_fake(ctx, rng)).collect()
-    }
-
-    fn fake_inputs(&self, ctx: &QueryContext, rng: &mut StdRng) -> Vec<Value> {
-        // Plausible-looking inputs; they are filtered out before aggregation
-        // so their values only need to keep the payload size uniform.
-        let n = ctx.plan.as_ref().map(|p| p.agg_calls.len()).unwrap_or(0);
-        (0..n)
-            .map(|_| Value::Float(rng.gen_range(0.0..1.0)))
-            .collect()
+        for (key, values) in &fakes.parts {
+            let tag = det_tag(key);
+            AggInput::encode_parts(
+                true,
+                key,
+                &fakes.values[values.clone()],
+                pad,
+                arena.scratch(),
+            )?;
+            arena.seal(&self.ciphers.k2, tag, rng);
+        }
+        if sealed == 0 {
+            // A dummy with an empty key: skipped by reducers before any key
+            // use. ED_Hist's lands in a random bucket.
+            let tag = match histogram {
+                Some(hist) => bucket_tag(rng.gen_range(0..hist.n_buckets())),
+                None if kind == ProtocolKind::SAgg => GroupTag::None,
+                None => det_tag(&[]),
+            };
+            AggInput::encode_parts(true, &[], &[], pad, arena.scratch())?;
+            arena.seal(&self.ciphers.k2, tag, rng);
+        }
+        Ok(arena.drain_item())
     }
 
     // -- steps 6–8: aggregation phase ---------------------------------------
 
     /// Reduce a partition of collection tuples into partial aggregations.
+    ///
+    /// Each tuple is decoded in place into one reused input buffer; a key
+    /// is copied only when it opens a new group, so fakes cost no
+    /// allocation at all.
     pub fn reduce_inputs(
         &self,
         ctx: &QueryContext,
@@ -604,16 +569,20 @@ impl Tds {
         let plan = self.require_plan(ctx)?;
         let mut groups: BTreeMap<GroupKey, Vec<AggState>> = BTreeMap::new();
         let mut plain = Vec::new();
+        let mut inputs = Vec::new();
         for tuple in partition {
             self.ciphers.k2.decrypt_into(&tuple.blob, &mut plain)?;
-            let input = AggInput::decode(&plain)?;
-            if input.fake {
+            let (fake, key) = AggInput::decode_view(&plain, &mut inputs)?;
+            if fake {
                 continue;
             }
-            let states = groups
-                .entry(input.key)
-                .or_insert_with(|| plan.init_states());
-            plan.update_states(states, &input.inputs)?;
+            if let Some(states) = groups.get_mut(key) {
+                plan.update_states(states, &inputs)?;
+            } else {
+                let mut states = plan.init_states();
+                plan.update_states(&mut states, &inputs)?;
+                groups.insert(GroupKey(key.to_vec()), states);
+            }
         }
         self.emit_groups(ctx, groups, retag, rng)
     }
@@ -762,6 +731,49 @@ impl Tds {
         StoredTuple {
             tag,
             blob: Bytes::from(self.ciphers.k2.encrypt(rng, &plain)),
+        }
+    }
+}
+
+/// The fake tuples of one collection step, drawn before its first seal:
+/// each a key borrowed from the noise domain and a range of `values`.
+struct Fakes<'d> {
+    /// Inputs per fake: the query's aggregate count.
+    width: usize,
+    parts: Vec<(&'d [u8], Range<usize>)>,
+    values: Vec<Value>,
+}
+
+impl<'d> Fakes<'d> {
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            parts: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    fn reserve(&mut self, fakes: usize) {
+        self.parts.reserve(fakes);
+        self.values.reserve(fakes * self.width);
+    }
+
+    /// Add a fake of `key` with plausible-looking inputs; they are filtered
+    /// out before aggregation, so their values only need to keep the
+    /// payload size uniform.
+    fn push(&mut self, key: &'d [u8], rng: &mut StdRng) {
+        let start = self.values.len();
+        self.values
+            .extend((0..self.width).map(|_| Value::Float(rng.gen_range(0.0..1.0))));
+        self.parts.push((key, start..self.values.len()));
+    }
+
+    /// Add a fake of a random domain value; a dummy (empty key, no inputs)
+    /// when the domain is empty.
+    fn push_random(&mut self, domain: &'d [GroupKey], rng: &mut StdRng) {
+        match domain.choose(rng) {
+            Some(key) => self.push(&key.0, rng),
+            None => self.parts.push((&[], 0..0)),
         }
     }
 }

@@ -19,7 +19,7 @@
 use tdsql_sql::aggregate::AggState;
 use tdsql_sql::value::{GroupKey, Value};
 
-use crate::codec::{len_u32, put_blob, take_blob, take_u32, take_u8};
+use crate::codec::{len_u32, put_blob, take_blob, take_blob_ref, take_u32, take_u8};
 use crate::error::{ProtocolError, Result};
 
 fn corrupt(msg: &str) -> ProtocolError {
@@ -77,13 +77,20 @@ fn read_u16(buf: &[u8], pos: &mut usize) -> Result<u16> {
 }
 
 fn decode_values(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<Value>> {
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::new();
+    decode_values_into(buf, pos, n, &mut out)?;
+    Ok(out)
+}
+
+/// Append `n` decoded values to `out`.
+fn decode_values_into(buf: &[u8], pos: &mut usize, n: usize, out: &mut Vec<Value>) -> Result<()> {
+    out.reserve(n);
     for _ in 0..n {
         out.push(
             Value::decode_canonical(buf, pos).map_err(|e| ProtocolError::Codec(e.to_string()))?,
         );
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Pad `buf` with zero bytes up to `target` (no-op if already longer).
@@ -205,12 +212,25 @@ impl AggInput {
     /// `out`. On error `out` is restored to its original length.
     /// Byte-identical to the `Vec` path.
     pub fn encode_into(&self, pad: usize, out: &mut Vec<u8>) -> Result<()> {
+        Self::encode_parts(self.fake, &self.key.0, &self.inputs, pad, out)
+    }
+
+    /// [`Self::encode_into`] from borrowed parts: the tuple
+    /// `AggInput { key, inputs, fake }` encoded without building it, so a
+    /// fake can borrow its key from the noise domain.
+    pub fn encode_parts(
+        fake: bool,
+        key: &[u8],
+        inputs: &[Value],
+        pad: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         let start = out.len();
         let body = (|| -> Result<()> {
-            out.push(self.fake as u8);
-            put_blob(out, "AggInput group key", &self.key.0)?;
-            out.extend_from_slice(&len_u16("AggInput inputs", self.inputs.len())?.to_be_bytes());
-            for v in &self.inputs {
+            out.push(fake as u8);
+            put_blob(out, "AggInput group key", key)?;
+            out.extend_from_slice(&len_u16("AggInput inputs", inputs.len())?.to_be_bytes());
+            for v in inputs {
                 v.canonical_bytes(out);
             }
             if out.len() - start > pad {
@@ -231,20 +251,31 @@ impl AggInput {
 
     /// Decode (padding is ignored).
     pub fn decode(buf: &[u8]) -> Result<AggInput> {
+        let mut inputs = Vec::new();
+        let (fake, key) = Self::decode_view(buf, &mut inputs)?;
+        Ok(AggInput {
+            key: GroupKey(key.to_vec()),
+            inputs,
+            fake,
+        })
+    }
+
+    /// [`Self::decode`] as a view: returns the fake flag and the key in
+    /// place, and decodes the inputs into `inputs` (cleared first), so a
+    /// reducer can reuse one buffer across a partition. Accepts and rejects
+    /// exactly the buffers [`Self::decode`] does.
+    pub fn decode_view<'b>(buf: &'b [u8], inputs: &mut Vec<Value>) -> Result<(bool, &'b [u8])> {
+        inputs.clear();
         let mut pos = 0;
         let fake = match take_u8(buf, &mut pos)? {
             0 => false,
             1 => true,
             t => return Err(corrupt(&format!("bad AggInput flag {t}"))),
         };
-        let key_bytes = take_blob(buf, &mut pos)?;
+        let key = take_blob_ref(buf, &mut pos)?;
         let n = read_u16(buf, &mut pos)? as usize;
-        let inputs = decode_values(buf, &mut pos, n)?;
-        Ok(AggInput {
-            key: GroupKey(key_bytes),
-            inputs,
-            fake,
-        })
+        decode_values_into(buf, &mut pos, n, inputs)?;
+        Ok((fake, key))
     }
 }
 

@@ -251,12 +251,23 @@ impl AggregatePlan {
     }
 
     /// Evaluate the group key for one input row.
+    ///
+    /// The same bytes as [`GroupKey::from_values`] over the evaluated
+    /// grouping expressions, encoded straight into the key: a grouping
+    /// column is read in place, so a string value is not copied first.
     pub fn group_key(&self, env: &RowEnv<'_>) -> Result<GroupKey> {
-        let mut vals = Vec::with_capacity(self.group_exprs.len());
-        for g in &self.group_exprs {
-            vals.push(eval(g, env, &AggContext::Forbidden)?);
+        fn put(key: &mut Vec<u8>, v: &Value) {
+            key.reserve(v.canonical_len());
+            v.canonical_bytes(key);
         }
-        Ok(GroupKey::from_values(&vals))
+        let mut key = Vec::new();
+        for g in &self.group_exprs {
+            match g {
+                Expr::Column(c) => put(&mut key, env.resolve_ref(c)?),
+                _ => put(&mut key, &eval(g, env, &AggContext::Forbidden)?),
+            }
+        }
+        Ok(GroupKey(key))
     }
 
     /// Evaluate the aggregate-input values for one input row: one value per
@@ -340,7 +351,7 @@ pub fn execute_aggregate(db: &Database, q: &Query) -> Result<Vec<Vec<Value>>> {
     let plan = AggregatePlan::new(q)?;
     let rel = JoinedRelation::bind(db, &q.from)?;
     let mut groups: BTreeMap<GroupKey, Vec<AggState>> = BTreeMap::new();
-    rel.for_each_row(db, |rows| {
+    rel.for_each_row(|rows| {
         let env = rel.env(rows);
         if let Some(w) = &q.where_clause {
             if !eval_predicate(w, &env, &AggContext::Forbidden)? {
@@ -424,6 +435,32 @@ mod tests {
             rows,
             vec![vec![Value::Str("north".into()), Value::Float(3.0)]]
         );
+    }
+
+    #[test]
+    fn group_key_is_the_encoding_of_the_evaluated_grouping_values() {
+        let db = power_db();
+        let q = parse_query(
+            "SELECT C.district, P.cid + 1, COUNT(*) FROM power P, consumer C \
+             WHERE C.cid = P.cid GROUP BY C.district, P.cid + 1, accomodation",
+        )
+        .unwrap();
+        let plan = AggregatePlan::new(&q).unwrap();
+        let rel = JoinedRelation::bind(&db, &q.from).unwrap();
+        let mut keys = 0;
+        rel.for_each_row(|rows| {
+            let env = rel.env(rows);
+            let values: Vec<Value> = plan
+                .group_exprs
+                .iter()
+                .map(|g| eval(g, &env, &AggContext::Forbidden))
+                .collect::<Result<_>>()?;
+            assert_eq!(plan.group_key(&env)?, GroupKey::from_values(&values));
+            keys += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(keys, 16);
     }
 
     #[test]

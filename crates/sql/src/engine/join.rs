@@ -8,79 +8,83 @@
 //! choice.
 
 use crate::ast::TableRef;
-use crate::engine::table::Database;
+use crate::engine::table::{Database, Table};
 use crate::error::{Result, SqlError};
 use crate::expr::RowEnv;
-use crate::schema::TableSchema;
 use crate::value::Value;
 
-/// The bound FROM list: binding names with owned schemas, in query order.
+/// The bound FROM list: binding names and the tables they name, borrowed
+/// from the query and the database, in query order.
 #[derive(Debug, Clone)]
-pub struct JoinedRelation {
-    bindings: Vec<(String, TableSchema)>,
+pub struct JoinedRelation<'a> {
+    bindings: Vec<(&'a str, &'a Table)>,
 }
 
-impl JoinedRelation {
+impl<'a> JoinedRelation<'a> {
     /// Resolve the FROM list against a database.
-    pub fn bind(db: &Database, from: &[TableRef]) -> Result<Self> {
+    pub fn bind(db: &'a Database, from: &'a [TableRef]) -> Result<Self> {
         if from.is_empty() {
             return Err(SqlError::Parse {
                 message: "FROM list is empty".into(),
             });
         }
-        let mut bindings = Vec::with_capacity(from.len());
+        let mut bindings: Vec<(&str, &Table)> = Vec::with_capacity(from.len());
         for t in from {
             let table = db.table(&t.table)?;
-            let name = t.binding().to_string();
+            let name = t.binding();
             if bindings.iter().any(|(n, _)| *n == name) {
                 return Err(SqlError::Parse {
                     message: format!("duplicate binding {name} in FROM"),
                 });
             }
-            bindings.push((name, table.schema().clone()));
+            bindings.push((name, table));
         }
         Ok(Self { bindings })
     }
 
-    /// Binding names and schemas, in FROM order.
-    pub fn bindings(&self) -> &[(String, TableSchema)] {
+    /// Binding names and tables, in FROM order.
+    pub fn bindings(&self) -> &[(&'a str, &'a Table)] {
         &self.bindings
     }
 
     /// Build a [`RowEnv`] over one joined row (one row slice per binding).
-    pub fn env<'a>(&'a self, rows: &[&'a [Value]]) -> RowEnv<'a> {
+    pub fn env<'r>(&self, rows: &[&'r [Value]]) -> RowEnv<'r>
+    where
+        'a: 'r,
+    {
         debug_assert_eq!(rows.len(), self.bindings.len());
         let mut env = RowEnv::empty();
-        for ((name, schema), row) in self.bindings.iter().zip(rows.iter()) {
-            env.push(name, schema, row);
+        for ((name, table), row) in self.bindings.iter().zip(rows.iter()) {
+            env.push(name, table.schema(), row);
         }
         env
     }
 
     /// Iterate the cross product of the bound tables, invoking `f` with the
     /// per-binding row slices. `f` may abort the scan by returning an error.
-    pub fn for_each_row<F>(&self, db: &Database, mut f: F) -> Result<()>
+    /// A one-table FROM scans its rows with no buffer at all.
+    pub fn for_each_row<F>(&self, mut f: F) -> Result<()>
     where
-        F: FnMut(&[&[Value]]) -> Result<()>,
+        F: FnMut(&[&'a [Value]]) -> Result<()>,
     {
-        let tables: Vec<&[Vec<Value>]> = self
-            .bindings
-            .iter()
-            .map(|(_, schema)| db.table(&schema.name).map(|t| t.rows()))
-            .collect::<Result<_>>()?;
-        let mut current: Vec<&[Value]> = Vec::with_capacity(tables.len());
+        if let [(_, table)] = self.bindings.as_slice() {
+            return table
+                .rows()
+                .iter()
+                .try_for_each(|row| f(std::slice::from_ref(&row.as_slice())));
+        }
         fn rec<'a, F>(
-            tables: &[&'a [Vec<Value>]],
+            tables: &[(&'a str, &'a Table)],
             current: &mut Vec<&'a [Value]>,
             f: &mut F,
         ) -> Result<()>
         where
-            F: FnMut(&[&[Value]]) -> Result<()>,
+            F: FnMut(&[&'a [Value]]) -> Result<()>,
         {
             match tables.split_first() {
                 None => f(current),
-                Some((first, rest)) => {
-                    for row in first.iter() {
+                Some(((_, first), rest)) => {
+                    for row in first.rows() {
                         current.push(row.as_slice());
                         rec(rest, current, f)?;
                         current.pop();
@@ -89,14 +93,15 @@ impl JoinedRelation {
                 }
             }
         }
-        rec(&tables, &mut current, &mut f)
+        let mut current = Vec::with_capacity(self.bindings.len());
+        rec(&self.bindings, &mut current, &mut f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
+    use crate::schema::{Column, TableSchema};
     use crate::value::DataType;
 
     fn db() -> Database {
@@ -127,7 +132,7 @@ mod tests {
         ];
         let rel = JoinedRelation::bind(&db, &from).unwrap();
         let mut count = 0;
-        rel.for_each_row(&db, |rows| {
+        rel.for_each_row(|rows| {
             assert_eq!(rows.len(), 2);
             count += 1;
             Ok(())

@@ -36,8 +36,8 @@ pub fn output_columns(db: &Database, q: &Query) -> Result<Vec<String>> {
     for item in &q.select {
         match item {
             SelectItem::Wildcard => {
-                for (name, schema) in rel.bindings() {
-                    for c in &schema.columns {
+                for (name, table) in rel.bindings() {
+                    for c in &table.schema().columns {
                         cols.push(format!("{name}.{}", c.name));
                     }
                 }
@@ -61,7 +61,7 @@ pub fn execute(db: &Database, q: &Query) -> Result<QueryOutput> {
     }
     let rel = JoinedRelation::bind(db, &q.from)?;
     let mut rows = Vec::new();
-    rel.for_each_row(db, |bound| {
+    rel.for_each_row(|bound| {
         let env = rel.env(bound);
         if let Some(w) = &q.where_clause {
             if !eval_predicate(w, &env, &AggContext::Forbidden)? {

@@ -1,7 +1,7 @@
 //! In-memory tables and the per-TDS database.
 
 use crate::error::{Result, SqlError};
-use crate::schema::TableSchema;
+use crate::schema::{name_matches, TableSchema};
 use crate::value::Value;
 
 /// An in-memory table: schema + row store.
@@ -69,20 +69,18 @@ impl Database {
 
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        let lower = name.to_ascii_lowercase();
         self.tables
             .iter()
-            .find(|t| t.schema.name == lower)
-            .ok_or(SqlError::UnknownTable(lower))
+            .find(|t| name_matches(name, &t.schema.name))
+            .ok_or_else(|| SqlError::UnknownTable(name.to_ascii_lowercase()))
     }
 
     /// Mutable lookup.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let lower = name.to_ascii_lowercase();
         self.tables
             .iter_mut()
-            .find(|t| t.schema.name == lower)
-            .ok_or(SqlError::UnknownTable(lower))
+            .find(|t| name_matches(name, &t.schema.name))
+            .ok_or_else(|| SqlError::UnknownTable(name.to_ascii_lowercase()))
     }
 
     /// Insert a row into a named table.

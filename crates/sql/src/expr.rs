@@ -7,8 +7,13 @@ use crate::value::Value;
 
 /// A row environment: one or more bound relations (the FROM list after the
 /// local join) with the current row of each.
+///
+/// The first binding is held inline, so the environment of a one-table FROM
+/// (every TDS's collection scan, and every finished group) allocates
+/// nothing; a join's further bindings go to `rest`.
 pub struct RowEnv<'a> {
-    bindings: Vec<Binding<'a>>,
+    first: Option<Binding<'a>>,
+    rest: Vec<Binding<'a>>,
 }
 
 struct Binding<'a> {
@@ -21,7 +26,8 @@ impl<'a> RowEnv<'a> {
     /// Empty environment (constants only).
     pub fn empty() -> Self {
         Self {
-            bindings: Vec::new(),
+            first: None,
+            rest: Vec::new(),
         }
     }
 
@@ -34,31 +40,47 @@ impl<'a> RowEnv<'a> {
 
     /// Bind one more relation (join environments push several).
     pub fn push(&mut self, name: &'a str, schema: &'a TableSchema, row: &'a [Value]) {
-        self.bindings.push(Binding { name, schema, row });
+        let binding = Binding { name, schema, row };
+        if self.first.is_none() {
+            self.first = Some(binding);
+        } else {
+            self.rest.push(binding);
+        }
+    }
+
+    fn bindings(&self) -> impl Iterator<Item = &Binding<'a>> {
+        self.first.iter().chain(&self.rest)
     }
 
     /// Resolve a column reference to its current value.
     pub fn resolve(&self, col: &ColumnRef) -> Result<Value> {
+        self.resolve_ref(col).cloned()
+    }
+
+    /// Resolve a column reference to the value in the bound row, borrowed:
+    /// no copy of a string value. Same resolution and errors as
+    /// [`Self::resolve`]: a qualified reference names its binding, an
+    /// unqualified one must match a column of exactly one binding.
+    pub fn resolve_ref(&self, col: &ColumnRef) -> Result<&'a Value> {
         match &col.table {
             Some(binding_name) => {
                 let b = self
-                    .bindings
-                    .iter()
+                    .bindings()
                     .find(|b| b.name == binding_name)
                     .ok_or_else(|| SqlError::UnknownTable(binding_name.clone()))?;
                 let idx = b.schema.column_index(&col.column).ok_or_else(|| {
                     SqlError::UnknownColumn(format!("{binding_name}.{}", col.column))
                 })?;
-                Ok(b.row[idx].clone())
+                Ok(&b.row[idx])
             }
             None => {
-                let mut found: Option<Value> = None;
-                for b in &self.bindings {
+                let mut found: Option<&'a Value> = None;
+                for b in self.bindings() {
                     if let Some(idx) = b.schema.column_index(&col.column) {
                         if found.is_some() {
                             return Err(SqlError::AmbiguousColumn(col.column.clone()));
                         }
-                        found = Some(b.row[idx].clone());
+                        found = Some(&b.row[idx]);
                     }
                 }
                 found.ok_or_else(|| SqlError::UnknownColumn(col.column.clone()))

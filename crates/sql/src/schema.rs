@@ -8,6 +8,17 @@
 use crate::error::{Result, SqlError};
 use crate::value::{DataType, Value};
 
+/// Does `name` match the stored (lowercase) name `stored`? Exactly
+/// `name.to_ascii_lowercase() == stored`, compared in place: the lookups of
+/// every TDS step go through here, so they build no lowercase copy.
+pub(crate) fn name_matches(name: &str, stored: &str) -> bool {
+    name.len() == stored.len()
+        && name
+            .bytes()
+            .zip(stored.bytes())
+            .all(|(n, s)| n.to_ascii_lowercase() == s)
+}
+
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
@@ -47,8 +58,9 @@ impl TableSchema {
 
     /// Index of a column by (case-insensitive) name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns
+            .iter()
+            .position(|c| name_matches(name, &c.name))
     }
 
     /// Validate a row against this schema (arity and types; NULL always ok).
@@ -100,11 +112,10 @@ impl Catalog {
 
     /// Look up a table schema.
     pub fn table(&self, name: &str) -> Result<&TableSchema> {
-        let lower = name.to_ascii_lowercase();
         self.tables
             .iter()
-            .find(|t| t.name == lower)
-            .ok_or(SqlError::UnknownTable(lower))
+            .find(|t| name_matches(name, &t.name))
+            .ok_or_else(|| SqlError::UnknownTable(name.to_ascii_lowercase()))
     }
 
     /// All table schemas.
@@ -139,6 +150,27 @@ mod tests {
             Err(SqlError::UnknownTable("nope".into()))
         );
         assert_eq!(cat.table("Power").unwrap().column_index("CONS"), Some(1));
+    }
+
+    #[test]
+    fn name_matching_is_lowercase_equality() {
+        for (name, stored) in [
+            ("power", "power"),
+            ("POWER", "power"),
+            ("PoWeR", "power"),
+            ("power", "Power"),
+            ("powe", "power"),
+            ("powers", "power"),
+            ("", ""),
+            ("Éa", "éa"),
+            ("éa", "éa"),
+        ] {
+            assert_eq!(
+                name_matches(name, stored),
+                name.to_ascii_lowercase() == stored,
+                "{name:?} vs {stored:?}"
+            );
+        }
     }
 
     #[test]

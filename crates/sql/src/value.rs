@@ -106,6 +106,16 @@ impl Value {
         }
     }
 
+    /// Length of [`Self::canonical_bytes`]' output for this value.
+    pub fn canonical_len(&self) -> usize {
+        match self {
+            Value::Null => 1,
+            Value::Int(_) | Value::Float(_) => 9,
+            Value::Str(s) => 5 + s.len(),
+            Value::Bool(_) => 2,
+        }
+    }
+
     /// A canonical byte encoding used for grouping keys, DISTINCT sets and
     /// deterministic encryption. Integers that equal a float value encode
     /// differently (they are different values to GROUP BY, matching the
@@ -232,6 +242,14 @@ impl From<bool> for Value {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupKey(pub Vec<u8>);
 
+/// Keys order and compare as their bytes do, so a map keyed by `GroupKey`
+/// can be searched with a borrowed key slice.
+impl std::borrow::Borrow<[u8]> for GroupKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 impl GroupKey {
     /// Encode a slice of values into one key.
     pub fn from_values(values: &[Value]) -> Self {
@@ -328,6 +346,22 @@ mod tests {
         ];
         let key = GroupKey::from_values(&vals);
         assert_eq!(key.to_values(), vals);
+    }
+
+    #[test]
+    fn canonical_len_matches_canonical_bytes() {
+        for v in [
+            Value::Null,
+            Value::Int(-7),
+            Value::Float(2.5),
+            Value::Str(String::new()),
+            Value::Str("district-3".into()),
+            Value::Bool(true),
+        ] {
+            let mut out = Vec::new();
+            v.canonical_bytes(&mut out);
+            assert_eq!(v.canonical_len(), out.len(), "{v:?}");
+        }
     }
 
     #[test]
