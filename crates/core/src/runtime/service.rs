@@ -1,4 +1,4 @@
-//! The sequential plan interpreter.
+//! The plan interpreter.
 //!
 //! [`ServiceDriver`] executes a compiled [`PhasePlan`] against *any*
 //! implementation of the [`SsiService`] + [`TdsPool`] seam — the in-process
@@ -13,11 +13,29 @@
 //! and over a real wire.
 //!
 //! Every TDS contact — a collection answer, a reduce or a finalize step —
-//! takes one path, [`ServiceDriver::contact`]: step the TDS, deliver its
-//! upload under a fresh assignment, settle it on the SSI's ledger. The
-//! collection loop (one work item per TDS) and the partition loop (one per
-//! partition) differ only in which item they attempt next and in what
-//! they do with an attempt that settled nothing.
+//! takes one path in two legs: the download leg ([`Contact::download`])
+//! steps the TDS, and the settle leg ([`ServiceDriver::settle_contact`])
+//! delivers its upload under a fresh assignment and settles it on the
+//! SSI's ledger. The collection loop (one work item per TDS) and the
+//! partition loop (one per partition) differ only in which item they
+//! attempt next and in what they do with an attempt that settled nothing.
+//!
+//! # Threads
+//!
+//! A round's first contact runs both legs inline, so a query every TDS
+//! rejects fails there having allocated one work item. When the round has
+//! at least [`PIPELINE_MIN_CONTACTS`] contacts, the driver thread then
+//! plans the rest in dispatch order — retry budgets charged, work items
+//! allocated, dropouts drawn — and their download legs run on scoped worker
+//! threads, one per available CPU, while the driver thread settles the
+//! results in dispatch order ([`ServiceDriver::pipelined`]). Workers call
+//! nothing but [`TdsPool::step`]: every SSI call, RNG draw, statistic and
+//! fault leg stays on the driver thread, in the order a driver stepping
+//! every TDS inline would take them, so the output is byte-identical at
+//! any worker count. Smaller rounds, and every round of a collection under
+//! a SIZE tuple bound (which asks the SSI before each TDS), step inline. A
+//! round that fails in its settle leg has already planned the contacts
+//! behind the failing one.
 //!
 //! Two fault sources compose here:
 //!
@@ -31,9 +49,13 @@
 //!   Both consume a delivery attempt, so a dead server terminates in
 //!   [`ProtocolError::QueryAborted`] instead of hanging.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use tdsql_obs::{Field, Obs};
@@ -44,7 +66,7 @@ use tdsql_sql::ast::Query;
 use tdsql_sql::value::{GroupKey, Value};
 
 use crate::bytes::Bytes;
-use crate::connectivity::Connectivity;
+use crate::connectivity::{Connectivity, FaultPlan};
 use crate::error::{ProtocolError, Result};
 use crate::message::{
     AssignmentId, DeliveryOutcome, GroupTag, QueryEnvelope, QueryTarget, StoredTuple,
@@ -61,6 +83,21 @@ use crate::tds::ResultDest;
 
 /// Rounds a "late" delivery spends in flight before the SSI finally sees it.
 const LATE_DELAY: u64 = 3;
+
+/// A round whose contacts number at least this many steps its TDSs on
+/// worker threads ([`ServiceDriver::pipelined`]); a smaller one steps each
+/// TDS inline, just before its settle.
+const PIPELINE_MIN_CONTACTS: usize = 512;
+
+/// Contacts a worker steps before it hands their results to the settler.
+const PIPELINE_CHUNK: usize = 256;
+
+/// Worker threads of a pipelined round: the machine's parallelism, read
+/// once per process rather than per driver or per round.
+fn pipeline_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// Round-based backoff after a failed delivery attempt: 2, 4, 8, 16, then
 /// 16 rounds between retries of the same work item.
@@ -108,6 +145,20 @@ struct WorkItem {
     not_before: u64,
 }
 
+impl WorkItem {
+    /// This item's current attempt, stepped by TDS `tds`.
+    fn contact(&self, tds: usize, step: TdsStep, seed: u64) -> Contact<'_> {
+        Contact {
+            tds,
+            item: self.item,
+            attempt: self.attempts,
+            step,
+            inputs: &self.partition,
+            seed,
+        }
+    }
+}
+
 /// A posted query, as every phase of its run needs it.
 struct Posted<'q> {
     qid: u64,
@@ -115,13 +166,44 @@ struct Posted<'q> {
     params: &'q ProtocolParams,
 }
 
-/// One attempt at one work item: TDS `tds` runs `step` over `inputs`.
+/// One attempt at one work item: TDS `tds` runs `step` over `inputs`,
+/// its randomness drawn from `seed` ([`ServiceDriver::step_seed`]).
 struct Contact<'i> {
     tds: usize,
     item: u64,
     attempt: u32,
     step: TdsStep,
     inputs: &'i [StoredTuple],
+    seed: u64,
+}
+
+impl Contact<'_> {
+    /// The download leg of a contact: the TDS steps over the envelope (a
+    /// collect step) or its partition (any other), one bit of either
+    /// flipped when the fault plan corrupts this download. It reads only
+    /// the pool and its arguments, so a worker thread may run it.
+    fn download(
+        &self,
+        pool: &dyn TdsPool,
+        q: &Posted<'_>,
+        faults: &FaultPlan,
+        phase: Phase,
+        round: u64,
+    ) -> Result<StepResult> {
+        let (item, attempt) = (self.item, self.attempt);
+        let mut env = Cow::Borrowed(q.env);
+        let mut inputs = Cow::Borrowed(self.inputs);
+        if faults.corrupt_download(phase, item, attempt) {
+            if self.step == TdsStep::Collect {
+                let bad = faults.corrupt_blob(&env.enc_query, phase, item, attempt);
+                env.to_mut().enc_query = bad;
+            } else if let Some(first) = inputs.to_mut().first_mut() {
+                first.blob = faults.corrupt_blob(&first.blob, phase, item, attempt);
+            }
+        }
+        let (tds, step, seed) = (self.tds, self.step, self.seed);
+        pool.step(tds, &env, q.params, round, step, &inputs, seed)
+    }
 }
 
 /// What a step uploads, named by the SSI method that settles it.
@@ -650,6 +732,17 @@ impl<'a> ServiceDriver<'a> {
             }
             let mut busiest = 0u64;
             let connected = self.connectivity.sample_connected(n, &mut self.rng);
+            // A SIZE tuple bound is asked before every TDS, so a collection
+            // under one steps inline, as does a small round.
+            let pipelining = env.size.max_tuples.is_none()
+                && connected
+                    .iter()
+                    .filter(|&&i| !contributed[i] && env.target.includes(self.tds_ids[i]))
+                    .count()
+                    >= PIPELINE_MIN_CONTACTS;
+            let mut planned: Vec<Contact<'_>> = Vec::new();
+            let mut stepped_inline = false;
+            let mut halted = None;
             for i in connected {
                 if contributed[i] || !env.target.includes(self.tds_ids[i]) {
                     continue;
@@ -657,21 +750,26 @@ impl<'a> ServiceDriver<'a> {
                 if self.size_tuples_reached(q)? {
                     break 'outer;
                 }
-                if !self.charge(phase, env, &mut attempts[i])? {
-                    contributed[i] = true;
+                let contact =
+                    match self.collect_contact(q, phase, i, &mut attempts[i], &mut item_of[i]) {
+                        Ok(Some(contact)) => contact,
+                        Ok(None) => {
+                            contributed[i] = true;
+                            continue;
+                        }
+                        Err(e) => {
+                            halted = Some(e);
+                            break;
+                        }
+                    };
+                // The round's first contact steps inline, before the rest is
+                // planned: a query every TDS rejects fails here, having
+                // allocated one work item.
+                if pipelining && stepped_inline {
+                    planned.push(contact);
                     continue;
                 }
-                let item = match item_of[i] {
-                    Some(it) => it,
-                    None => *item_of[i].insert(self.control(|ssi| ssi.new_item(qid))?),
-                };
-                let contact = Contact {
-                    tds: i,
-                    item,
-                    attempt: attempts[i],
-                    step: TdsStep::Collect,
-                    inputs: &[],
-                };
+                stepped_inline = true;
                 // Any settlement but a closed window means the SSI holds
                 // this TDS's contribution — a `Duplicate` is typically a
                 // pre-crash delivery that was accepted and journaled but
@@ -680,6 +778,17 @@ impl<'a> ServiceDriver<'a> {
                 if let Some(outcome) = self.contact(q, phase, contact, &mut late, &mut busiest)? {
                     contributed[i] |= outcome != DeliveryOutcome::WindowClosed;
                 }
+            }
+            if !planned.is_empty() {
+                let outcomes = self.pipelined(q, phase, &planned, &mut late, &mut busiest)?;
+                for (c, outcome) in planned.iter().zip(outcomes) {
+                    if let Some(outcome) = outcome {
+                        contributed[c.tds] |= outcome != DeliveryOutcome::WindowClosed;
+                    }
+                }
+            }
+            if let Some(e) = halted {
+                return Err(e);
             }
             self.stats.record_step_critical(phase, busiest);
         }
@@ -771,30 +880,67 @@ impl<'a> ServiceDriver<'a> {
             let connected = self
                 .connectivity
                 .sample_connected(self.tds_ids.len(), &mut self.rng);
+            let pipelining = connected.len().min(ready.len()) >= PIPELINE_MIN_CONTACTS;
+            // Items planned past the round's first contact, each with the
+            // TDS that steps it (`None`: it dropped out).
+            let mut planned: Vec<(WorkItem, Option<usize>)> = Vec::new();
+            let mut stepped_inline = false;
+            let mut halted = None;
             for i in connected {
                 let Some(mut w) = ready.pop_front() else {
                     break;
                 };
-                if !self.charge(phase, q.env, &mut w.attempts)? {
-                    continue;
+                match self.charge(phase, q.env, &mut w.attempts) {
+                    Ok(true) => {}
+                    Ok(false) => continue,
+                    Err(e) => {
+                        halted = Some(e);
+                        break;
+                    }
                 }
-                let settled = if self.connectivity.drops(&mut self.rng) {
+                let tds = if self.connectivity.drops(&mut self.rng) {
                     self.stats.record_reassignment(phase);
                     None
                 } else {
-                    let contact = Contact {
-                        tds: i,
-                        item: w.item,
-                        attempt: w.attempts,
-                        step,
-                        inputs: &w.partition,
-                    };
-                    self.contact(q, phase, contact, &mut late, &mut busiest)?
+                    Some(i)
+                };
+                if pipelining && stepped_inline {
+                    planned.push((w, tds));
+                    continue;
+                }
+                let settled = match tds {
+                    Some(i) => {
+                        stepped_inline = true;
+                        let seed = self.step_seed(qid, phase, w.item, w.attempts);
+                        self.contact(q, phase, w.contact(i, step, seed), &mut late, &mut busiest)?
+                    }
+                    None => None,
                 };
                 if settled.is_none() {
                     w.not_before = self.round + backoff(w.attempts);
                     queue.push_back(w);
                 }
+            }
+            if !planned.is_empty() {
+                let contacts: Vec<Contact<'_>> = planned
+                    .iter()
+                    .filter_map(|(w, tds)| {
+                        let i = (*tds)?;
+                        Some(w.contact(i, step, self.step_seed(qid, phase, w.item, w.attempts)))
+                    })
+                    .collect();
+                let mut outcomes = self
+                    .pipelined(q, phase, &contacts, &mut late, &mut busiest)?
+                    .into_iter();
+                for (mut w, tds) in planned {
+                    if tds.and_then(|_| outcomes.next().flatten()).is_none() {
+                        w.not_before = self.round + backoff(w.attempts);
+                        queue.push_back(w);
+                    }
+                }
+            }
+            if let Some(e) = halted {
+                return Err(e);
             }
             while let Some(w) = ready.pop_back() {
                 queue.push_front(w);
@@ -813,6 +959,34 @@ impl<'a> ServiceDriver<'a> {
             ],
         );
         Ok(())
+    }
+
+    /// Plan TDS `i`'s collect contact: charge its attempt and allocate its
+    /// work item at its first contact. `None` when the retry budget is spent
+    /// and the item abandoned.
+    fn collect_contact(
+        &mut self,
+        q: &Posted<'_>,
+        phase: Phase,
+        i: usize,
+        attempts: &mut u32,
+        item_of: &mut Option<u64>,
+    ) -> Result<Option<Contact<'static>>> {
+        if !self.charge(phase, q.env, attempts)? {
+            return Ok(None);
+        }
+        let item = match *item_of {
+            Some(item) => item,
+            None => *item_of.insert(self.control(|ssi| ssi.new_item(q.qid))?),
+        };
+        Ok(Some(Contact {
+            tds: i,
+            item,
+            attempt: *attempts,
+            step: TdsStep::Collect,
+            inputs: &[],
+            seed: self.step_seed(q.qid, phase, item, *attempts),
+        }))
     }
 
     /// Spend one delivery attempt of a work item. Exhausting the retry
@@ -836,10 +1010,97 @@ impl<'a> ServiceDriver<'a> {
     }
 
     /// One contact, the driver's whole at-least-once path: TDS `c.tds`
-    /// steps attempt `c.attempt` of work item `c.item`, and its upload is
-    /// delivered under a fresh assignment and settled by the SSI's ledger.
-    /// Returns the settlement, or `None` when nothing reached the SSI and
-    /// the attempt is spent.
+    /// steps attempt `c.attempt` of work item `c.item` ([`Contact::download`]),
+    /// and [`ServiceDriver::settle_contact`] delivers its upload. Returns
+    /// the settlement, or `None` when nothing reached the SSI and the
+    /// attempt is spent.
+    fn contact(
+        &mut self,
+        q: &Posted<'_>,
+        phase: Phase,
+        c: Contact<'_>,
+        late: &mut Vec<LateUpload>,
+        busiest: &mut u64,
+    ) -> Result<Option<DeliveryOutcome>> {
+        let stepped = c.download(self.pool, q, &self.connectivity.faults, phase, self.round);
+        self.settle_contact(q, phase, &c, stepped, late, busiest)
+    }
+
+    /// Step `contacts` on worker threads, and settle each on this thread in
+    /// dispatch order: the outcomes come back in that order too.
+    ///
+    /// Workers claim chunks of [`PIPELINE_CHUNK`] contacts in order from a
+    /// shared counter, so a worker on a CPU the host is slowing claims fewer
+    /// of them. A worker takes a slot before each claim and the settler
+    /// frees one per chunk it settles, so at most two chunks per worker are
+    /// stepped and not yet settled; a chunk that arrives ahead of its turn
+    /// waits in `ahead`. Workers call nothing but [`Contact::download`]:
+    /// every SSI call, statistic and fault leg stays with the settler, so
+    /// the run is the one a driver stepping inline would produce, at any
+    /// worker count.
+    fn pipelined(
+        &mut self,
+        q: &Posted<'_>,
+        phase: Phase,
+        contacts: &[Contact<'_>],
+        late: &mut Vec<LateUpload>,
+        busiest: &mut u64,
+    ) -> Result<Vec<Option<DeliveryOutcome>>> {
+        let (pool, faults, round) = (self.pool, self.connectivity.faults, self.round);
+        let workers = pipeline_workers().min(contacts.len().div_ceil(PIPELINE_CHUNK));
+        let claimed = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let (take_slot, free_slot) = sync_channel::<()>(2 * workers);
+            let (results, arrived) = sync_channel::<(usize, Vec<Result<StepResult>>)>(2 * workers);
+            for _ in 0..workers {
+                let (take_slot, results, claimed) = (take_slot.clone(), results.clone(), &claimed);
+                // A closed channel means the settler stopped on an error:
+                // nothing more will be settled.
+                scope.spawn(move || {
+                    while take_slot.send(()).is_ok() {
+                        let k = claimed.fetch_add(1, Ordering::Relaxed);
+                        let Some(chunk) = contacts.chunks(PIPELINE_CHUNK).nth(k) else {
+                            return;
+                        };
+                        let stepped = chunk
+                            .iter()
+                            .map(|c| c.download(pool, q, &faults, phase, round))
+                            .collect();
+                        if results.send((k, stepped)).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+            drop((take_slot, results));
+            let mut ahead = BTreeMap::new();
+            let mut outcomes = Vec::with_capacity(contacts.len());
+            for (k, chunk) in contacts.chunks(PIPELINE_CHUNK).enumerate() {
+                let stepped = loop {
+                    if let Some(stepped) = ahead.remove(&k) {
+                        break stepped;
+                    }
+                    // Only a panicked worker leaves a claimed chunk unsent;
+                    // the scope re-raises that panic once this closure
+                    // returns.
+                    let (j, stepped) = arrived
+                        .recv()
+                        .map_err(|_| ProtocolError::Protocol("a pipeline worker stopped".into()))?;
+                    ahead.insert(j, stepped);
+                };
+                // Chunk `k` was claimed under a slot, so one is waiting.
+                let _ = free_slot.recv();
+                for (c, stepped) in chunk.iter().zip(stepped) {
+                    outcomes.push(self.settle_contact(q, phase, c, stepped, late, busiest)?);
+                }
+            }
+            Ok(outcomes)
+        })
+    }
+
+    /// The settle leg of a contact, on the driver thread: count the step,
+    /// then deliver its upload under a fresh assignment and settle it on
+    /// the SSI's ledger.
     ///
     /// The connectivity's [`crate::connectivity::FaultPlan`] strikes at
     /// fixed (phase, item, attempt) coordinates: a corrupted download fails
@@ -850,38 +1111,20 @@ impl<'a> ServiceDriver<'a> {
     /// the step counts as a reassignment, of the delivery as a lost upload,
     /// and of a duplicated copy as a dropped duplicate.
     /// `busiest` keeps the round's largest per-TDS byte volume.
-    fn contact(
+    fn settle_contact(
         &mut self,
         q: &Posted<'_>,
         phase: Phase,
-        c: Contact<'_>,
+        c: &Contact<'_>,
+        stepped: Result<StepResult>,
         late: &mut Vec<LateUpload>,
         busiest: &mut u64,
     ) -> Result<Option<DeliveryOutcome>> {
-        let Posted { qid, env, params } = *q;
+        let Posted { qid, env, .. } = *q;
         let faults = self.connectivity.faults;
         let (item, attempt) = (c.item, c.attempt);
-        let rng_seed = self.step_seed(qid, phase, item, attempt);
         let round = self.round;
-        // Download leg: a collect step downloads the envelope, every other
-        // step its partition; injected corruption flips one bit of either.
         let corrupted = faults.corrupt_download(phase, item, attempt);
-        let stepped = if !corrupted {
-            self.pool
-                .step(c.tds, env, params, round, c.step, c.inputs, rng_seed)
-        } else if c.step == TdsStep::Collect {
-            let mut bad = env.clone();
-            bad.enc_query = faults.corrupt_blob(&env.enc_query, phase, item, attempt);
-            self.pool
-                .step(c.tds, &bad, params, round, c.step, c.inputs, rng_seed)
-        } else {
-            let mut bad = c.inputs.to_vec();
-            if let Some(first) = bad.first_mut() {
-                first.blob = faults.corrupt_blob(&first.blob, phase, item, attempt);
-            }
-            self.pool
-                .step(c.tds, env, params, round, c.step, &bad, rng_seed)
-        };
         // A failed step is absorbed — the attempt spent, the item retried —
         // when the RPC failed in transport, or when the TDS rejected the very
         // download the fault plan corrupted. Any other rejection is the

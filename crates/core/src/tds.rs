@@ -124,29 +124,33 @@ impl QueryOpenCache {
     }
 
     /// The parse stored for this (cipher context, ciphertext), now the most
-    /// recently used.
-    fn get(
+    /// recently used; on a miss, `open` runs and a parse it returns is
+    /// stored as the most recently used, evicting the least. The lookup and
+    /// the fill hold one lock, so TDSs stepping on concurrent threads open
+    /// an envelope once between them; an error stores nothing.
+    fn get_or_open(
         &self,
         ciphers: &Arc<CipherContext>,
         enc_query: &Bytes,
-    ) -> Option<(Arc<Query>, Option<Arc<AggregatePlan>>)> {
+        open: impl FnOnce() -> Result<(Arc<Query>, Option<Arc<AggregatePlan>>)>,
+    ) -> Result<(Arc<Query>, Option<Arc<AggregatePlan>>)> {
         let mut entries = self.entries();
-        let i = entries.iter().position(|c| c.answers(ciphers, enc_query))?;
-        entries[..=i].rotate_right(1);
-        Some((Arc::clone(&entries[0].query), entries[0].plan.clone()))
-    }
-
-    /// Store a parse as the most recently used, evicting the least.
-    fn put(&self, entry: CachedOpen) {
-        let mut entries = self.entries();
-        // A sibling worker may have stored the same parse meanwhile.
-        if !entries
-            .iter()
-            .any(|c| c.answers(&entry.ciphers, &entry.enc_query))
-        {
-            entries.truncate(Self::CAPACITY - 1);
-            entries.insert(0, entry);
+        if let Some(i) = entries.iter().position(|c| c.answers(ciphers, enc_query)) {
+            entries[..=i].rotate_right(1);
+            return Ok((Arc::clone(&entries[0].query), entries[0].plan.clone()));
         }
+        let (query, plan) = open()?;
+        entries.truncate(Self::CAPACITY - 1);
+        entries.insert(
+            0,
+            CachedOpen {
+                ciphers: Arc::clone(ciphers),
+                enc_query: enc_query.clone(),
+                query: Arc::clone(&query),
+                plan: plan.clone(),
+            },
+        );
+        Ok((query, plan))
     }
 }
 
@@ -338,20 +342,9 @@ impl Tds {
         now_round: u64,
         cache: &QueryOpenCache,
     ) -> Result<QueryContext> {
-        let (query, plan) = match cache.get(&self.ciphers, &envelope.enc_query) {
-            Some(parsed) => parsed,
-            None => {
-                // An error returns here, before anything is stored.
-                let (query, plan) = self.decrypt_and_parse(envelope)?;
-                cache.put(CachedOpen {
-                    ciphers: Arc::clone(&self.ciphers),
-                    enc_query: envelope.enc_query.clone(),
-                    query: Arc::clone(&query),
-                    plan: plan.clone(),
-                });
-                (query, plan)
-            }
-        };
+        let (query, plan) = cache.get_or_open(&self.ciphers, &envelope.enc_query, || {
+            self.decrypt_and_parse(envelope)
+        })?;
         self.finish_open(envelope, params, now_round, query, plan)
     }
 
@@ -1042,6 +1035,42 @@ mod tests {
     fn open_cache_holds_every_live_query_and_its_discovery() {
         let max_live = crate::ssi::sched::SchedConfig::default().max_live;
         assert!(QueryOpenCache::CAPACITY >= 2 * max_live);
+    }
+
+    #[test]
+    fn concurrent_first_opens_share_one_open() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        let (tds, signer, ring) = make_tds(1, &[(1, 2.0, "north")]);
+        let env = envelope(
+            &ring,
+            &signer,
+            "SELECT district, COUNT(*) FROM power GROUP BY district",
+            ProtocolKind::SAgg,
+            "supplier",
+        );
+        let cache = QueryOpenCache::new();
+        let opens = AtomicUsize::new(0);
+        let start = Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    let (query, plan) = cache
+                        .get_or_open(&tds.ciphers, &env.enc_query, || {
+                            opens.fetch_add(1, Ordering::Relaxed);
+                            // A slow open holds the race window open for
+                            // every sibling released by the barrier.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            tds.decrypt_and_parse(&env)
+                        })
+                        .unwrap();
+                    assert!(query.is_aggregate() && plan.is_some());
+                });
+            }
+        });
+        assert_eq!(opens.load(Ordering::Relaxed), 1);
     }
 
     #[test]

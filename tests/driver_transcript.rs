@@ -41,8 +41,20 @@ struct Run {
 
 /// Run `sql` under `kind` on a seeded 20-TDS world and digest the run.
 fn transcript(kind: ProtocolKind, sql: &str, connectivity: Connectivity, budget: u32) -> Run {
+    transcript_at(20, 4, kind, sql, connectivity, budget)
+}
+
+/// [`transcript`] over `n_tds` TDSs, partitioned `chunk` tuples at a time.
+fn transcript_at(
+    n_tds: usize,
+    chunk: usize,
+    kind: ProtocolKind,
+    sql: &str,
+    connectivity: Connectivity,
+    budget: u32,
+) -> Run {
     let (dbs, _) = smart_meters(&SmartMeterConfig {
-        n_tds: 20,
+        n_tds,
         districts: 3,
         readings_per_tds: 2,
         ..Default::default()
@@ -54,7 +66,7 @@ fn transcript(kind: ProtocolKind, sql: &str, connectivity: Connectivity, budget:
         .build(dbs, AccessPolicy::allow_all(Role::new("supplier")));
     let querier = world.make_querier("energy-co", "supplier");
     let mut params = ProtocolParams::new(kind);
-    params.chunk = 4;
+    params.chunk = chunk;
     params.alpha = 2;
     let outcome = world
         .run_query(&querier, &parse_query(sql).unwrap(), params)
@@ -190,6 +202,45 @@ fn abandon_and_abort_transcripts_are_pinned() {
             assert!(run.faults.items_abandoned > 0 && run.partial, "{label}");
         }
         drifted.extend(drift(label, &run, pinned));
+    }
+    assert!(drifted.is_empty(), "{drifted:#?}");
+}
+
+/// The same pins at 1 200 TDSs, where a round's contacts outnumber the
+/// driver's pipelining threshold: collection always, and with `chunk = 2`
+/// the first reduce round too. The digests were recorded with a driver that
+/// ran every step on its own thread, so the pipelined driver must
+/// reproduce them at any worker count.
+#[test]
+fn transcripts_above_the_pipelining_threshold_are_pinned() {
+    let pinned: [(u64, u64); 5] = [
+        (0x76da_581c_78c0_9bc6, 0xc343_744f_f7ca_d409),
+        (0xd039_4ca4_a41f_ee4a, 0xd33d_23dc_fa0f_0e1e),
+        (0x0f28_f9f6_8fa3_ab4f, 0x82ba_6f32_3d31_7c00),
+        (0xed1b_a191_5e90_acdc, 0x28cb_6057_dd09_b305),
+        (0x3243_9b5c_50fa_e069, 0x9f41_d75a_b549_5f05),
+    ];
+    let mut drifted = Vec::new();
+    for (n, ((kind, sql), (healthy, faulty))) in protocols().into_iter().zip(pinned).enumerate() {
+        let run = transcript_at(1_200, 2, kind, sql, Connectivity::always_on(), 64);
+        assert_eq!(run.faults.total() + run.reassigned, 0, "{}", kind.name());
+        drifted.extend(drift(&format!("{} healthy", kind.name()), &run, healthy));
+
+        let chaos = Connectivity::fraction(0.6)
+            .with_dropout(0.2)
+            .with_faults(every_fault(0x1200 + n as u64));
+        let run = transcript_at(1_200, 2, kind, sql, chaos, 24);
+        assert!(
+            run.error.is_none() && !run.partial,
+            "{}: completes",
+            kind.name()
+        );
+        assert!(
+            run.faults.total() > 0 && run.reassigned > 0,
+            "{}",
+            kind.name()
+        );
+        drifted.extend(drift(&format!("{} faulty", kind.name()), &run, faulty));
     }
     assert!(drifted.is_empty(), "{drifted:#?}");
 }

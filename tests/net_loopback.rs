@@ -44,9 +44,13 @@ fn protocols() -> Vec<(ProtocolKind, &'static str)> {
 }
 
 fn deployment() -> Deployment {
+    deployment_of(20)
+}
+
+fn deployment_of(n_tds: usize) -> Deployment {
     Deployment {
         meters: SmartMeterConfig {
-            n_tds: 20,
+            n_tds,
             districts: 3,
             readings_per_tds: 2,
             ..SmartMeterConfig::default()
@@ -144,6 +148,26 @@ fn loopback_matches_oracle_and_inprocess_for_all_protocols() {
         assert_eq!(remote, local, "{label}: remote vs in-process drift");
         assert_rows_eq(remote, expected, &label);
     }
+}
+
+/// Above the driver's pipelining threshold, several workers step TDSs
+/// through one `RemoteTdsPool` connection at once, serialised by its
+/// mutex: the rows must still match the in-process run byte for byte.
+#[test]
+fn loopback_s_agg_over_1200_tdss_is_byte_identical_to_inprocess() {
+    let dep = deployment_of(1_200);
+    let (_pool, oracle) = dep.provision();
+    let expected = execute(&oracle, &parse_query(SQL).expect("parse"))
+        .expect("oracle")
+        .rows;
+    let config = DriverConfig {
+        seed: 0x4b0,
+        ..DriverConfig::default()
+    };
+    let (remote, local) = run_both(&dep, ProtocolKind::SAgg, SQL, &config, QueryTarget::Crowd);
+    let remote = remote.expect("remote");
+    assert_eq!(remote, local.expect("local"), "remote vs in-process drift");
+    assert_rows_eq(remote, expected, "loopback S_Agg @ 1200");
 }
 
 #[test]

@@ -13,20 +13,19 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tdsql_core::connectivity::FaultPlan;
+use tdsql_core::message::QueryEnvelope;
 use tdsql_core::ssi::Ssi;
 use tdsql_core::stats::Phase;
 use tdsql_core::tds::QueryOpenCache;
 use tdsql_core::workload::SmartMeterConfig;
 use tdsql_core::{
-    DriverConfig, ProtocolError, ProtocolKind, ProtocolParams, ServiceDriver, StepResult, TdsPool,
-    TdsStep,
+    DriverConfig, LocalTdsPool, ProtocolError, ProtocolKind, ProtocolParams, ServiceDriver,
+    StepResult, TdsPool, TdsStep,
 };
 use tdsql_crypto::aes::aes_blocks_batched;
 use tdsql_net::deploy::Deployment;
 use tdsql_obs::Obs;
 use tdsql_sql::parser::parse_query;
-
-const N_TDS: usize = 200;
 
 /// AES blocks one nDet seal or open of a `len`-byte ciphertext costs: CTR
 /// keystream over the body, the nonce and tag excluded.
@@ -34,11 +33,13 @@ fn blocks(len: usize) -> u64 {
     (len - tdsql_crypto::ndet::OVERHEAD).div_ceil(16) as u64
 }
 
-#[test]
-fn s_agg_over_200_tdss_decrypts_its_envelope_once() {
+/// Run one S_Agg query over `n_tds` TDSs and check the AES block equality.
+/// Returns the pool, the posted envelope and the parameters for further
+/// steps on the now-warm pool.
+fn decrypts_its_envelope_once(n_tds: usize) -> (LocalTdsPool, QueryEnvelope, ProtocolParams) {
     let dep = Deployment {
         meters: SmartMeterConfig {
-            n_tds: N_TDS,
+            n_tds,
             districts: 8,
             readings_per_tds: 1,
             ..SmartMeterConfig::default()
@@ -67,7 +68,7 @@ fn s_agg_over_200_tdss_decrypts_its_envelope_once() {
     assert_eq!(rows.len(), 8);
     assert_eq!(
         driver.stats.phase(Phase::Collection).participating_tds(),
-        N_TDS
+        n_tds
     );
     let seen = ssi.observations();
     let qid = seen.first().expect("the SSI saw the collection").query_id;
@@ -80,8 +81,14 @@ fn s_agg_over_200_tdss_decrypts_its_envelope_once() {
     assert_eq!(
         spent,
         2 * sealed_and_opened + 2 * blocks(env.enc_query.len()),
-        "every ciphertext sealed once and opened once, the envelope included"
+        "{n_tds} TDSs: every ciphertext sealed once and opened once, the envelope included"
     );
+    (pool, env, params)
+}
+
+#[test]
+fn s_agg_over_200_tdss_decrypts_its_envelope_once() {
+    let (pool, env, params) = decrypts_its_envelope_once(200);
 
     // Failed opens are neither cached nor allowed to evict: after more
     // rejected envelopes than the cache has room for, a step on the pristine
@@ -110,4 +117,8 @@ fn s_agg_over_200_tdss_decrypts_its_envelope_once() {
     }
     let (cost, sealed) = collect_cost();
     assert_eq!(cost, sealed, "still warm after a cache's worth of failures");
+
+    // At 1 200 TDSs the driver steps the collection round on worker
+    // threads, whose first steps race to open the envelope.
+    decrypts_its_envelope_once(1_200);
 }

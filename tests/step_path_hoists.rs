@@ -35,9 +35,13 @@ const AGG: &str = "SELECT c.district, COUNT(*) FROM consumer c GROUP BY c.distri
 const N_TDS: usize = 12;
 
 fn deployment() -> Deployment {
+    deployment_of(N_TDS)
+}
+
+fn deployment_of(n_tds: usize) -> Deployment {
     Deployment {
         meters: SmartMeterConfig {
-            n_tds: N_TDS,
+            n_tds,
             districts: 3,
             readings_per_tds: 1,
             ..SmartMeterConfig::default()
@@ -358,30 +362,106 @@ fn size_is_polled_per_tds_only_when_the_query_bounds_tuples() {
 fn a_stale_epoch_querier_fails_typed_at_its_first_contact() {
     // No fault plan, so nothing was corrupted in transit: a TDS that cannot
     // authenticate the envelope is reporting the query's own error, and
-    // every other TDS — and every retry — would report it again.
-    let dep = deployment();
-    let (pool, _) = dep.provision();
+    // every other TDS — and every retry — would report it again. At 1 200
+    // TDSs the collection round is pipelined, and its first contact still
+    // runs before the rest of the round is planned.
+    for n_tds in [N_TDS, 1_200] {
+        let dep = deployment_of(n_tds);
+        let (pool, _) = dep.provision();
+        let ssi = CountingSsi::default();
+        let obs = Arc::new(Obs::new(b"stale-epoch"));
+        let mut driver = ServiceDriver::new(&ssi, &pool, obs, DriverConfig::default()).unwrap();
+        let stale = querier_at_epoch(
+            &dep.master_seed,
+            &dep.authority_secret,
+            "energy-co",
+            &dep.role,
+            1,
+        );
+        let err = driver
+            .run_query(
+                &stale,
+                None,
+                &parse_query(AGG).unwrap(),
+                ProtocolParams::new(ProtocolKind::SAgg),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ProtocolError::Crypto(_)), "{n_tds}: {err}");
+        assert_eq!(driver.stats.faults.corrupt_rejected, 0, "{n_tds}");
+        assert_eq!(driver.stats.faults.total(), 0, "{n_tds}");
+        assert_eq!(
+            ssi.new_items.load(Ordering::Relaxed),
+            1,
+            "{n_tds}: one contact"
+        );
+        assert_eq!(
+            ssi.assignments.load(Ordering::Relaxed),
+            0,
+            "{n_tds}: no delivery"
+        );
+    }
+}
+
+/// A pool whose TDSs from `from` on reject every step with the query's own
+/// (non-transport) error.
+struct RejectingFrom {
+    inner: LocalTdsPool,
+    from: usize,
+}
+
+impl TdsPool for RejectingFrom {
+    fn len(&self) -> Result<usize> {
+        self.inner.len()
+    }
+    fn tds_ids(&self) -> Result<Vec<u64>> {
+        self.inner.tds_ids()
+    }
+    fn step(
+        &self,
+        index: usize,
+        env: &QueryEnvelope,
+        params: &ProtocolParams,
+        now_round: u64,
+        step: TdsStep,
+        partition: &[StoredTuple],
+        rng_seed: u64,
+    ) -> Result<StepResult> {
+        if index >= self.from {
+            return Err(ProtocolError::AccessDenied);
+        }
+        self.inner
+            .step(index, env, params, now_round, step, partition, rng_seed)
+    }
+    fn open_rows(&self, blobs: &[Bytes]) -> Result<Vec<Vec<Value>>> {
+        self.inner.open_rows(blobs)
+    }
+}
+
+#[test]
+fn a_step_failing_mid_round_stops_a_pipelined_round_at_that_contact() {
+    // 1 200 always-connected TDSs step in ascending order: the round is
+    // planned whole (one item each), the workers step ahead, and the
+    // settler delivers the first 600 contacts, fails on the 601st, and
+    // returns without waiting for the rest of the round.
+    let dep = deployment_of(1_200);
+    let (inner, _) = dep.provision();
+    let pool = RejectingFrom { inner, from: 600 };
     let ssi = CountingSsi::default();
-    let obs = Arc::new(Obs::new(b"stale-epoch"));
+    let obs = Arc::new(Obs::new(b"mid-round"));
     let mut driver = ServiceDriver::new(&ssi, &pool, obs, DriverConfig::default()).unwrap();
-    let stale = querier_at_epoch(
-        &dep.master_seed,
-        &dep.authority_secret,
-        "energy-co",
-        &dep.role,
-        1,
-    );
     let err = driver
         .run_query(
-            &stale,
+            &dep.make_querier("energy-co", &dep.role),
             None,
             &parse_query(AGG).unwrap(),
             ProtocolParams::new(ProtocolKind::SAgg),
         )
         .unwrap_err();
-    assert!(matches!(err, ProtocolError::Crypto(_)), "{err}");
-    assert_eq!(driver.stats.faults.corrupt_rejected, 0);
-    assert_eq!(driver.stats.faults.total(), 0);
-    assert_eq!(ssi.new_items.load(Ordering::Relaxed), 1, "one contact");
-    assert_eq!(ssi.assignments.load(Ordering::Relaxed), 0, "no delivery");
+    assert!(matches!(err, ProtocolError::AccessDenied), "{err}");
+    assert_eq!(ssi.new_items.load(Ordering::Relaxed), 1_200);
+    assert_eq!(ssi.assignments.load(Ordering::Relaxed), 600);
+    assert_eq!(
+        driver.stats.phase(Phase::Collection).participating_tds(),
+        600
+    );
 }
