@@ -41,8 +41,8 @@ pub const SYSTEM_ROLE: &str = "__system";
 ///
 /// The parsed query, plan and parameters are behind [`Arc`] so a population
 /// of TDSs opening the same envelope (see [`QueryOpenCache`]) shares one
-/// parse — and one copy of the discovery data (noise domain / histogram) —
-/// instead of cloning per TDS.
+/// parse — and one copy of the discovery data (noise domain / histogram)
+/// and of the noise domain's `Det_Enc_k2` tags — instead of cloning per TDS.
 #[derive(Debug, Clone)]
 pub struct QueryContext {
     /// SSI query id.
@@ -56,6 +56,47 @@ pub struct QueryContext {
     pub authorized: bool,
     /// Protocol parameters (public recipe + k2-protected discovery data).
     pub params: Arc<ProtocolParams>,
+    /// `Det_Enc_k2` of every `params.noise_domain` value, when the query
+    /// was opened through a [`QueryOpenCache`].
+    domain_tags: Option<Arc<DomainTags>>,
+}
+
+/// `Det_Enc_k2` of every value of one noise domain, derived once per opened
+/// query and shared by every TDS that steps it. A tag is a deterministic
+/// function of the ring and the key, so a TDS cloning one from here sends
+/// the bytes it would have derived itself; the clone is a refcount bump.
+struct DomainTags {
+    /// The cipher context the tags were derived under.
+    ciphers: Arc<CipherContext>,
+    /// The domain they were derived for.
+    domain: Arc<[GroupKey]>,
+    tags: BTreeMap<GroupKey, Bytes>,
+}
+
+impl DomainTags {
+    fn derive(ciphers: &Arc<CipherContext>, domain: &Arc<[GroupKey]>) -> Self {
+        let tags = domain
+            .iter()
+            .map(|key| (key.clone(), Bytes::from(ciphers.det2.encrypt(&key.0))))
+            .collect();
+        Self {
+            ciphers: Arc::clone(ciphers),
+            domain: Arc::clone(domain),
+            tags,
+        }
+    }
+
+    /// Derived for `domain`: the same `Arc` in process, equal contents when
+    /// the params were decoded off the wire.
+    fn built_for(&self, domain: &Arc<[GroupKey]>) -> bool {
+        Arc::ptr_eq(&self.domain, domain) || self.domain[..] == domain[..]
+    }
+}
+
+impl std::fmt::Debug for DomainTags {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DomainTags {{ values: {} }}", self.tags.len())
+    }
 }
 
 /// Amortizes the ring-wide part of [`Tds::open_query`] across a population.
@@ -64,7 +105,12 @@ pub struct QueryContext {
 /// ciphertext and the ring's `k1` — it is identical for every TDS burned
 /// from the same ring, yet dominated collection wall-time at large
 /// populations. A cache entry is keyed on (cipher-context identity, exact
-/// envelope ciphertext) and holds the parsed [`Query`] and [`AggregatePlan`].
+/// envelope ciphertext) and holds the parsed [`Query`] and [`AggregatePlan`],
+/// and `Det_Enc_k2` of every value of the noise domain the query was last
+/// opened with: the tags C_Noise and Rnf_Noise put on every fake and every
+/// per-group partial. Each open checks that the tags were derived for its
+/// own `noise_domain` and derives them again when they were not, so a tag
+/// is never stale.
 /// The per-TDS trust decisions — credential verification and the local
 /// access policy — are *never* cached; they run on every open. Neither are
 /// failures: an envelope that does not authenticate or parse leaves the
@@ -93,13 +139,29 @@ struct CachedOpen {
     enc_query: Bytes,
     query: Arc<Query>,
     plan: Option<Arc<AggregatePlan>>,
+    tags: Option<Arc<DomainTags>>,
 }
 
 impl CachedOpen {
     fn answers(&self, ciphers: &Arc<CipherContext>, enc_query: &Bytes) -> bool {
         Arc::ptr_eq(&self.ciphers, ciphers) && self.enc_query == *enc_query
     }
+
+    /// The entry's tags for `domain`, derived again when the stored ones
+    /// were derived for another domain; `None` for an empty domain.
+    fn tags_for(&mut self, domain: &Arc<[GroupKey]>) -> Option<Arc<DomainTags>> {
+        if domain.is_empty() {
+            return None;
+        }
+        if !self.tags.as_ref().is_some_and(|t| t.built_for(domain)) {
+            self.tags = Some(Arc::new(DomainTags::derive(&self.ciphers, domain)));
+        }
+        self.tags.clone()
+    }
 }
+
+/// A query's parse and, when it aggregates, its plan.
+type Parsed = (Arc<Query>, Option<Arc<AggregatePlan>>);
 
 impl QueryOpenCache {
     /// Entries kept: every default-admitted live query with its discovery
@@ -124,33 +186,38 @@ impl QueryOpenCache {
     }
 
     /// The parse stored for this (cipher context, ciphertext), now the most
-    /// recently used; on a miss, `open` runs and a parse it returns is
-    /// stored as the most recently used, evicting the least. The lookup and
-    /// the fill hold one lock, so TDSs stepping on concurrent threads open
-    /// an envelope once between them; an error stores nothing.
+    /// recently used, with its tags for `domain`; on a miss, `open` runs and
+    /// a parse it returns is stored as the most recently used, evicting the
+    /// least. The lookup, the fill and the tag derivation hold one lock, so
+    /// TDSs stepping on concurrent threads open an envelope and derive its
+    /// tags once between them; an error stores nothing.
     fn get_or_open(
         &self,
         ciphers: &Arc<CipherContext>,
         enc_query: &Bytes,
-        open: impl FnOnce() -> Result<(Arc<Query>, Option<Arc<AggregatePlan>>)>,
-    ) -> Result<(Arc<Query>, Option<Arc<AggregatePlan>>)> {
+        domain: &Arc<[GroupKey]>,
+        open: impl FnOnce() -> Result<Parsed>,
+    ) -> Result<(Parsed, Option<Arc<DomainTags>>)> {
         let mut entries = self.entries();
         if let Some(i) = entries.iter().position(|c| c.answers(ciphers, enc_query)) {
             entries[..=i].rotate_right(1);
-            return Ok((Arc::clone(&entries[0].query), entries[0].plan.clone()));
+        } else {
+            let (query, plan) = open()?;
+            entries.truncate(Self::CAPACITY - 1);
+            entries.insert(
+                0,
+                CachedOpen {
+                    ciphers: Arc::clone(ciphers),
+                    enc_query: enc_query.clone(),
+                    query,
+                    plan,
+                    tags: None,
+                },
+            );
         }
-        let (query, plan) = open()?;
-        entries.truncate(Self::CAPACITY - 1);
-        entries.insert(
-            0,
-            CachedOpen {
-                ciphers: Arc::clone(ciphers),
-                enc_query: enc_query.clone(),
-                query: Arc::clone(&query),
-                plan: plan.clone(),
-            },
-        );
-        Ok((query, plan))
+        let entry = &mut entries[0];
+        let tags = entry.tags_for(domain);
+        Ok(((Arc::clone(&entry.query), entry.plan.clone()), tags))
     }
 }
 
@@ -326,14 +393,15 @@ impl Tds {
         params: ProtocolParams,
         now_round: u64,
     ) -> Result<QueryContext> {
-        let (query, plan) = self.decrypt_and_parse(envelope)?;
-        self.finish_open(envelope, Arc::new(params), now_round, query, plan)
+        let parsed = self.decrypt_and_parse(envelope)?;
+        self.finish_open(envelope, Arc::new(params), now_round, parsed, None)
     }
 
-    /// [`Self::open_query`] with the ring-wide decrypt+parse+plan step
-    /// memoized in `cache`. Credential verification and the access-policy
-    /// decision still run per TDS per call — only work that is a pure
-    /// function of (cipher context, envelope ciphertext) is shared, and a
+    /// [`Self::open_query`] with the ring-wide decrypt+parse+plan step, and
+    /// `Det_Enc_k2` of every `params.noise_domain` value, memoized in
+    /// `cache`. Credential verification and the access-policy decision
+    /// still run per TDS per call — only work that is a pure function of
+    /// (cipher context, envelope ciphertext, noise domain) is shared, and a
     /// failed decrypt or parse is returned without touching the cache.
     pub fn open_query_cached(
         &self,
@@ -342,18 +410,18 @@ impl Tds {
         now_round: u64,
         cache: &QueryOpenCache,
     ) -> Result<QueryContext> {
-        let (query, plan) = cache.get_or_open(&self.ciphers, &envelope.enc_query, || {
-            self.decrypt_and_parse(envelope)
-        })?;
-        self.finish_open(envelope, params, now_round, query, plan)
+        let (parsed, tags) = cache.get_or_open(
+            &self.ciphers,
+            &envelope.enc_query,
+            &params.noise_domain,
+            || self.decrypt_and_parse(envelope),
+        )?;
+        self.finish_open(envelope, params, now_round, parsed, tags)
     }
 
     /// The ring-wide half of an open: authenticate + decrypt the envelope
     /// under `k1`, parse, and build the aggregate plan.
-    fn decrypt_and_parse(
-        &self,
-        envelope: &QueryEnvelope,
-    ) -> Result<(Arc<Query>, Option<Arc<AggregatePlan>>)> {
+    fn decrypt_and_parse(&self, envelope: &QueryEnvelope) -> Result<Parsed> {
         let sql_bytes = self.ciphers.k1.decrypt(&envelope.enc_query)?;
         let sql = String::from_utf8(sql_bytes)
             .map_err(|_| ProtocolError::Codec("query is not UTF-8".into()))?;
@@ -372,8 +440,8 @@ impl Tds {
         envelope: &QueryEnvelope,
         params: Arc<ProtocolParams>,
         now_round: u64,
-        query: Arc<Query>,
-        plan: Option<Arc<AggregatePlan>>,
+        (query, plan): Parsed,
+        domain_tags: Option<Arc<DomainTags>>,
     ) -> Result<QueryContext> {
         let credential_ok = self
             .authority_verifier
@@ -391,6 +459,7 @@ impl Tds {
             plan,
             authorized,
             params,
+            domain_tags,
         })
     }
 
@@ -505,11 +574,7 @@ impl Tds {
         let sealed = inputs.len() + fakes.parts.len();
         let mut arena = TupleArena::for_item(sealed.max(1), pad);
         let mut det_scratch = Vec::new();
-        let mut det_tag = |key: &[u8]| {
-            det_scratch.clear();
-            self.ciphers.det2.encrypt_into(key, &mut det_scratch);
-            GroupTag::Det(Bytes::copy_from_slice(&det_scratch))
-        };
+        let mut det_tag = |key: &[u8]| self.det_tag(ctx, key, &mut det_scratch);
         let bucket_tag = |bucket| GroupTag::Bucket(self.ciphers.bucket_hasher.hash(bucket));
         for t in &inputs {
             let tag = match histogram {
@@ -615,7 +680,6 @@ impl Tds {
         retag: RetagMode,
         rng: &mut StdRng,
     ) -> Result<Vec<StoredTuple>> {
-        let _ = ctx;
         match retag {
             RetagMode::None => {
                 let batch = PartialAggBatch {
@@ -623,16 +687,19 @@ impl Tds {
                 };
                 Ok(vec![self.seal_k2(GroupTag::None, batch.encode()?, rng)])
             }
-            RetagMode::DetPerGroup => groups
-                .into_iter()
-                .map(|(key, states)| {
-                    let tag = GroupTag::Det(Bytes::from(self.ciphers.det2.encrypt(&key.0)));
-                    let batch = PartialAggBatch {
-                        entries: vec![(key, states)],
-                    };
-                    Ok(self.seal_k2(tag, batch.encode()?, rng))
-                })
-                .collect(),
+            RetagMode::DetPerGroup => {
+                let mut det_scratch = Vec::new();
+                groups
+                    .into_iter()
+                    .map(|(key, states)| {
+                        let tag = self.det_tag(ctx, &key.0, &mut det_scratch);
+                        let batch = PartialAggBatch {
+                            entries: vec![(key, states)],
+                        };
+                        Ok(self.seal_k2(tag, batch.encode()?, rng))
+                    })
+                    .collect()
+            }
         }
     }
 
@@ -712,6 +779,22 @@ impl Tds {
     pub fn open_histogram(&self, blob: &Bytes) -> Result<Histogram> {
         let plain = self.ciphers.k2.decrypt(blob)?;
         Histogram::decode(&plain).ok_or_else(|| ProtocolError::Codec("corrupt histogram".into()))
+    }
+
+    /// `Det_Enc_k2(key)`: the opened query's memoized tag when `key` is a
+    /// value of its noise domain, else derived on the spot through
+    /// `scratch` (the empty dummy key, a value the discovery missed).
+    fn det_tag(&self, ctx: &QueryContext, key: &[u8], scratch: &mut Vec<u8>) -> GroupTag {
+        let memo = ctx
+            .domain_tags
+            .as_deref()
+            .filter(|t| Arc::ptr_eq(&t.ciphers, &self.ciphers));
+        if let Some(tag) = memo.and_then(|t| t.tags.get(key)) {
+            return GroupTag::Det(tag.clone());
+        }
+        scratch.clear();
+        self.ciphers.det2.encrypt_into(key, scratch);
+        GroupTag::Det(Bytes::copy_from_slice(scratch))
     }
 
     fn require_plan<'a>(&self, ctx: &'a QueryContext) -> Result<&'a AggregatePlan> {
@@ -1051,26 +1134,33 @@ mod tests {
             "supplier",
         );
         let cache = QueryOpenCache::new();
+        let domain: Arc<[GroupKey]> = Arc::from(vec![GroupKey::from_values(&[Value::Int(1)])]);
         let opens = AtomicUsize::new(0);
         let start = Barrier::new(8);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    start.wait();
-                    let (query, plan) = cache
-                        .get_or_open(&tds.ciphers, &env.enc_query, || {
-                            opens.fetch_add(1, Ordering::Relaxed);
-                            // A slow open holds the race window open for
-                            // every sibling released by the barrier.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            tds.decrypt_and_parse(&env)
-                        })
-                        .unwrap();
-                    assert!(query.is_aggregate() && plan.is_some());
-                });
-            }
+        let tags: Vec<Arc<DomainTags>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let ((query, plan), tags) = cache
+                            .get_or_open(&tds.ciphers, &env.enc_query, &domain, || {
+                                opens.fetch_add(1, Ordering::Relaxed);
+                                // A slow open holds the race window open for
+                                // every sibling released by the barrier.
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                tds.decrypt_and_parse(&env)
+                            })
+                            .unwrap();
+                        assert!(query.is_aggregate() && plan.is_some());
+                        tags.unwrap()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
         assert_eq!(opens.load(Ordering::Relaxed), 1);
+        // The domain's tags were derived once, too.
+        assert!(tags.iter().all(|t| Arc::ptr_eq(t, &tags[0])));
     }
 
     #[test]

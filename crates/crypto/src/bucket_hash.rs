@@ -19,8 +19,8 @@ pub type BucketTag = [u8; BUCKET_TAG_LEN];
 /// Keyed hash for bucket identifiers.
 #[derive(Clone)]
 pub struct BucketHasher {
-    /// Keyed HMAC template (ipad absorbed, opad stored), cloned per hash so
-    /// the pad precomputation happens once per key ring.
+    /// Keyed HMAC template (both pads absorbed), cloned per hash so the two
+    /// pad compressions happen once per key ring.
     mac: HmacSha256,
 }
 

@@ -25,8 +25,8 @@ pub const OVERHEAD: usize = BLOCK_SIZE;
 #[derive(Clone)]
 pub struct DetCipher {
     aes: Aes128,
-    /// Keyed HMAC template (ipad absorbed, opad stored), cloned per message
-    /// so the pad precomputation happens once per key ring.
+    /// Keyed HMAC template (both pads absorbed), cloned per message so the
+    /// two pad compressions happen once per key ring.
     mac: HmacSha256,
 }
 

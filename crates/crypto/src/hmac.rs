@@ -3,10 +3,17 @@
 use crate::sha256::{Sha256, BLOCK_SIZE, DIGEST_SIZE};
 
 /// Incremental HMAC-SHA256.
+///
+/// Both pads are absorbed at construction: `inner` has taken `K ^ ipad` and
+/// `outer` has taken `K ^ opad`, each one full block. A context cloned from
+/// a keyed template therefore pays only for its message and the two
+/// finishing blocks.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_SIZE],
+    /// Hasher with the outer pad `K ^ opad` already compressed; it absorbs
+    /// the inner digest at [`Self::finalize`].
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -26,10 +33,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        Self {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        Self { inner, outer }
     }
 
     /// Absorb message data.
@@ -38,12 +44,9 @@ impl HmacSha256 {
     }
 
     /// Produce the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_SIZE] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 
     /// One-shot convenience.
@@ -133,6 +136,30 @@ mod tests {
         h.update(&data[..10]);
         h.update(&data[10..]);
         assert_eq!(h.finalize(), HmacSha256::mac(key, data));
+    }
+
+    /// A template keyed once and cloned per message (how the ciphers use
+    /// it) gives the one-shot tag at every message length from 0 to 130
+    /// bytes, so the inner padding meets every block position; the tags
+    /// fold to the value Python's `hmac` module computes for the same key
+    /// and `(i * 37 + 11) mod 256` messages.
+    #[test]
+    fn cloned_template_matches_oneshot_at_every_length() {
+        let key = b"template key";
+        let data: Vec<u8> = (0..130).map(|i| ((i * 37 + 11) % 256) as u8).collect();
+        let template = HmacSha256::new(key);
+        let mut fold = Sha256::new();
+        for len in 0..=data.len() {
+            let mut h = template.clone();
+            h.update(&data[..len]);
+            let tag = h.finalize();
+            assert_eq!(tag, HmacSha256::mac(key, &data[..len]), "len {len}");
+            fold.update(&tag);
+        }
+        assert_eq!(
+            hex(&fold.finalize()),
+            "214009c09472e9b978c4338740bb2136e1b8b36c7ba300ceb31c12a7b4a2501c"
+        );
     }
 
     #[test]

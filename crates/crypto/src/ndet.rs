@@ -32,8 +32,8 @@ pub const OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 #[derive(Clone)]
 pub struct NDetCipher {
     aes: Aes128,
-    /// Keyed HMAC template: ipad already absorbed, opad stored. Cloned per
-    /// message — two SHA-256 compressions cheaper than `HmacSha256::new`.
+    /// Keyed HMAC template with both pad blocks already compressed. Cloned
+    /// per message, which skips the two compressions `HmacSha256::new` pays.
     mac: HmacSha256,
 }
 

@@ -115,15 +115,14 @@ impl Sha256 {
                 // Buffer still not full; nothing block-aligned to compress.
                 return;
             }
-            let block = self.buffer;
-            self.compress(&block);
+            compress(self.backend, &mut self.state, &self.buffer);
             self.buffer_len = 0;
         }
         let mut chunks = data.chunks_exact(BLOCK_SIZE);
         for chunk in &mut chunks {
             let mut block = [0u8; BLOCK_SIZE];
             block.copy_from_slice(chunk);
-            self.compress(&block);
+            compress(self.backend, &mut self.state, &block);
         }
         let rem = chunks.remainder();
         self.buffer[..rem.len()].copy_from_slice(rem);
@@ -131,18 +130,25 @@ impl Sha256 {
     }
 
     /// Finish and produce the 32-byte digest.
+    ///
+    /// Padding is written into the buffer a block at a time: 0x80, a zero
+    /// fill, and the 64-bit big-endian bit length in the last 8 bytes. When
+    /// fewer than 9 bytes are free the 0x80 and zeros close this block and
+    /// the length goes into one more.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
+        const LEN_AT: usize = BLOCK_SIZE - 8;
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
+        let mut fill = self.buffer_len;
+        self.buffer[fill] = 0x80;
+        fill += 1;
+        if fill > LEN_AT {
+            self.buffer[fill..].fill(0);
+            compress(self.backend, &mut self.state, &self.buffer);
+            fill = 0;
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[fill..LEN_AT].fill(0);
+        self.buffer[LEN_AT..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(self.backend, &mut self.state, &self.buffer);
         let mut out = [0u8; DIGEST_SIZE];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -156,71 +162,58 @@ impl Sha256 {
         h.update(data);
         h.finalize()
     }
+}
 
-    /// Append a padding byte without affecting the message length counter.
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == BLOCK_SIZE {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+/// One compression of `block` into `state`, on `backend`.
+fn compress(backend: ShaBackend, state: &mut [u32; 8], block: &[u8; BLOCK_SIZE]) {
+    #[cfg(target_arch = "x86_64")]
+    if backend == ShaBackend::ShaNi {
+        // SAFETY: `backend` is only ShaNi when CPUID reported the
+        // sha/sse4.1/ssse3 features (see `sha_backend`).
+        unsafe { ni::compress(state, block) };
+        return;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = backend;
+    compress_soft(state, block);
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_SIZE]) {
-        #[cfg(target_arch = "x86_64")]
-        if self.backend == ShaBackend::ShaNi {
-            // SAFETY: `backend` is only ShaNi when CPUID reported the
-            // sha/sse4.1/ssse3 features (see `sha_backend`).
-            unsafe { ni::compress(&mut self.state, block) };
-            return;
-        }
-        self.compress_soft(block);
+fn compress_soft(state: &mut [u32; 8], block: &[u8; BLOCK_SIZE]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
     }
-
-    fn compress_soft(&mut self, block: &[u8; BLOCK_SIZE]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -369,6 +362,51 @@ mod tests {
                 sha_backend()
             );
         }
+    }
+
+    /// Every length from 0 to 130 bytes, so the padding lands in every
+    /// position of the last block, including 56..=63 and 120..=127 where
+    /// it spills into one more block. The messages are prefixes of the
+    /// pattern `(i * 37 + 11) mod 256`. The expected values come from an
+    /// independent implementation (Python's `hashlib`): the SHA-256 of the
+    /// 131 digests concatenated, plus the digests at the spill edges.
+    #[test]
+    fn padding_at_every_length_matches_reference() {
+        let data: Vec<u8> = (0..130).map(|i| ((i * 37 + 11) % 256) as u8).collect();
+        let at = |len: usize| hex(&Sha256::digest(&data[..len]));
+        assert_eq!(
+            at(55),
+            "2900465fcb533e05a158fd2b3be0e5e3b03740d83060aa3580e0d98a96bf2384"
+        );
+        assert_eq!(
+            at(56),
+            "31454ff48ef36af2f08fd511bdc37d9d5855ac23e992e5ff5445cb6b7674a674"
+        );
+        assert_eq!(
+            at(63),
+            "5f6401b96532c36de4e65beec0409b69b1d181864c8009b7a04f43e5d56350d1"
+        );
+        assert_eq!(
+            at(64),
+            "94eb5de4943613fd048dc93393ab06877405faa39c11f53e9386083339833e7e"
+        );
+        assert_eq!(
+            at(119),
+            "b0dc41b1a384e2f1203f0351b38fbeaafceef577ce1191d5bfc25da39f721eae"
+        );
+        assert_eq!(
+            at(120),
+            "5df24dd802ac26132ce608dcb5f09841eef039ee0f152acf98d26d17fe4e88e6"
+        );
+        let mut fold = Sha256::new();
+        let mut fold_soft = Sha256::new();
+        for len in 0..=data.len() {
+            fold.update(&Sha256::digest(&data[..len]));
+            fold_soft.update(&Sha256::digest_software(&data[..len]));
+        }
+        let expect = "cec4c6d09a19510a15db5bcadc0491d8921c4ac138b9237e9b623d4c0998fb45";
+        assert_eq!(hex(&fold.finalize()), expect, "backend {}", sha_backend());
+        assert_eq!(hex(&fold_soft.finalize()), expect, "software backend");
     }
 
     #[test]

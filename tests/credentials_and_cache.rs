@@ -8,19 +8,21 @@
 
 mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use common::assert_rows_eq;
 use tdsql_core::access::AccessPolicy;
+use tdsql_core::bytes::Bytes;
 use tdsql_core::connectivity::{Connectivity, FaultPlan};
 use tdsql_core::histogram::Histogram;
-use tdsql_core::message::{QueryEnvelope, StoredTuple};
+use tdsql_core::message::{GroupTag, QueryEnvelope, StoredTuple};
 use tdsql_core::protocol::{discovery, ProtocolKind, ProtocolParams};
 use tdsql_core::querier::Querier;
 use tdsql_core::runtime::SimBuilder;
 use tdsql_core::ssi::Ssi;
 use tdsql_core::stats::Phase;
-use tdsql_core::tds::{CipherContext, QueryOpenCache, Tds};
+use tdsql_core::tds::{CipherContext, QueryOpenCache, RetagMode, Tds};
 use tdsql_core::tuple_codec::AggInput;
 use tdsql_core::workload::{health_survey, smart_meters, HealthConfig, SmartMeterConfig};
 use tdsql_core::{
@@ -28,10 +30,11 @@ use tdsql_core::{
 };
 use tdsql_crypto::credential::{CredentialSigner, Role};
 use tdsql_crypto::rng::{SeedableRng, StdRng};
-use tdsql_crypto::{KeyRing, NDetCipher};
+use tdsql_crypto::{DetCipher, KeyRing, NDetCipher};
 use tdsql_obs::Obs;
 use tdsql_sql::engine::{execute, Database};
 use tdsql_sql::parser::parse_query;
+use tdsql_sql::value::{GroupKey, Value};
 
 const SQL: &str = "SELECT city, COUNT(*) FROM health GROUP BY city";
 
@@ -307,4 +310,209 @@ fn chaos_rejects_as_many_corruptions_warm_as_cold() {
     }
     assert!(rejected[0] > 0, "the plan must inject corruption");
     assert_eq!(rejected, vec![rejected[0]; 3]);
+}
+
+// -- The open cache's noise-domain tags are a cache, not a tag scheme --------
+
+/// A supplier's C_Noise envelope for [`METER_SQL`].
+fn c_noise_envelope(ring: &KeyRing) -> QueryEnvelope {
+    let credential = CredentialSigner::new(AUTHORITY).issue("energy-co", supplier(), u64::MAX);
+    Querier::new("energy-co", &ring.k1, credential).make_envelope(
+        &parse_query(METER_SQL).unwrap(),
+        ProtocolKind::CNoise,
+        &mut StdRng::seed_from_u64(0xc0),
+    )
+}
+
+/// The districts `db` holds, keyed as the discovery returns them.
+fn districts(db: &Database) -> Vec<GroupKey> {
+    execute(db, &parse_query(METER_SQL).unwrap())
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| GroupKey::from_values(&row[..1]))
+        .collect()
+}
+
+/// A district no TDS holds: only fakes ever carry it.
+fn nowhere() -> GroupKey {
+    GroupKey::from_values(&[Value::Str("district-nowhere".into())])
+}
+
+fn c_noise_params(domain: &[GroupKey]) -> ProtocolParams {
+    let mut params = ProtocolParams::new(ProtocolKind::CNoise);
+    params.noise_domain = domain.into();
+    params
+}
+
+fn c_noise_collect(
+    pool: &LocalTdsPool,
+    index: usize,
+    env: &QueryEnvelope,
+    params: &ProtocolParams,
+) -> Vec<StoredTuple> {
+    match pool
+        .step(index, env, params, 0, TdsStep::Collect, &[], 11)
+        .unwrap()
+    {
+        StepResult::Working(tuples) => tuples,
+        StepResult::Results(_) => panic!("collect returned result rows"),
+    }
+}
+
+/// Each tuple's key (opened under `k2`, as a reducer would) and its tag,
+/// which every C_Noise tuple carries.
+fn keyed_tags(ring: &KeyRing, tuples: &[StoredTuple]) -> BTreeMap<GroupKey, Bytes> {
+    let k2 = NDetCipher::new(&ring.k2);
+    tuples
+        .iter()
+        .map(|t| {
+            let key = AggInput::decode(&k2.decrypt(&t.blob).unwrap()).unwrap().key;
+            match &t.tag {
+                GroupTag::Det(tag) => (key, tag.clone()),
+                other => panic!("C_Noise tuple tagged {other:?}"),
+            }
+        })
+        .collect()
+}
+
+/// Every tag is `Det_Enc_k2(key)`, and one tuple per key of `expect`.
+fn assert_det_tags(ring: &KeyRing, tags: &BTreeMap<GroupKey, Bytes>, expect: &[GroupKey]) {
+    let det = DetCipher::new(&ring.k2);
+    for (key, tag) in tags {
+        assert_eq!(&tag[..], &det.encrypt(&key.0)[..], "tag of {key:?}");
+    }
+    let keys: BTreeSet<&GroupKey> = expect.iter().collect();
+    assert_eq!(tags.keys().collect::<BTreeSet<_>>(), keys);
+}
+
+#[test]
+fn memoized_domain_tags_are_det_enc_under_the_ring() {
+    let ring = KeyRing::derive(b"tag-ring");
+    let tdss = tdss_with(&ring, &vec![AccessPolicy::allow_all(supplier()); 3]);
+    let (_, oracle) = meter_dbs(3);
+    let mut domain = districts(&oracle);
+    domain.push(nowhere());
+    let pool = LocalTdsPool::new(Arc::new(tdss));
+    let env = c_noise_envelope(&ring);
+    let params = c_noise_params(&domain);
+    // Every TDS sends each domain value once, true or fake, and every tag
+    // is the memo's own bytes: the first TDS's, shared by the others.
+    let mut first: BTreeMap<GroupKey, Bytes> = BTreeMap::new();
+    for index in 0..3 {
+        let tags = keyed_tags(&ring, &c_noise_collect(&pool, index, &env, &params));
+        assert_det_tags(&ring, &tags, &domain);
+        for (key, tag) in tags {
+            let shared = first.entry(key).or_insert_with(|| tag.clone());
+            assert_eq!(
+                shared.as_ptr(),
+                tag.as_ptr(),
+                "TDS {index} derived its own tag"
+            );
+        }
+    }
+}
+
+#[test]
+fn one_envelope_gets_each_domains_tags_and_a_wire_copy_reuses_them() {
+    let ring = KeyRing::derive(b"tag-ring");
+    let tdss = tdss_with(&ring, &vec![AccessPolicy::allow_all(supplier()); 3]);
+    let held: Vec<GroupKey> = tdss.iter().map(|t| districts(t.db())[0].clone()).collect();
+    let (_, oracle) = meter_dbs(3);
+    let mut wide = districts(&oracle);
+    wide.push(nowhere());
+    let narrow = vec![nowhere(), GroupKey::from_values(&[Value::Int(7)])];
+    let pool = LocalTdsPool::new(Arc::new(tdss));
+    let env = c_noise_envelope(&ring);
+    let with_held = |domain: &[GroupKey], index: usize| {
+        let mut keys = domain.to_vec();
+        keys.push(held[index].clone());
+        keys
+    };
+
+    let wide_params = c_noise_params(&wide);
+    let before = keyed_tags(&ring, &c_noise_collect(&pool, 0, &env, &wide_params));
+    assert_det_tags(&ring, &before, &wide);
+    // Params decoded off the wire: equal domain, fresh `Arc`. The memo is
+    // reused, so the tags are the same allocations.
+    let wire_params = c_noise_params(&wide);
+    let wire = keyed_tags(&ring, &c_noise_collect(&pool, 1, &env, &wire_params));
+    for (key, tag) in &wire {
+        assert_eq!(tag.as_ptr(), before[key].as_ptr(), "{key:?} derived again");
+    }
+    // The same envelope with another domain gets that domain's tags, from
+    // a memo derived for that domain and shared again …
+    let narrow_params = c_noise_params(&narrow);
+    let first = keyed_tags(&ring, &c_noise_collect(&pool, 2, &env, &narrow_params));
+    assert_det_tags(&ring, &first, &with_held(&narrow, 2));
+    let second = keyed_tags(&ring, &c_noise_collect(&pool, 1, &env, &narrow_params));
+    assert_det_tags(&ring, &second, &with_held(&narrow, 1));
+    for key in &narrow {
+        assert_eq!(
+            first[key].as_ptr(),
+            second[key].as_ptr(),
+            "{key:?} derived again"
+        );
+    }
+    // … and the first domain's come back right after it.
+    let again = keyed_tags(&ring, &c_noise_collect(&pool, 0, &env, &wide_params));
+    assert_det_tags(&ring, &again, &wide);
+}
+
+#[test]
+fn a_held_key_outside_the_domain_is_tagged_as_without_the_cache() {
+    let ring = KeyRing::derive(b"tag-ring");
+    let tdss = tdss_with(&ring, &vec![AccessPolicy::allow_all(supplier()); 3]);
+    let missed = districts(tdss[0].db())[0].clone();
+    let (_, oracle) = meter_dbs(3);
+    let mut domain: Vec<GroupKey> = districts(&oracle)
+        .into_iter()
+        .filter(|k| *k != missed)
+        .collect();
+    domain.push(nowhere());
+    let params = Arc::new(c_noise_params(&domain));
+    let env = c_noise_envelope(&ring);
+    let cache = QueryOpenCache::new();
+    let det = DetCipher::new(&ring.k2);
+
+    let mut cached_all = Vec::new();
+    let mut plain_all = Vec::new();
+    for tds in &tdss {
+        let cached = tds
+            .open_query_cached(&env, Arc::clone(&params), 0, &cache)
+            .unwrap();
+        let plain = tds.open_query(&env, (*params).clone(), 0).unwrap();
+        let seed = 40 + tds.id;
+        let from_cache = tds
+            .collect(&cached, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let uncached = tds
+            .collect(&plain, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        assert_eq!(from_cache, uncached, "TDS {} collect", tds.id);
+        cached_all.extend(from_cache);
+        plain_all.extend(uncached);
+    }
+    let tags = keyed_tags(&ring, &cached_all[..domain.len() + 1]);
+    assert_eq!(&tags[&missed][..], &det.encrypt(&missed.0)[..]);
+
+    // The reduce step retags per group, the missed key among them.
+    let cached = tdss[1]
+        .open_query_cached(&env, Arc::clone(&params), 0, &cache)
+        .unwrap();
+    let plain = tdss[1].open_query(&env, (*params).clone(), 0).unwrap();
+    let reduce = |ctx, partition: &[StoredTuple]| {
+        tdss[1]
+            .reduce_inputs(
+                ctx,
+                partition,
+                RetagMode::DetPerGroup,
+                &mut StdRng::seed_from_u64(5),
+            )
+            .unwrap()
+    };
+    let from_cache = reduce(&cached, &cached_all);
+    assert_eq!(from_cache, reduce(&plain, &plain_all));
+    let missed_tag = GroupTag::Det(Bytes::from(det.encrypt(&missed.0)));
+    assert!(from_cache.iter().any(|t| t.tag == missed_tag));
 }

@@ -169,10 +169,10 @@ impl Posted<'_> {
 const BOUNDS: [(&str, u64); 6] = [
     ("S_Agg collect", 11),
     ("ED_Hist collect", 11),
-    ("C_Noise collect (8 tuples)", 24),
-    ("Rnf_Noise collect (4 tuples)", 18),
+    ("C_Noise collect (8 tuples)", 15),
+    ("Rnf_Noise collect (4 tuples)", 13),
     ("S_Agg ReduceInputs (64 tuples)", 30),
-    ("C_Noise ReduceInputs (64 tuples)", 35),
+    ("C_Noise ReduceInputs (64 tuples)", 29),
 ];
 
 #[test]
